@@ -1,10 +1,10 @@
 """Command-line surface: thin adapters over the library with structured output.
 
-Every subcommand resolves its parameters (flags, optional flat key=value
-config file, CONE_SPECTRA_THREADS fallback), calls the library once, and
-prints a JSON report embedding the tool version and the resolved config.
-Exact rationals are serialized as "p/q" strings.  Exit codes: 0 success,
-2 validation error, 3 numerical failure, 64 usage error.
+Every subcommand resolves its parameters (flags and an optional flat
+key=value config file), calls the library once, and prints a JSON report
+embedding the tool version and the resolved config.  Exact rationals are
+serialized as "p/q" strings.  Exit codes: 0 success, 2 validation error,
+3 numerical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -88,14 +87,16 @@ def _load_table_cone(path: str) -> ConeData:
     "coverage": [lo, hi]} (non-SL cones enter only this way)."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    rows = tuple(
-        (
-            _parse_number(str(row["lambda"])),
-            int(row["dimension"]),
+    try:
+        rows = tuple(
+            (_parse_number(str(row["lambda"])), int(row["dimension"]))
+            for row in data["rows"]
         )
-        for row in data["rows"]
-    )
-    lo, hi = data["coverage"]
+        lo, hi = data["coverage"]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"malformed d-table {path}: {type(exc).__name__} {exc}"
+        ) from None
     table = DLambdaTable(rows, Window(_parse_number(str(lo)), _parse_number(str(hi))))
     return ConeData((ConeComponent(table),))
 
@@ -118,16 +119,6 @@ def _resolve_cone_data(name: str, cutoff: float) -> ConeData:
         f"unknown cone preset '{name}' (use hl, plane, plane-pair, "
         f"torus:<g11,g12,g22>, table:<path.json>)"
     )
-
-
-def _resolve_cone_specs(name: str, cutoff: float) -> list[SLConeSpec]:
-    data = _resolve_cone_data(name, cutoff)
-    specs = []
-    for comp in data.components:
-        if not isinstance(comp.kernel_source, SLConeSpec):
-            raise ValidationError(f"preset '{name}' has no link spectrum")
-        specs.append(comp.kernel_source)
-    return specs
 
 
 def _provenance(name: str) -> str:
@@ -172,18 +163,14 @@ def _cmd_spectrum(args) -> dict:
 
 def _cmd_indicial(args) -> dict:
     window = parse_window(args.window)
-    specs = _resolve_cone_specs(args.cone, args.cutoff)
+    cone = _resolve_cone_data(args.cone, args.cutoff)
+    specs = [c.kernel_source for c in cone.components]
+    if not all(isinstance(s, SLConeSpec) for s in specs):
+        raise ValidationError(f"preset '{args.cone}' has no link spectrum")
     tables = [indicial_roots(s, window) for s in specs]
-    merged: dict[float, int] = {}
-    rows = []
-    for t in tables:
-        for r in t.roots:
-            merged[r.value] = merged.get(r.value, 0) + r.total_dimension
-    for value in sorted(merged):
-        rows.append({"lambda": value, "dimension": merged[value]})
     result: dict = {
         "window": str(window),
-        "roots": rows,
+        "roots": [{"lambda": lam, "dimension": d} for lam, d in cone.roots_in(window)],
         "per_component": [json.loads(t.to_json()) for t in tables],
     }
     if args.symmetry:
@@ -419,7 +406,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
         **(kw or {"default": "json"}),
     )
     parser.add_argument("--seed", type=int, **(kw or {"default": 0}))
-    parser.add_argument("--threads", type=int, **(kw or {"default": None}))
 
 
 def build_parser() -> _Parser:
@@ -599,11 +585,6 @@ def run(argv) -> tuple[int, str]:
     try:
         args = parser.parse_args(argv)
         _apply_config(parser, args, argv)
-        if args.threads is None:
-            args.threads = os.environ.get("CONE_SPECTRA_THREADS", "1")
-        args.threads = int(args.threads)
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
         result = HANDLERS[args.command](args)
     except SystemExit_usage as exc:
         return EXIT_USAGE, json.dumps({"error": "usage", "message": str(exc)})

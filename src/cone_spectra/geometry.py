@@ -131,8 +131,9 @@ def lawlor_solve(
     """Invert the angle map at fixed conformal scale A.
 
     Damped Newton iteration on (log a_1, log a_2) with a finite-difference
-    Jacobian; a_3 is eliminated through sqrt(a_1 a_2 a_3) = 4 pi / (3 A), so
-    the A-relation holds exactly by construction.
+    Jacobian, stopped once both angle residuals are below ``tol``; a_3 is
+    eliminated through sqrt(a_1 a_2 a_3) = 4 pi / (3 A), so the A-relation
+    holds exactly by construction.
     """
     if not A > 0:
         raise ValueError("A must be positive")
@@ -151,7 +152,7 @@ def lawlor_solve(
     res = residual(u)
     step_h = 1e-5
     for _ in range(max_iter):
-        if float(np.max(np.abs(res))) < 1e-10:
+        if float(np.max(np.abs(res))) < tol:
             return params(u)
         jac = np.empty((2, 2))
         for j in range(2):

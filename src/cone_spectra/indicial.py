@@ -111,10 +111,16 @@ def _root_key(p: int, s: int, delta) -> tuple:
 
 
 def _key_value(key) -> float:
+    if key[0] == "V":
+        return key[1]
     if key[0] == "Q":
         return float(key[1])
     _, p, s, disc = key
     return (p + s * math.sqrt(disc)) / 2.0
+
+
+def _key_exact(key) -> Fraction | None:
+    return key[1] if key[0] == "Q" else None
 
 
 def _key_reflect(key) -> tuple:
@@ -169,12 +175,6 @@ class KernelTable:
     window: Window
     roots: tuple[IndicialRoot, ...]
 
-    def dimension_at(self, value: float, tol: float = MERGE_TOL) -> int:
-        for r in self.roots:
-            if abs(r.value - float(value)) <= tol:
-                return r.total_dimension
-        return 0
-
     def total_dimension(self, sub: Window | None = None) -> int:
         if sub is None:
             return sum(r.total_dimension for r in self.roots)
@@ -186,22 +186,52 @@ class KernelTable:
         return json.dumps([r.to_dict() for r in self.roots])
 
 
-def _required_cutoff(window: Window) -> float:
-    """Largest eigenvalue demanded by d_lambda over the window (at endpoints)."""
-    demands = []
-    for lam in (float(window.lo), float(window.hi)):
-        demands.append(lam * (lam + 1.0))
-        demands.append((lam + 2.0) * (lam + 1.0))
-    return max(demands)
+def _rate_coverage(cutoff: float) -> tuple[float, float]:
+    """The closed rate interval whose d_lambda only needs eigenvalues <= cutoff.
+
+    d_lambda needs the eigenvalues lambda(lambda+1) and (lambda+2)(lambda+1);
+    the larger of the two grows monotonically away from lambda = -1.
+    """
+    root = math.sqrt(1.0 + 4.0 * cutoff)
+    return ((-1.0 - root) / 2.0, (-3.0 + root) / 2.0)
 
 
 def _check_window_cutoff(cone: SLConeSpec, window: Window) -> None:
-    need = _required_cutoff(window)
-    if need > cone.spectrum.cutoff + 1e-12:
+    lo, hi = _rate_coverage(cone.spectrum.cutoff)
+    if float(window.lo) < lo or float(window.hi) > hi:
         raise CutoffExceeded(
-            f"window {window} needs eigenvalues up to {need:g} but the spectrum "
-            f"is only complete to {cone.spectrum.cutoff:g}"
+            f"window {window} leaves [{lo:g}, {hi:g}], the rates whose kernels "
+            f"the spectrum (complete to {cone.spectrum.cutoff:g}) determines"
         )
+
+
+def _same_rate(value: float, exact, other_value: float, other_exact) -> bool:
+    """Equal exact identities, or (either missing) values within MERGE_TOL."""
+    if exact is not None and other_exact is not None:
+        return exact == other_exact
+    return abs(value - other_value) <= MERGE_TOL
+
+
+def _merge_rates(entries) -> list[tuple]:
+    """Group (rate, exact identity or None, item) entries by rate in one sorted pass.
+
+    Returns (rate, identity, items) per rate in increasing order.  Each group
+    takes its rate and identity from its earliest entry and keeps its items
+    in input order.
+    """
+    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
+    groups: list[list[int]] = []
+    for i in order:
+        if groups and _same_rate(*entries[groups[-1][0]][:2], *entries[i][:2]):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    merged = []
+    for group in groups:
+        group.sort()
+        rate, exact, _ = entries[group[0]]
+        merged.append((rate, exact, [entries[i][2] for i in group]))
+    return merged
 
 
 def d_lambda(cone: SLConeSpec, lam: Rate) -> int:
@@ -234,23 +264,13 @@ def indicial_roots(cone: SLConeSpec, window: Window) -> KernelTable:
     """All indicial roots in the window, with exact F/H merging bookkeeping."""
     _check_window_cutoff(cone, window)
     exact_spec = cone.spectrum.exact
-    groups: dict[tuple, list[BranchContribution]] = {}
-    order: list[tuple] = []
+    found: list[tuple] = []
 
     def add(key, contribution):
-        if key not in groups:
+        value = _key_value(key)
+        if window.contains(value, _key_exact(key)):
             # float spectra merge by value tolerance instead of exact identity
-            if not exact_spec:
-                v = _key_value(key) if key[0] != "V" else key[1]
-                for k in groups:
-                    kv = _key_value(k) if k[0] != "V" else k[1]
-                    if abs(kv - v) <= MERGE_TOL:
-                        key = k
-                        break
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(contribution)
+            found.append((value, key if exact_spec else None, (key, contribution)))
 
     for delta, mult in cone.spectrum.entries:
         dval = float(delta)
@@ -261,36 +281,26 @@ def indicial_roots(cone: SLConeSpec, window: Window) -> KernelTable:
                 lam = (p + s * math.sqrt(disc)) / 2.0
                 if abs(lam + 1.0) < 1e-12:
                     continue  # lambda = -1 carries only harmonic 1-forms
-                if exact_spec:
-                    key = _root_key(p, s, delta)
-                else:
-                    key = ("V", lam)
-                if not window.contains(
-                    _key_value(key) if key[0] != "V" else lam,
-                    key[1] if key[0] == "Q" else None,
-                ):
-                    continue
+                key = _root_key(p, s, delta) if exact_spec else ("V", lam)
                 add(key, BranchContribution(branch, dval, m))
 
-    if cone.topology.b1 > 0 and window.contains(-1.0, Fraction(-1)):
+    if cone.topology.b1 > 0:
         key = ("Q", Fraction(-1)) if exact_spec else ("V", -1.0)
         add(key, BranchContribution(HARMONIC_ONE_FORM, 0.0, cone.topology.b1))
 
     roots = []
-    for key in groups:
-        contribs = tuple(groups[key])
-        value = _key_value(key) if key[0] != "V" else key[1]
-        exact = key[1] if key[0] == "Q" else None
+    for value, _, members in _merge_rates(found):
+        key = members[0][0]
+        contribs = tuple(c for _, c in members)
         roots.append(
             IndicialRoot(
                 value=value,
                 branch_contributions=contribs,
                 total_dimension=sum(c.dimension for c in contribs),
-                exact=exact,
+                exact=_key_exact(key),
                 key=key,
             )
         )
-    roots.sort(key=lambda r: r.value)
     return KernelTable(cone=cone, window=window, roots=tuple(roots))
 
 

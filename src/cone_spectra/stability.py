@@ -15,8 +15,11 @@ floats: index formulas admit no tolerance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Union
 
 from .errors import (
@@ -26,12 +29,13 @@ from .errors import (
     NonPositiveArea,
 )
 from .indicial import (
-    IndicialRoot,
-    KernelTable,
+    MERGE_TOL,
     Rate,
     SLConeSpec,
     Window,
-    d_lambda,
+    _merge_rates,
+    _rate_coverage,
+    _same_rate,
     indicial_roots,
 )
 from .spectra import LinkTopology, _is_exact
@@ -40,6 +44,10 @@ DIM_G2 = 14
 
 OPEN_UNIT = Window(-1, 1, include_lo=False, include_hi=False)
 HALF_OPEN_UNIT = Window(-1, 1, include_lo=False, include_hi=True)
+
+#: one row of a root table: (rate, exact rate or None, d_lambda)
+Row = tuple[float, Union[Fraction, None], int]
+_rate = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -56,41 +64,60 @@ class DLambdaTable:
             if not self.coverage.contains(float(lam), Fraction(lam) if _is_exact(lam) else None):
                 raise ValueError(f"table row {lam} outside coverage {self.coverage}")
 
-    def _require(self, window: Window) -> None:
-        if float(window.lo) < float(self.coverage.lo) or float(window.hi) > float(
-            self.coverage.hi
-        ):
-            raise CutoffExceeded(
-                f"user d-table only covers {self.coverage}, asked for {window}"
-            )
-
-    def d_at(self, lam: Rate) -> int:
-        self._require(Window(lam, lam))
-        for row_lam, d in self.rows:
-            if _is_exact(lam) and _is_exact(row_lam):
-                if Fraction(lam) == Fraction(row_lam):
-                    return d
-            elif abs(float(lam) - float(row_lam)) <= 1e-9:
-                return d
-        return 0
-
-    def roots_in(self, window: Window) -> list[tuple[float, int]]:
-        self._require(window)
-        out = []
-        for lam, d in self.rows:
-            if d > 0 and window.contains(
-                float(lam), Fraction(lam) if _is_exact(lam) else None
-            ):
-                out.append((float(lam), d))
-        out.sort()
-        return out
-
 
 KernelSource = Union[SLConeSpec, DLambdaTable]
 
 
+def _merge_rows(rows: list[Row]) -> tuple[Row, ...]:
+    """Rows sorted by rate, one per rate (dimensions summed), none of dimension 0."""
+    merged = ((rate, exact, sum(dims)) for rate, exact, dims in _merge_rates(rows))
+    return tuple(row for row in merged if row[2] > 0)
+
+
+class _RootTableQueries:
+    """d_lambda queries answered as slices of one sorted root table.
+
+    Subclasses provide ``_roots``, built once: the closed rate interval on
+    which the table is complete, and its merged rows in increasing rate.
+    """
+
+    def rate_coverage(self) -> tuple[float, float]:
+        """The closed rate interval on which d_lambda data is complete."""
+        return self._roots[0]
+
+    def _check_covered(self, lo: float, hi: float) -> None:
+        cov_lo, cov_hi = self._roots[0]
+        if lo < cov_lo or hi > cov_hi:
+            raise CutoffExceeded(
+                f"kernel data only covers [{cov_lo:g}, {cov_hi:g}], asked for "
+                f"[{lo:g}, {hi:g}]"
+            )
+
+    def _rows_between(self, lo: float, hi: float) -> tuple[Row, ...]:
+        rows = self._roots[1]
+        return rows[bisect_left(rows, lo, key=_rate) : bisect_right(rows, hi, key=_rate)]
+
+    def d_at(self, lam: Rate) -> int:
+        value, exact = float(lam), Fraction(lam) if _is_exact(lam) else None
+        self._check_covered(value, value)
+        near = self._rows_between(value - MERGE_TOL, value + MERGE_TOL)
+        return sum(d for rate, e, d in near if _same_rate(rate, e, value, exact))
+
+    def d_sum(self, window: Window) -> int:
+        return sum(d for _, d in self.roots_in(window))
+
+    def roots_in(self, window: Window) -> list[tuple[float, int]]:
+        lo, hi = float(window.lo), float(window.hi)
+        self._check_covered(lo, hi)
+        return [
+            (rate, d)
+            for rate, exact, d in self._rows_between(lo, hi)
+            if window.contains(rate, exact)
+        ]
+
+
 @dataclass(frozen=True)
-class ConeComponent:
+class ConeComponent(_RootTableQueries):
     """One connected link component plus its optional group/stratum data."""
 
     kernel_source: KernelSource
@@ -110,35 +137,24 @@ class ConeComponent:
         ):
             raise ValueError("stratum_dim must be >= 14 - symmetry_group_dim")
 
-    def d_at(self, lam: Rate) -> int:
-        if isinstance(self.kernel_source, SLConeSpec):
-            return d_lambda(self.kernel_source, lam)
-        return self.kernel_source.d_at(lam)
-
-    def d_sum(self, window: Window) -> int:
-        if isinstance(self.kernel_source, SLConeSpec):
-            return indicial_roots(self.kernel_source, window).total_dimension()
-        return sum(d for _, d in self.kernel_source.roots_in(window))
-
-    def roots_in(self, window: Window) -> list[tuple[float, int]]:
-        if isinstance(self.kernel_source, SLConeSpec):
-            return [
-                (r.value, r.total_dimension)
-                for r in indicial_roots(self.kernel_source, window).roots
+    @cached_property
+    def _roots(self) -> tuple[tuple[float, float], tuple[Row, ...]]:
+        source = self.kernel_source
+        if isinstance(source, DLambdaTable):
+            coverage = (float(source.coverage.lo), float(source.coverage.hi))
+            rows = [
+                (float(lam), Fraction(lam) if _is_exact(lam) else None, d)
+                for lam, d in source.rows
             ]
-        return self.kernel_source.roots_in(window)
-
-    def rate_coverage(self) -> tuple[float, float]:
-        """The closed rate interval on which d_lambda data is complete."""
-        if isinstance(self.kernel_source, SLConeSpec):
-            root = math.sqrt(1.0 + 4.0 * self.kernel_source.spectrum.cutoff)
-            return ((-1.0 - root) / 2.0, (-3.0 + root) / 2.0)
-        cov = self.kernel_source.coverage
-        return (float(cov.lo), float(cov.hi))
+        else:
+            coverage = _rate_coverage(source.spectrum.cutoff)
+            table = indicial_roots(source, Window(*coverage))
+            rows = [(r.value, r.exact, r.total_dimension) for r in table.roots]
+        return coverage, _merge_rows(rows)
 
 
 @dataclass(frozen=True)
-class ConeData:
+class ConeData(_RootTableQueries):
     """An associative cone as a disjoint union of link components."""
 
     components: tuple[ConeComponent, ...]
@@ -147,26 +163,11 @@ class ConeData:
         if not self.components:
             raise ValueError("a cone needs at least one component")
 
-    def d_at(self, lam: Rate) -> int:
-        return sum(c.d_at(lam) for c in self.components)
-
-    def d_sum(self, window: Window) -> int:
-        return sum(c.d_sum(window) for c in self.components)
-
-    def roots_in(self, window: Window) -> list[tuple[float, int]]:
-        merged: dict[float, int] = {}
-        for c in self.components:
-            for lam, d in c.roots_in(window):
-                found = next((k for k in merged if abs(k - lam) <= 1e-9), None)
-                if found is None:
-                    merged[lam] = d
-                else:
-                    merged[found] += d
-        return sorted(merged.items())
-
-    def rate_coverage(self) -> tuple[float, float]:
-        covs = [c.rate_coverage() for c in self.components]
-        return (max(c[0] for c in covs), min(c[1] for c in covs))
+    @cached_property
+    def _roots(self) -> tuple[tuple[float, float], tuple[Row, ...]]:
+        tables = [c._roots for c in self.components]
+        coverage = (max(cov[0] for cov, _ in tables), min(cov[1] for cov, _ in tables))
+        return coverage, _merge_rows([row for _, rows in tables for row in rows])
 
 
 def _base_sum(cone: ConeData, window: Window) -> Fraction:

@@ -57,7 +57,7 @@ def test_byte_identical_reruns():
     assert run(args) == run(args)
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert run(["nonsense"])[0] == EXIT_USAGE
     assert run(["lawlor", "angles"])[0] == EXIT_VALIDATION  # missing --a
     assert run(["stability", "--cone", "nope"])[0] == EXIT_VALIDATION
@@ -66,6 +66,17 @@ def test_exit_codes():
     code, out = run(["lawlor", "decay", "--a", "1,1,1", "--subtract"])
     assert code == EXIT_NUMERICAL
     assert json.loads(out)["error"] == "FitUnstable"
+    # malformed d-table JSON: missing keys, or a list at the top level
+    for i, body in enumerate((
+        {"rows": [{"lambda": 0}], "coverage": [-3, 3]},
+        {"rows": [{"lambda": 0, "dimension": 7}]},
+        [{"lambda": 0, "dimension": 7}],
+    )):
+        table = tmp_path / f"bad{i}.json"
+        table.write_text(json.dumps(body))
+        code, out = run(["stability", "--cone", f"table:{table}"])
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "ValidationError"
 
 
 def test_wall_crossing_report():
@@ -148,15 +159,6 @@ def test_config_unknown_key_rejected(tmp_path):
     code, out = run(["--config", str(cfg), "indicial", "--cone", "hl"])
     assert code == EXIT_VALIDATION
     assert "frobnicate" in json.loads(out)["message"]
-
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("CONE_SPECTRA_THREADS", "4")
-    code, out = run(["g2", "check", "--tuples", "2"])
-    assert code == EXIT_OK
-    assert json.loads(out)["config"]["threads"] == 4
-    monkeypatch.setenv("CONE_SPECTRA_THREADS", "0")
-    assert run(["g2", "check", "--tuples", "2"])[0] == EXIT_VALIDATION
 
 
 def test_window_parsing():

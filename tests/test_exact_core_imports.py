@@ -1,0 +1,32 @@
+"""The exact core never imports numpy or scipy (checked on the source, not at runtime)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cone_spectra
+
+EXACT_CORE = ("spectra", "indicial", "stability", "fredholm", "presets", "errors")
+NUMERIC = {"numpy", "scipy"}
+
+
+def _imported_roots(source: str) -> set[str]:
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("module", EXACT_CORE)
+def test_exact_core_module_avoids_numpy_and_scipy(module):
+    path = Path(cone_spectra.__file__).parent / f"{module}.py"
+    assert not _imported_roots(path.read_text(encoding="utf-8")) & NUMERIC
+
+
+def test_import_parser_sees_numeric_imports():
+    source = "import numpy as np\nfrom scipy.linalg import eigh\nfrom . import mesh\n"
+    assert _imported_roots(source) == {"numpy", "scipy"}

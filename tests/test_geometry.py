@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cone_spectra import g2
+from cone_spectra import g2, geometry
 from cone_spectra.errors import (
     DegenerateAngles,
     FitUnstable,
@@ -120,6 +120,28 @@ def test_lawlor_solve_roundtrip():
 def test_lawlor_solve_respects_scale_constraint():
     solved = lawlor_solve(LawlorAngles((0.8, 1.1, math.pi - 1.9)), 1.0)
     assert abs(solved.conformal_scale() - 1.0) < 1e-12
+
+
+def test_lawlor_solve_honours_tol(monkeypatch):
+    calls = []
+    angles_two = geometry._angles_two
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return angles_two(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_angles_two", counted)
+    target = LawlorAngles((0.9, 1.1, math.pi - 2.0))
+    solved = {}
+    evaluations = {}
+    for tol in (1e-2, 1e-10):
+        calls.clear()
+        solved[tol] = lawlor_solve(target, 1.0, tol=tol)
+        evaluations[tol] = len(calls)
+    assert evaluations[1e-2] < evaluations[1e-10]
+    theta = lawlor_angles(solved[1e-2]).theta
+    assert max(abs(theta[k] - target.theta[k]) for k in range(2)) < 1e-2
+    assert solved[1e-2].a != solved[1e-10].a
 
 
 def test_lawlor_solve_degenerate_target():

@@ -1,6 +1,7 @@
 """Stability indices, rigidity and the lower-bound certificates."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,11 @@ from cone_spectra.errors import (
     MissingSymmetryData,
     NonPositiveArea,
 )
-from cone_spectra.indicial import Window
-from cone_spectra.presets import hl_cone, plane_cone, plane_pair_cone
-from cone_spectra.spectra import LinkTopology
+from cone_spectra import stability
+from cone_spectra.fredholm import AC, EndSpec, OperatorSpec, chamber, index, wall_crossing, with_rates
+from cone_spectra.indicial import SLConeSpec, Window, d_lambda, indicial_roots
+from cone_spectra.presets import hl_cone, plane_cone, plane_pair_cone, torus_cone
+from cone_spectra.spectra import LinkTopology, TorusMetric
 from cone_spectra.stability import (
     ConeComponent,
     ConeData,
@@ -119,6 +122,14 @@ def test_table_cutoff_enforced():
         cone.d_at(3.5)
 
 
+def test_exact_rates_compare_exactly():
+    third, tiny = Fraction(1, 3), Fraction(1, 10**20)
+    cone = _table_cone([(third, 3), (third + tiny, 4)])
+    assert cone.d_at(third) == 3 and cone.d_at(third + tiny) == 4
+    assert cone.d_sum(Window(third, 1, include_lo=False)) == 4
+    assert cone.d_sum(Window(0, third)) == 3
+
+
 def test_null_torsion_bound():
     nt = null_torsion_bound(24 * math.pi)
     assert abs(nt.bound - 5.0) < 1e-12
@@ -169,3 +180,100 @@ def test_report_without_symmetry_data():
     report = stability_report(hl_cone(symmetry_dim=None))
     assert report["s_ind_plus"] is None
     assert report["rigid"] is None
+
+
+def _oracle_d(component, lam):
+    """d_lambda of one component straight from its kernel source."""
+    source = component.kernel_source
+    if isinstance(source, SLConeSpec):
+        return d_lambda(source, lam)
+    exact = (int, Fraction)
+    return sum(
+        d
+        for row_lam, d in source.rows
+        if (
+            Fraction(row_lam) == Fraction(lam)
+            if isinstance(row_lam, exact) and isinstance(lam, exact)
+            else abs(float(row_lam) - float(lam)) <= 1e-9
+        )
+    )
+
+
+def _oracle_sum(component, window):
+    source = component.kernel_source
+    if isinstance(source, SLConeSpec):
+        return indicial_roots(source, window).total_dimension()
+    exact = (int, Fraction)
+    return sum(
+        d
+        for lam, d in source.rows
+        if window.contains(float(lam), Fraction(lam) if isinstance(lam, exact) else None)
+    )
+
+
+TABLE = DLambdaTable(
+    (
+        (-1, 2),
+        (Fraction(-7, 3), 5),
+        (Fraction(-1, 3), 3),
+        (0.25, 1),
+        (0.25, 2),
+        (Fraction(3, 4), 0),
+        (1, 12),
+    ),
+    Window(-3, 3),
+)
+DIFFERENTIAL_CONES = {
+    "hl": hl_cone(),
+    "plane": PLANE,
+    "plane-pair": PAIR,
+    "torus-integral": torus_cone(TorusMetric(Fraction(12, 23), Fraction(-2, 23), Fraction(8, 23)), 24),
+    "torus-rational": torus_cone(TorusMetric(Fraction(3, 2), Fraction(1, 3), Fraction(5, 4)), 24),
+    "table": ConeData((ConeComponent(TABLE),)),
+    "hl+table": ConeData((HL.components[0], ConeComponent(TABLE))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONES))
+def test_root_table_matches_kernel_sources(name):
+    cone = DIFFERENTIAL_CONES[name]
+    if name == "torus-rational":
+        assert not cone.components[0].kernel_source.spectrum.exact
+    lo, hi = cone.rate_coverage()
+    roots = cone.roots_in(Window(lo, hi))
+    assert roots and [lam for lam, _ in roots] == sorted({lam for lam, _ in roots})
+    rng = random.Random(len(name))
+    between = [rng.uniform(lo, hi) for _ in range(60)]
+    quarters = [Fraction(k, 4) for k in range(math.ceil(4 * lo), math.floor(4 * hi) + 1)]
+    for lam in [r for r, _ in roots] + between + quarters:
+        assert cone.d_at(lam) == sum(_oracle_d(c, lam) for c in cone.components), lam
+    for lam, d in roots:
+        assert d == cone.d_at(lam) > 0
+    full = Window(lo, hi)
+    assert cone.d_sum(full) == sum(d for _, d in roots)
+    assert cone.d_sum(full) == sum(_oracle_sum(c, full) for c in cone.components)
+    for _ in range(20):
+        a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+        window = Window(a, b, include_lo=rng.random() < 0.5, include_hi=rng.random() < 0.5)
+        assert cone.d_sum(window) == sum(_oracle_sum(c, window) for c in cone.components)
+
+
+def test_index_sweep_builds_roots_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return indicial_roots(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "indicial_roots", counted)
+    cone = hl_cone()
+    rng = random.Random(16)
+    rates = [rng.uniform(-3.9, 1.9) for _ in range(16)]
+    op = OperatorSpec(AC, (EndSpec(cone, rates[0]),))
+    indices = [index(with_rates(op, r)) for r in rates]
+    jumps = [wall_crossing(op, a, b) for a, b in zip(rates, rates[1:])]
+    assert jumps == [j - i for i, j in zip(indices, indices[1:])]
+    for r in rates:
+        chamber(cone, r)
+    stability_report(cone)
+    assert len(calls) == 1
