@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -218,6 +219,8 @@ def _cmd_stability(args) -> dict:
         dims = [int(p) for p in str(args.stratum_dim).split(",")]
         if len(dims) == 1:
             dims = dims * len(cone.components)
+        if len(dims) != len(cone.components):
+            raise ValidationError("need one --stratum-dim per component")
         cone = ConeData(
             tuple(
                 type(c)(c.kernel_source, c.symmetry_group_dim, dims[i], c.is_plane)
@@ -329,6 +332,8 @@ def _cmd_hl(args) -> dict:
         out["link"] = {"max_omega": link.max_omega}
         return out
     if args.mode == "xi-relation":
+        if not (math.isfinite(args.r) and args.r > 0):
+            raise ValidationError(f"--r must be a positive finite radius, got {args.r}")
         return {
             "r_probe": args.r,
             "residual": geometry.hl_xi_relation_residual(args.r, seed=args.seed),

@@ -1,11 +1,17 @@
 """Triangle meshes and the numeric Laplace spectrum fallback.
 
-The discrete operator is the cotangent-weight Laplacian with lumped
-(barycentric diagonal) mass; the generalized problem L x = lambda M x is
-reduced by M^{-1/2} to a dense symmetric eigenproblem, which is exact enough
-at desk scale (< 5k vertices).  Only intrinsic data (triangle edge lengths)
-enter, so vertices may live in any ambient R^d with d >= 3; the flat
-Clifford-torus sample needs d = 6.
+The discrete operator is the cotangent-weight Laplacian (Pinkall-Polthier)
+with lumped (barycentric diagonal) mass, assembled as a sparse matrix.  The
+generalized problem L x = lambda M x is reduced by M^{-1/2} to a sparse
+symmetric one, whose lowest eigenvalues ARPACK finds in shift-invert mode
+about a small negative shift.  An inertia count (Sylvester's law) certifies
+that no copy of a multiple eigenvalue was missed.  No n x n dense matrix is
+formed unless the request reaches the top of the spectrum.  Only intrinsic
+data (triangle edge lengths) enter, so vertices may live in any ambient R^d
+with d >= 3; the flat Clifford-torus sample needs d = 6.
+
+scipy is imported inside the functions that use it, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -14,13 +20,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InvalidMesh
+from .errors import InvalidMesh, NoConvergence
 from .spectra import Spectrum
 
 AREA_TOL = 1e-14
 CLUSTER_REL_GAP = 1e-3
+# shift-invert about sigma = -SHIFT / total area: below the zero eigenvalue,
+# on the scale of the low spectrum of a closed surface (lambda_1 ~ 1 / area)
+SHIFT = 1e-2
+# relative spectral gap at which an inertia count certifies the eigensolve
+INERTIA_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -37,6 +47,8 @@ class TriMesh:
         object.__setattr__(self, "faces", f)
         if v.ndim != 2 or v.shape[1] < 3:
             raise InvalidMesh("vertices must be an (nv, d>=3) array")
+        if not np.all(np.isfinite(v)):
+            raise InvalidMesh("non-finite vertex coordinate")
         if f.ndim != 2 or f.shape[1] != 3:
             raise InvalidMesh("faces must be an (nf, 3) array")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
@@ -44,22 +56,22 @@ class TriMesh:
         self._check_structure()
 
     def _check_structure(self):
-        if len(self.faces) == 0:
+        f = self.faces
+        if len(f) == 0:
             raise InvalidMesh("mesh has no faces")
         if np.any(self.face_areas() <= AREA_TOL):
             raise InvalidMesh("degenerate face (area <= 1e-14)")
-        directed: set[tuple[int, int]] = set()
-        for a, b, c in self.faces:
-            if a == b or b == c or a == c:
-                raise InvalidMesh("face with repeated vertex")
-            for e in ((a, b), (b, c), (c, a)):
-                if e in directed:
-                    raise InvalidMesh("non-manifold or inconsistently oriented edge")
-                directed.add(e)
+        if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])):
+            raise InvalidMesh("face with repeated vertex")
+        # directed edges (a, b), (b, c), (c, a) encoded as tail * nv + head
+        nv = len(self.vertices)
+        tails, heads = f.ravel(), np.roll(f, -1, axis=1).ravel()
+        directed = tails * nv + heads
+        if len(np.unique(directed)) != len(directed):
+            raise InvalidMesh("non-manifold or inconsistently oriented edge")
         # closed and oriented: every directed edge is matched by its reverse
-        for a, b in directed:
-            if (b, a) not in directed:
-                raise InvalidMesh("open boundary edge")
+        if not np.all(np.isin(heads * nv + tails, directed)):
+            raise InvalidMesh("open boundary edge")
 
     def face_areas(self) -> np.ndarray:
         p = self.vertices
@@ -83,18 +95,29 @@ def load_off(path) -> TriMesh:
                 tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise InvalidMesh("not an OFF file (missing header)")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4  # skip edge count
-    verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        k = int(tokens[pos])
-        if k != 3:
-            raise InvalidMesh("only triangle faces are supported")
-        faces.append([int(t) for t in tokens[pos + 1 : pos + 4]])
-        pos += 4
-    return TriMesh(verts, np.array(faces, dtype=int))
+    try:
+        nv, nf, _ne = (int(t) for t in tokens[1:4])
+    except ValueError:
+        raise InvalidMesh("OFF header needs integer vertex, face and edge counts") from None
+    if nv < 0 or nf < 0:
+        raise InvalidMesh("OFF vertex and face counts must be non-negative")
+    expected = 4 + 3 * nv + 4 * nf
+    if len(tokens) != expected:
+        raise InvalidMesh(
+            f"OFF file with {nv} vertices and {nf} triangles needs {expected} tokens, "
+            f"found {len(tokens)}"
+        )
+    try:
+        verts = np.array(tokens[4 : 4 + 3 * nv], dtype=float).reshape(nv, 3)
+    except ValueError:
+        raise InvalidMesh("OFF vertex coordinates must be numbers") from None
+    try:
+        records = np.array(tokens[4 + 3 * nv :], dtype=np.int64).reshape(nf, 4)
+    except ValueError:
+        raise InvalidMesh("OFF face records must be integers") from None
+    if np.any(records[:, 0] != 3):
+        raise InvalidMesh("only triangle faces are supported")
+    return TriMesh(verts, records[:, 1:])
 
 
 def save_off(mesh: TriMesh, path) -> None:
@@ -109,30 +132,26 @@ def save_off(mesh: TriMesh, path) -> None:
             fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
 
 
-def cotangent_laplacian(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Dense cotangent-weight stiffness matrix and lumped mass vector."""
-    nv = len(mesh.vertices)
-    p = mesh.vertices
-    L = np.zeros((nv, nv))
-    mass = np.zeros(nv)
+def cotangent_laplacian(mesh: TriMesh):
+    """Sparse (CSR) cotangent-weight stiffness matrix and lumped mass vector."""
+    import scipy.sparse
+
+    p, f = mesh.vertices, mesh.faces
+    nv = len(p)
     areas = mesh.face_areas()
-    for (i, j, k), area in zip(mesh.faces, areas):
-        idx = (i, j, k)
-        for c in range(3):
-            a, b, o = idx[c], idx[(c + 1) % 3], idx[(c + 2) % 3]
-            # cot of the angle at o, opposite the edge (a, b)
-            u = p[a] - p[o]
-            v = p[b] - p[o]
-            cot = float(np.dot(u, v)) / (2.0 * area)
-            w = 0.5 * cot
-            L[a, b] -= w
-            L[b, a] -= w
-            L[a, a] += w
-            L[b, b] += w
-        third = area / 3.0
-        mass[i] += third
-        mass[j] += third
-        mass[k] += third
+    rows, cols, weights = [], [], []
+    for c in range(3):
+        a, b, o = f[:, c], f[:, (c + 1) % 3], f[:, (c + 2) % 3]
+        # half the cot of the angle at o, opposite the edge (a, b)
+        w = np.einsum("ij,ij->i", p[a] - p[o], p[b] - p[o]) / (4.0 * areas)
+        rows += [a, b, a, b]
+        cols += [b, a, a, b]
+        weights += [-w, -w, w, w]
+    L = scipy.sparse.coo_matrix(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nv, nv),
+    ).tocsr()
+    mass = np.bincount(f.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=nv)
     return L, mass
 
 
@@ -149,22 +168,73 @@ def _cluster(eigenvalues: np.ndarray) -> tuple[tuple[float, int], ...]:
     return tuple(entries)
 
 
+def _count_below(A, tau: float) -> int:
+    """Number of eigenvalues of the sparse symmetric matrix A below ``tau``.
+
+    Sylvester's law of inertia: with diagonal pivots (threshold 0) SuperLU
+    factors P (A - tau I) P^T = L D L^T, and D has as many negative entries.
+    """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    shifted = (A - tau * scipy.sparse.identity(A.shape[0])).tocsc()
+    lu = scipy.sparse.linalg.splu(
+        shifted, diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _lowest_eigenvalues(A, count: int, sigma: float) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of the sparse symmetric matrix A.
+
+    ARPACK (shift-invert about ``sigma``, below the spectrum) can return a
+    member of the next cluster in place of one copy of a multiple eigenvalue.
+    So the answer is certified: at the first gap at or above the last
+    eigenvalue wanted, an inertia count must find no eigenvalue that ARPACK
+    missed.  Until it does, the request is doubled.
+    """
+    import scipy.sparse.linalg
+
+    n = A.shape[0]
+    # a fixed start vector keeps reruns bit-identical (ARPACK's is random)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    k = count + 1
+    while k < n:
+        try:
+            vals = scipy.sparse.linalg.eigsh(
+                A, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise NoConvergence(f"eigensolver did not converge: {exc}") from None
+        vals = np.sort(vals)
+        upper = vals[count - 1 :]
+        gaps = np.flatnonzero(np.diff(upper) > INERTIA_GAP * (upper[1:] - sigma))
+        if gaps.size:
+            below = count + int(gaps[0])  # vals[:below] lie below the gap
+            if _count_below(A, 0.5 * (vals[below - 1] + vals[below])) == below:
+                return vals[:count]
+        k = min(2 * k, n - 1) if k < n - 1 else n
+    # ARPACK needs k < n: a request that reaches the top of the spectrum is
+    # a dense problem
+    return np.linalg.eigvalsh(A.toarray())[:count]
+
+
 def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
     """Lowest ``count`` Laplace eigenvalues of a closed mesh.
 
     Multiplicities are clustered with relative gap 1e-3; the result is
     marked inexact and its cutoff is the largest computed eigenvalue.
     """
+    import scipy.sparse
+
     nv = len(mesh.vertices)
     if not 1 <= count <= nv:
         raise ValueError("count must be between 1 and the vertex count")
     L, mass = cotangent_laplacian(mesh)
-    L = 0.5 * (L + L.T)
-    s = 1.0 / np.sqrt(mass)
-    A = L * s[:, None] * s[None, :]
+    s = scipy.sparse.diags(1.0 / np.sqrt(mass))
+    A = s @ L @ s
     A = 0.5 * (A + A.T)
-    vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, count - 1))
-    vals = np.asarray(vals, dtype=float)
+    vals = _lowest_eigenvalues(A.tocsc(), count, sigma=-SHIFT / mass.sum())
     if vals[0] < -1e-9:
         raise InvalidMesh(f"negative eigenvalue {vals[0]:g}; mesh badly conditioned")
     vals = np.maximum(vals, 0.0)

@@ -77,6 +77,31 @@ def test_exit_codes(tmp_path):
         code, out = run(["stability", "--cone", f"table:{table}"])
         assert code == EXIT_VALIDATION
         assert json.loads(out)["error"] == "ValidationError"
+    # one --stratum-dim per component, and a positive finite probe radius
+    for argv in (
+        ["stability", "--cone", "plane-pair", "--sym-dim", "6", "--stratum-dim", "8,8,99"],
+        ["hl", "xi-relation", "--r", "-1"],
+        ["hl", "xi-relation", "--r", "0"],
+        ["hl", "xi-relation", "--r", "inf"],
+        ["hl", "xi-relation", "--r", "nan"],
+    ):
+        code, out = run(argv)
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "ValidationError"
+    # malformed OFF files: truncated in the vertex or the face block, or a
+    # non-numeric coordinate
+    tetrahedron = ["OFF", "4 4 0", "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+                   "3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]
+    for name, lines in (
+        ("trunc_vertices", tetrahedron[:4]),
+        ("trunc_faces", tetrahedron[:9]),
+        ("non_numeric", tetrahedron[:3] + ["1 x 0"] + tetrahedron[4:]),
+    ):
+        off = tmp_path / f"{name}.off"
+        off.write_text("\n".join(lines) + "\n")
+        code, out = run(["spectrum", "mesh", "--off", str(off), "--count", "3"])
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "InvalidMesh"
 
 
 def test_wall_crossing_report():

@@ -1,6 +1,10 @@
-"""The exact core never imports numpy or scipy (checked on the source, not at runtime)."""
+"""The exact core never imports numpy or scipy (checked on the source), and
+importing the package does not load scipy (checked in a fresh interpreter)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,21 @@ def test_exact_core_module_avoids_numpy_and_scipy(module):
 def test_import_parser_sees_numeric_imports():
     source = "import numpy as np\nfrom scipy.linalg import eigh\nfrom . import mesh\n"
     assert _imported_roots(source) == {"numpy", "scipy"}
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy is imported inside the mesh functions that use it
+    code = (
+        "import sys, cone_spectra\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(cone_spectra.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

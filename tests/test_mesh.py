@@ -6,7 +6,9 @@ import pytest
 from cone_spectra.errors import InvalidMesh
 from cone_spectra.mesh import (
     TriMesh,
+    _count_below,
     clifford_torus_mesh,
+    cotangent_laplacian,
     icosphere,
     load_off,
     mesh_spectrum,
@@ -15,6 +17,32 @@ from cone_spectra.mesh import (
 from cone_spectra.spectra import clifford_torus_metric, torus_spectrum
 
 SPHERE_TARGET = np.array([0.0, 2, 2, 2, 6, 6, 6, 6, 6])
+
+
+def _dense_reference(mesh):
+    """Face-by-face dense assembly: the stiffness matrix and lumped mass."""
+    nv = len(mesh.vertices)
+    p = mesh.vertices
+    L = np.zeros((nv, nv))
+    mass = np.zeros(nv)
+    for (i, j, k), area in zip(mesh.faces, mesh.face_areas()):
+        idx = (i, j, k)
+        for c in range(3):
+            a, b, o = idx[c], idx[(c + 1) % 3], idx[(c + 2) % 3]
+            # cot of the angle at o, opposite the edge (a, b)
+            w = 0.5 * float(np.dot(p[a] - p[o], p[b] - p[o])) / (2.0 * area)
+            L[a, b] -= w
+            L[b, a] -= w
+            L[a, a] += w
+            L[b, b] += w
+        mass[[i, j, k]] += area / 3.0
+    return L, mass
+
+
+def _dense_eigenvalues(mesh):
+    L, mass = _dense_reference(mesh)
+    s = 1.0 / np.sqrt(mass)
+    return np.linalg.eigvalsh(L * s[:, None] * s[None, :])
 
 
 def _relative_errors(values, target):
@@ -104,10 +132,25 @@ def test_off_round_trip(tmp_path):
 
 
 def test_off_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.off"
-    path.write_text("PLY\n3 1 0\n")
-    with pytest.raises(InvalidMesh):
-        load_off(path)
+    good = ["OFF", "4 4 0", "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+            "3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]
+    bad = {
+        "wrong header": ["PLY", "3 1 0"],
+        "short header": ["OFF", "4 4"],
+        "non-integer count": ["OFF", "4 x 0"] + good[2:],
+        "negative count": ["OFF", "-4 4 0"] + good[2:],
+        "truncated vertices": good[:4],
+        "truncated faces": good[:9],
+        "trailing tokens": good + ["7"],
+        "non-numeric coordinate": good[:3] + ["1 x 0"] + good[4:],
+        "fractional index": good[:9] + ["3 1 2 3.5"],
+        "quad face": good[:9] + ["4 1 2 3"],
+    }
+    for name, lines in bad.items():
+        path = tmp_path / f"{name.replace(' ', '_')}.off"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidMesh):
+            load_off(path)
 
 
 def test_count_validation():
@@ -116,3 +159,91 @@ def test_count_validation():
         mesh_spectrum(mesh, 0)
     with pytest.raises(ValueError):
         mesh_spectrum(mesh, len(mesh.vertices) + 1)
+
+
+@pytest.mark.parametrize(
+    "mesh", [icosphere(2), clifford_torus_mesh(8)], ids=["ico2", "clifford8"]
+)
+def test_sparse_assembly_matches_face_loop(mesh):
+    L, mass = cotangent_laplacian(mesh)
+    L_ref, mass_ref = _dense_reference(mesh)
+    assert np.abs(L.toarray() - L_ref).max() < 1e-12
+    assert np.abs(mass - mass_ref).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "mesh, counts",
+    [
+        (icosphere(1), range(1, 43)),
+        (icosphere(2), range(1, 41)),
+        (clifford_torus_mesh(8), (13, 30)),
+    ],
+    ids=["ico1", "ico2", "clifford8"],
+)
+def test_spectrum_matches_dense_eigvalsh(mesh, counts):
+    # every count, also those that cut through a cluster of a multiple eigenvalue
+    dense = _dense_eigenvalues(mesh)
+    for count in counts:
+        sp = mesh_spectrum(mesh, count)
+        exact = np.maximum(dense[:count], 0.0)
+        assert sum(m for _, m in sp.entries) == count
+        # clusters report their mean, so compare the means of the dense values
+        start = 0
+        for value, mult in sp.entries:
+            ref = exact[start : start + mult].mean()
+            assert abs(value - ref) <= 1e-10 * max(1.0, ref)
+            start += mult
+        assert abs(sp.cutoff - exact[-1]) <= 1e-10 * max(1.0, exact[-1])
+
+
+def test_count_equal_to_vertex_count():
+    mesh = icosphere(0)
+    sp = mesh_spectrum(mesh, len(mesh.vertices))
+    assert [m for _, m in sp.entries] == [1, 3, 5, 3]
+    dense = np.maximum(_dense_eigenvalues(mesh), 0.0)
+    assert abs(sp.cutoff - dense[-1]) < 1e-10 * dense[-1]
+
+
+@pytest.mark.parametrize(
+    "mesh", [icosphere(3), clifford_torus_mesh(24)], ids=["ico3", "clifford24"]
+)
+@pytest.mark.parametrize("scale", [0.1, 10.0])
+def test_eigenvalues_scale_inverse_square(mesh, scale):
+    base = mesh_spectrum(mesh, 13)
+    scaled = mesh_spectrum(TriMesh(scale * mesh.vertices, mesh.faces), 13)
+    assert [m for _, m in scaled.entries] == [m for _, m in base.entries]
+    for (v, _), (w, _) in zip(base.entries, scaled.entries):
+        assert abs(w * scale**2 - v) <= 1e-9 * max(1.0, v)
+
+
+def test_inertia_count_matches_dense():
+    mesh = clifford_torus_mesh(8)
+    L, mass = cotangent_laplacian(mesh)
+    s = 1.0 / np.sqrt(mass)
+    A = L.multiply(s[:, None]).multiply(s[None, :]).tocsc()
+    dense = _dense_eigenvalues(mesh)
+    distinct = np.unique(np.round(dense, 8))
+    for tau in 0.5 * (distinct[:-1] + distinct[1:]):
+        assert _count_below(A, tau) == np.count_nonzero(dense < tau)
+
+
+def test_icosphere_5_spectrum():
+    # 10,242 vertices: out of reach of a dense solve
+    vals = mesh_spectrum(icosphere(5), 9).eigenvalues()
+    errs = _relative_errors(vals, SPHERE_TARGET)
+    assert errs[0] < 1e-6
+    assert np.all(errs[1:] < 0.05)
+
+
+def test_reruns_are_bit_identical():
+    mesh = icosphere(4)
+    first, second = mesh_spectrum(mesh, 9), mesh_spectrum(mesh, 9)
+    assert first.entries == second.entries and first.cutoff == second.cutoff
+
+
+def test_non_finite_vertex_rejected():
+    mesh = icosphere(1)
+    verts = mesh.vertices.copy()
+    verts[3, 0] = np.nan
+    with pytest.raises(InvalidMesh):
+        TriMesh(verts, mesh.faces)
