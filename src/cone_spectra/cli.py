@@ -261,7 +261,7 @@ def _cmd_index(args) -> dict:
 def _cmd_lawlor(args) -> dict:
     if args.mode == "angles":
         params = geometry.LawlorParams(_parse_triple(args.a))
-        angles = geometry.lawlor_angles(params, tol=args.tol)
+        angles = geometry.lawlor_angles(params)
         return {
             "a": list(params.a),
             "theta": list(angles.theta),
@@ -453,7 +453,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", help="a1,a2,a3")
     p.add_argument("--theta", help="target angles t1,t2,t3")
     p.add_argument("--scale", type=float, default=1.0, help="conformal scale A")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help="angle residual tolerance of solve")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--y-min", type=float, default=-5.0)
     p.add_argument("--y-max", type=float, default=5.0)

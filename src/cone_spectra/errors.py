@@ -44,7 +44,7 @@ class NonPositiveArea(ConeSpectraError):
 
 
 class QuadratureFailure(ConeSpectraError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Computed Lawlor angles failed their postcondition: the sum is not pi."""
 
 
 class NoConvergence(ConeSpectraError):

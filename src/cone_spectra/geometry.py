@@ -10,12 +10,14 @@ The Lawlor neck with parameters a = (a_1, a_2, a_3) is
 
 with P(x) = (prod_k (1 + a_k x^2) - 1) / x^2, a plain polynomial in x^2.
 The angles theta_k = theta_k(+inf) always sum to pi and the conformal scale
-is A = 4 pi / (3 sqrt(a_1 a_2 a_3)).
+is A = 4 pi / (3 sqrt(a_1 a_2 a_3)).  Every angle integral is an incomplete
+elliptic integral, evaluated in closed form by Carlson's R_J
+(:func:`cone_spectra.quadrature.carlson_rj`; G. Lawlor, The angle
+criterion, Invent. Math. 95 (1989)).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import g2
 from .errors import DegenerateAngles, FitUnstable, NoConvergence, QuadratureFailure
-from .quadrature import integrate_real_line, integrate_tail
+from .quadrature import carlson_rj
 
 SUM_TOL = 1e-9
 
@@ -69,57 +71,45 @@ def lawlor_P(x, a: LawlorParams):
     return out if out.shape else float(out)
 
 
-def _angle_integrand(k: int, a: LawlorParams):
-    ak = a.a[k]
+def lawlor_tails(y, a: LawlorParams) -> np.ndarray:
+    """Tail angles a_k Integral_y^inf dx / ((1 + a_k x^2) sqrt(P(x))) for y >= 0.
 
-    def f(x):
-        return ak / ((1.0 + ak * x * x) * np.sqrt(lawlor_P(x, a)))
+    With s = x^2 and s_1, s_2 the roots of e3 s^2 + e2 s + e1 (both negative,
+    or a conjugate pair), the tail is R_J(Y, Y - s_1, Y - s_2, Y + 1/a_k) /
+    (3 sqrt(e3)) with Y = y^2.  Vectorised: the result has shape y.shape + (3,).
+    """
+    e1, e2, e3 = a.elementary_symmetric()
+    disc = e2 * e2 - 4.0 * e1 * e3
+    if disc < 0.0:
+        s1 = complex(-e2, math.sqrt(-disc)) / (2.0 * e3)
+        s2 = s1.conjugate()
+    else:
+        q = -(e2 + math.sqrt(disc)) / 2.0  # no cancellation: e2 > 0
+        s1, s2 = q / e3, e1 / q
+    Y = np.asarray(y, dtype=float)[..., None] ** 2
+    return carlson_rj(Y, Y - s1, Y - s2, Y + 1.0 / np.array(a.a)) / (3.0 * math.sqrt(e3))
 
-    return f
 
-
-def lawlor_angles(a: LawlorParams, tol: float = 1e-10) -> LawlorAngles:
-    """The asymptotic angles theta_k(+inf); their sum pi is re-checked."""
-    theta = tuple(
-        integrate_real_line(_angle_integrand(k, a), tol_abs=tol) for k in range(3)
-    )
+def lawlor_angles(a: LawlorParams) -> LawlorAngles:
+    """The asymptotic angles theta_k(+inf) = 2 * tail(0); their sum pi is re-checked."""
+    theta = 2.0 * lawlor_tails(0.0, a)
     try:
-        return LawlorAngles(theta)
+        return LawlorAngles(tuple(theta))
     except ValueError as exc:
         raise QuadratureFailure(f"angle sum failed the pi postcondition: {exc}") from exc
 
 
-@functools.lru_cache(maxsize=64)
-def _total_angles(a_values: tuple) -> tuple:
-    a = LawlorParams(a_values)
-    return tuple(
-        integrate_real_line(_angle_integrand(k, a), tol_abs=1e-12) for k in range(3)
-    )
-
-
-def lawlor_theta_at(y: float, a: LawlorParams) -> np.ndarray:
-    """theta_k(y) for finite y, via the tail integrals (the integrand is even)."""
-    out = np.empty(3)
-    totals = None if y <= 0 else _total_angles(a.a)
-    for k in range(3):
-        f = _angle_integrand(k, a)
-        if y <= 0:
-            out[k] = integrate_tail(f, -y)
-        else:
-            out[k] = totals[k] - integrate_tail(f, y)
-    return out
+def lawlor_theta_at(y, a: LawlorParams) -> np.ndarray:
+    """theta_k(y), shape y.shape + (3,): tail(|y|) for y <= 0, the total
+    angle minus tail(y) for y > 0 (the integrand is even)."""
+    y = np.asarray(y, dtype=float)
+    tails = lawlor_tails(np.abs(y), a)
+    return np.where(y[..., None] > 0.0, 2.0 * lawlor_tails(0.0, a) - tails, tails)
 
 
 def lawlor_theta_prime(y: float, a: LawlorParams) -> np.ndarray:
     arr = np.array(a.a)
     return arr / ((1.0 + arr * y * y) * math.sqrt(lawlor_P(y, a)))
-
-
-def _angles_two(a: LawlorParams, tol: float) -> tuple[float, float]:
-    return (
-        integrate_real_line(_angle_integrand(0, a), tol_abs=tol),
-        integrate_real_line(_angle_integrand(1, a), tol_abs=tol),
-    )
 
 
 def lawlor_solve(
@@ -137,6 +127,8 @@ def lawlor_solve(
     """
     if not A > 0:
         raise ValueError("A must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     kappa = 4.0 * math.pi / (3.0 * A)  # sqrt(a1 a2 a3)
     t1, t2 = target.theta[0], target.theta[1]
 
@@ -145,8 +137,8 @@ def lawlor_solve(
         return LawlorParams((a1, a2, kappa * kappa / (a1 * a2)))
 
     def residual(u):
-        th1, th2 = _angles_two(params(u), tol=1e-11)
-        return np.array([th1 - t1, th2 - t2])
+        theta = 2.0 * lawlor_tails(0.0, params(u))
+        return np.array([theta[0] - t1, theta[1] - t2])
 
     u = np.log([kappa ** (2.0 / 3.0)] * 2)
     res = residual(u)
@@ -213,10 +205,14 @@ def lawlor_embed(y: float, sigma, a: LawlorParams) -> SurfaceSample:
     The recorded cone point is the foot of the position on the nearer
     asymptotic plane (Pi_0 for y <= 0, Pi_theta for y > 0).
     """
+    return _lawlor_sample(y, sigma, lawlor_theta_at(y, a), 2.0 * lawlor_tails(0.0, a), a)
+
+
+def _lawlor_sample(y: float, sigma, theta, totals, a: LawlorParams) -> SurfaceSample:
+    """lawlor_embed given theta_k(y) and the total angles."""
     sigma = np.asarray(sigma, dtype=float)
     if abs(np.linalg.norm(sigma) - 1.0) > 1e-9:
         raise ValueError("sigma must be a unit 3-vector")
-    theta = lawlor_theta_at(y, a)
     rho = np.sqrt(1.0 / np.array(a.a) + y * y)
     z = np.exp(1j * theta) * rho
     dz = np.exp(1j * theta) * (1j * lawlor_theta_prime(y, a) * rho + y / rho)
@@ -228,7 +224,7 @@ def lawlor_embed(y: float, sigma, a: LawlorParams) -> SurfaceSample:
     if y <= 0:
         foot = (z * sigma).real.astype(complex)
     else:
-        phases = np.exp(1j * np.array(_total_angles(a.a)))
+        phases = np.exp(1j * totals)
         foot = phases * (np.conj(phases) * (z * sigma)).real
     return SurfaceSample(
         params={"y": y, "sigma": tuple(sigma)},
@@ -241,35 +237,34 @@ def lawlor_embed(y: float, sigma, a: LawlorParams) -> SurfaceSample:
 
 def lawlor_profile(a: LawlorParams, ys) -> list[dict]:
     """Profile rows (y, theta_k(y), |z_k(y)|) for CSV export."""
-    rows = []
-    for y in ys:
-        theta = lawlor_theta_at(float(y), a)
-        rho = np.sqrt(1.0 / np.array(a.a) + float(y) ** 2)
-        rows.append(
-            {
-                "y": float(y),
-                "theta1": theta[0],
-                "theta2": theta[1],
-                "theta3": theta[2],
-                "z1": rho[0],
-                "z2": rho[1],
-                "z3": rho[2],
-            }
-        )
-    return rows
+    ys = np.asarray(ys, dtype=float)
+    theta = lawlor_theta_at(ys, a)
+    rho = np.sqrt(1.0 / np.array(a.a) + ys[:, None] ** 2)
+    return [
+        {
+            "y": float(y),
+            "theta1": t[0],
+            "theta2": t[1],
+            "theta3": t[2],
+            "z1": r[0],
+            "z2": r[1],
+            "z3": r[2],
+        }
+        for y, t, r in zip(ys, theta, rho)
+    ]
 
 
 def lawlor_sampler(a: LawlorParams, y_max: float = 8.0):
     def sample(n: int, seed: int) -> list[SurfaceSample]:
         rng = np.random.default_rng(seed)
         big = math.asinh(y_max)
-        out = []
+        ys, sigmas = [], []
         for _ in range(n):
-            y = math.sinh(rng.uniform(-big, big))
+            ys.append(math.sinh(rng.uniform(-big, big)))
             sigma = rng.normal(size=3)
-            sigma /= np.linalg.norm(sigma)
-            out.append(lawlor_embed(y, sigma, a))
-        return out
+            sigmas.append(sigma / np.linalg.norm(sigma))
+        theta, totals = lawlor_theta_at(ys, a), 2.0 * lawlor_tails(0.0, a)
+        return [_lawlor_sample(y, s, t, totals, a) for y, s, t in zip(ys, sigmas, theta)]
 
     return sample
 
@@ -549,20 +544,6 @@ def fit_decay(radii, norms) -> DecayFit:
     )
 
 
-def _lawlor_end_state(y: float, a: LawlorParams, side: int):
-    """(footpoint coords, normal coords, radius) over the side's plane."""
-    rho = np.sqrt(1.0 / np.array(a.a) + y * y)
-    if side < 0:
-        phases = lawlor_theta_at(y, a)  # -> 0 as y -> -inf
-    else:
-        phases = np.array(
-            [integrate_tail(_angle_integrand(k, a), y) for k in range(3)]
-        )  # theta_k(inf) - theta_k(y) -> 0 as y -> +inf
-    foot = np.cos(phases) * rho
-    normal = np.sin(phases) * rho
-    return foot, normal, float(np.sqrt(np.sum(rho * rho) / 3.0))
-
-
 def lawlor_decay_table(
     a: LawlorParams,
     r_window=(8.0, 120.0),
@@ -571,33 +552,28 @@ def lawlor_decay_table(
     side: int = -1,
     seed: int = 0,
 ) -> tuple[list[float], list[float]]:
-    """(radius, |normal deviation|) samples of the Lawlor end over its plane."""
+    """(radius, |normal deviation|) samples of the Lawlor end over its plane.
+
+    At |y| = r the end's phase over its plane is tail(r) on either side
+    (theta_k(-r) for side -1, theta_k(inf) - theta_k(r) for side +1), so
+    both ends give the same table.
+    """
     rng = np.random.default_rng(seed)
     sigma = rng.normal(size=3)
     sigma /= np.linalg.norm(sigma)
-    targets = np.geomspace(r_window[0], r_window[1], n_radii)
-
-    def state(r_target: float):
-        y = -r_target if side < 0 else r_target
-        foot, normal, _ = _lawlor_end_state(y, a, side)
-        x = foot * sigma  # footpoint in the plane, real coordinates
-        w = normal * sigma  # i-direction (normal) coordinates
-        return x, w, float(np.linalg.norm(x))
-
-    coeff = 0.0  # fitted scale of the r^-3 (i x) leading term
+    # the last row, at twice the outer radius, calibrates the leading term
+    r = np.append(np.geomspace(r_window[0], r_window[1], n_radii), 2.0 * r_window[1])
+    phases = lawlor_tails(r, a)
+    rho = np.sqrt(1.0 / np.array(a.a) + r[:, None] ** 2)
+    x = np.cos(phases) * rho * sigma  # footpoints in the plane, real coordinates
+    w = np.sin(phases) * rho * sigma  # i-direction (normal) coordinates
+    radii = np.linalg.norm(x, axis=1)
     if subtract_leading:
-        x, w, _ = state(2.0 * r_window[1])
-        model = x / float(np.linalg.norm(x)) ** 3
-        coeff = float(np.dot(w, model) / np.dot(model, model))
-
-    radii, norms = [], []
-    for r_target in targets:
-        x, w, r_actual = state(float(r_target))
-        if subtract_leading:
-            w = w - coeff * x / float(np.linalg.norm(x)) ** 3
-        radii.append(r_actual)
-        norms.append(float(np.linalg.norm(w)))
-    return radii, norms
+        model = x / radii[:, None] ** 3  # the r^-3 (i x) leading term
+        coeff = np.dot(w[-1], model[-1]) / np.dot(model[-1], model[-1])
+        w = w - coeff * model
+    norms = np.linalg.norm(w, axis=1)
+    return [float(v) for v in radii[:-1]], [float(v) for v in norms[:-1]]
 
 
 def lawlor_decay_fit(
@@ -614,9 +590,9 @@ def lawlor_decay_fit(
     and removing the leading r^-3 (i x) term the remainder decays like r^-4
     for generic parameters.  The leading coefficient is calibrated outside
     the fit window (at twice the outer radius) so the remainder slope stays
-    clean.  For the fully symmetric neck the subtracted remainder decays
-    faster than r^-4 (Im(z1 z2 z3) is a first integral) and the fit is
-    reported unstable.
+    clean.  For the fully symmetric neck the r^-4 term vanishes too
+    (Im(z1 z2 z3) is a first integral) and the subtracted remainder decays
+    like r^-8.
     """
     return fit_decay(
         *lawlor_decay_table(a, r_window, n_radii, subtract_leading, side, seed)

@@ -1,102 +1,65 @@
-"""Adaptive composite-Simpson quadrature used by the Lawlor-neck machinery.
+"""Carlson's symmetric elliptic integral R_J, the closed form behind every
+Lawlor-neck angle integral.
 
-Improper integrals are first mapped through x = sinh(t), which turns the
-x^-4 tails of the angle integrands into exponential decay; the resulting
-finite interval is integrated by panel-doubling Simpson with Richardson
-error control.  Integrands take numpy arrays.
+    R_J(x, y, z, p) = (3/2) Integral_0^inf dt / ((t + p) sqrt((t + x)(t + y)(t + z)))
+
+is evaluated by Carlson's duplication algorithm (B. C. Carlson, Numerical
+computation of real or complex elliptic integrals, Numer. Algorithms 10
+(1995); DLMF 19.36.ii) in plain numpy, so importing this module loads no
+scipy.  The duplication runs until the fifth-order series is exact to double
+precision, so there is no tolerance to choose.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import QuadratureFailure
-
-MAX_LEVELS = 22  # 4M panels at the deepest level; smooth integrands stop far earlier
-TINY = 1e-16
+# (r/4)^(-1/6) at r = 2^-53: duplication stops once 4^-m * this * max|A_0 - arg| < |A_m|
+_STOP_SCALE = (2.0**-53 / 4.0) ** (-1.0 / 6.0)
 
 
-def simpson_doubling(
-    f,
-    a: float,
-    b: float,
-    tol_abs: float = 1e-10,
-    tol_rel: float = 1e-12,
-    min_levels: int = 4,
-) -> tuple[float, float]:
-    """Integrate f over [a, b]; returns (value, error_estimate).
+def _rc_one(e):
+    """R_C(1, 1 + e) for real e > -1: arctan(sqrt e)/sqrt e, or artanh for e < 0."""
+    t = np.sqrt(np.abs(e))
+    safe = np.where(t > 0.0, t, 1.0)
+    ratio = np.where(e > 0.0, np.arctan(safe), np.arctanh(np.where(e < 0.0, safe, 0.0))) / safe
+    return np.where(t > 0.0, ratio, 1.0)
 
-    Panels double each level and convergence requires the Simpson update to
-    fall below max(tol_abs, tol_rel * |value|) on two consecutive levels.
+
+def carlson_rj(x, y, z, p):
+    """R_J(x, y, z, p), vectorised over broadcast arguments.
+
+    x >= 0 and p > 0 are real; y and z are real and non-negative, or a
+    complex-conjugate pair with positive real part (then R_J is real).  At
+    most one of x, y, z may be zero; an infinite argument gives 0.  Returns
+    a float array.
     """
-    if not b > a:
-        return 0.0, 0.0
-    h = b - a
-    fa, fb = f(np.array([a]))[0], f(np.array([b]))[0]
-    trap = 0.5 * h * (fa + fb)
-    simpson_prev = None
-    good_streak = 0
-    n = 1
-    for level in range(MAX_LEVELS):
-        mids = a + h * (np.arange(n) + 0.5)
-        mid_sum = float(np.sum(f(mids)))
-        trap_next = 0.5 * trap + 0.5 * h * mid_sum
-        simpson = (4.0 * trap_next - trap) / 3.0
-        if simpson_prev is not None and level + 1 >= min_levels:
-            err = abs(simpson - simpson_prev)
-            if err <= max(tol_abs, tol_rel * abs(simpson)):
-                good_streak += 1
-                if good_streak >= 2:
-                    # one Richardson step on the h^4 Simpson error
-                    return simpson + (simpson - simpson_prev) / 15.0, err
-            else:
-                good_streak = 0
-        simpson_prev = simpson
-        trap = trap_next
-        h *= 0.5
-        n *= 2
-    raise QuadratureFailure(
-        f"no convergence to tol_abs={tol_abs:g} on [{a:g}, {b:g}] "
-        f"after {MAX_LEVELS} doublings"
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (x, y, z, p)))
+    # R_J -> 0 as any argument -> infinity: those entries run on dummy
+    # arguments and are zeroed at the end
+    infinite = np.any(np.isinf(args), axis=0)
+    x, y, z, p = args = [np.where(infinite, 1.0, v) for v in args]
+    a0 = (x + y + z + 2.0 * p) / 5.0
+    delta = ((p - x) * (p - y) * (p - z)).real
+    q = _STOP_SCALE * np.max(np.abs([a0 - v for v in args]), axis=0)
+    a, scale, total = a0, 1.0, 0.0  # scale = 4^-m
+    while np.any(scale * q >= np.abs(a)):
+        sx, sy, sz, sp = np.sqrt(x), np.sqrt(y), np.sqrt(z), np.sqrt(p)
+        lam = sx * sy + sx * sz + sy * sz
+        d = ((sp + sx) * (sp + sy) * (sp + sz)).real
+        total = total + scale * _rc_one(scale**3 * delta / (d * d)) / d
+        x, y, z, p, a = ((v + lam) / 4.0 for v in (x, y, z, p, a))
+        scale /= 4.0
+    X, Y, Z = (scale * (a0 - v) / a for v in args[:3])
+    P = -(X + Y + Z) / 2.0
+    xyz = X * Y * Z
+    e2 = X * Y + X * Z + Y * Z - 3.0 * P * P
+    e3 = xyz + 2.0 * e2 * P + 4.0 * P**3
+    e4 = (2.0 * xyz + e2 * P + 3.0 * P**3) * P
+    e5 = xyz * P * P
+    series = (
+        1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+        - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0
     )
-
-
-def decay_truncation(f, start: float = 4.0, step: float = 2.0, cap: float = 80.0) -> float:
-    """Smallest T (scanned in steps) with |f(+-T)| below 1e-16."""
-    t = start
-    while t <= cap:
-        vals = np.abs(f(np.array([-t, t])))
-        if float(vals.max()) < TINY:
-            return t
-        t += step
-    raise QuadratureFailure("integrand does not decay below 1e-16 by |t| = 80")
-
-
-def integrate_real_line(f, tol_abs: float = 1e-10) -> float:
-    """Integral of f over R after the x = sinh(t) substitution (f gets x)."""
-
-    def g(t):
-        x = np.sinh(t)
-        return f(x) * np.cosh(t)
-
-    big = decay_truncation(g)
-    value, _ = simpson_doubling(g, -big, big, tol_abs=tol_abs)
-    return value
-
-
-def integrate_tail(f, lower: float, tol_abs: float = 1e-16, tol_rel: float = 1e-10) -> float:
-    """Integral of f over [lower, infinity) via x = sinh(t) (relative control)."""
-
-    def g(t):
-        x = np.sinh(t)
-        return f(x) * np.cosh(t)
-
-    big = decay_truncation(g)
-    lo = math.asinh(lower)
-    if lo >= big:
-        # the entire tail is below the truncation threshold
-        return 0.0
-    value, _ = simpson_doubling(g, lo, big, tol_abs=tol_abs, tol_rel=tol_rel)
-    return value
+    value = (scale * series / (a * np.sqrt(a))).real + 6.0 * total
+    return np.where(infinite, 0.0, value)

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NonPositiveDefinite
+from .errors import NonPositiveDefinite, ValidationError
 
 Number = int | float | Fraction
+
+# work budget of torus_spectrum: 1e5 points take about 2 s with Fraction metrics
+MAX_LATTICE_POINTS = 100_000
 
 
 def _is_exact(x) -> bool:
@@ -142,12 +145,17 @@ def torus_spectrum(metric: TorusMetric, cutoff: float) -> Spectrum:
     """
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
+    # bounding box: max m^2 = cutoff * g11, max n^2 = cutoff * g22 (capped when infinite)
+    cap = float(MAX_LATTICE_POINTS) ** 2
+    m_max = math.isqrt(math.floor(min(float(cutoff) * float(metric.g11), cap))) + 1
+    n_max = math.isqrt(math.floor(min(float(cutoff) * float(metric.g22), cap))) + 1
+    if (2 * m_max + 1) * (2 * n_max + 1) > MAX_LATTICE_POINTS:
+        raise ValidationError(
+            f"cutoff {float(cutoff):g} needs more than {MAX_LATTICE_POINTS} lattice points"
+        )
     a, b, c = metric.inverse()  # q(m,n) = a m^2 + 2 b m n + c n^2
     exact_in = metric.is_exact()
     cut = Fraction(cutoff) if exact_in else float(cutoff)
-    # bounding box: max m^2 = cutoff * g11, max n^2 = cutoff * g22
-    m_max = math.isqrt(math.floor(float(cutoff) * float(metric.g11))) + 1
-    n_max = math.isqrt(math.floor(float(cutoff) * float(metric.g22))) + 1
     counts: dict = {}
     for m in range(-m_max, m_max + 1):
         for n in range(-n_max, n_max + 1):

@@ -62,8 +62,13 @@ def test_exit_codes(tmp_path):
     assert run(["lawlor", "angles"])[0] == EXIT_VALIDATION  # missing --a
     assert run(["stability", "--cone", "nope"])[0] == EXIT_VALIDATION
     assert run(["indicial", "--cone", "hl", "--window", "-9:1"])[0] == EXIT_VALIDATION
-    # the fully symmetric neck degenerates the subtracted decay fit
+    # the fully symmetric neck's subtracted remainder fits cleanly (like r^-8)
     code, out = run(["lawlor", "decay", "--a", "1,1,1", "--subtract"])
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["fitted_exponent"] < -6.0
+    # far out that remainder sits below the rounding of the deviation itself
+    code, out = run(["lawlor", "decay", "--a", "1,1,1", "--subtract",
+                     "--r-min", "1000", "--r-max", "10000"])
     assert code == EXIT_NUMERICAL
     assert json.loads(out)["error"] == "FitUnstable"
     # malformed d-table JSON: missing keys, or a list at the top level
@@ -84,10 +89,17 @@ def test_exit_codes(tmp_path):
         ["hl", "xi-relation", "--r", "0"],
         ["hl", "xi-relation", "--r", "inf"],
         ["hl", "xi-relation", "--r", "nan"],
+        ["spectrum", "torus", "--metric", "1,0,1", "--cutoff", "1e9"],
     ):
         code, out = run(argv)
         assert code == EXIT_VALIDATION
         assert json.loads(out)["error"] == "ValidationError"
+    # a Newton tolerance must be positive and finite
+    for tol in ("-1", "0", "nan"):
+        code, out = run(["lawlor", "solve", "--theta", "0.9,1.1,1.1415926535897931",
+                         "--tol", tol])
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "ValueError"
     # malformed OFF files: truncated in the vertex or the face block, or a
     # non-numeric coordinate
     tetrahedron = ["OFF", "4 4 0", "0 0 0", "1 0 0", "0 1 0", "0 0 1",

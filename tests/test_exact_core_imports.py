@@ -1,5 +1,6 @@
-"""The exact core never imports numpy or scipy (checked on the source), and
-importing the package does not load scipy (checked in a fresh interpreter)."""
+"""The exact core never imports numpy or scipy and the Lawlor path never
+imports scipy (checked on the source), and importing the package does not
+load scipy (checked in a fresh interpreter)."""
 
 import ast
 import os
@@ -29,6 +30,13 @@ def _imported_roots(source: str) -> set[str]:
 def test_exact_core_module_avoids_numpy_and_scipy(module):
     path = Path(cone_spectra.__file__).parent / f"{module}.py"
     assert not _imported_roots(path.read_text(encoding="utf-8")) & NUMERIC
+
+
+@pytest.mark.parametrize("module", ("geometry", "quadrature"))
+def test_lawlor_path_avoids_scipy(module):
+    # the angle integrals are closed forms in plain numpy
+    path = Path(cone_spectra.__file__).parent / f"{module}.py"
+    assert "scipy" not in _imported_roots(path.read_text(encoding="utf-8"))
 
 
 def test_import_parser_sees_numeric_imports():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,7 +10,6 @@ import scipy.integrate
 from cone_spectra import g2, geometry
 from cone_spectra.errors import (
     DegenerateAngles,
-    FitUnstable,
     NoConvergence,
 )
 from cone_spectra.geometry import (
@@ -124,13 +124,13 @@ def test_lawlor_solve_respects_scale_constraint():
 
 def test_lawlor_solve_honours_tol(monkeypatch):
     calls = []
-    angles_two = geometry._angles_two
+    tails = geometry.lawlor_tails
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return angles_two(*args, **kwargs)
+        return tails(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "_angles_two", counted)
+    monkeypatch.setattr(geometry, "lawlor_tails", counted)
     target = LawlorAngles((0.9, 1.1, math.pi - 2.0))
     solved = {}
     evaluations = {}
@@ -195,6 +195,26 @@ def test_lawlor_embed_asymptotics():
 def test_lawlor_embed_rejects_bad_sigma():
     with pytest.raises(ValueError):
         lawlor_embed(0.0, (1.0, 1.0, 0.0), SYM)
+
+
+def test_sampler_keeps_draw_order():
+    # per sample: a uniform y (through sinh), then a normal sigma; the
+    # angles of all samples come from one call
+    rng = np.random.default_rng(11)
+    big = math.asinh(8.0)
+    draws = []
+    for _ in range(20):
+        y = math.sinh(rng.uniform(-big, big))
+        sigma = rng.normal(size=3)
+        sigma /= np.linalg.norm(sigma)
+        draws.append((y, tuple(sigma)))
+    samples = lawlor_sampler(ASYM)(20, 11)
+    assert [(s.params["y"], s.params["sigma"]) for s in samples] == draws
+    for s, (y, sigma) in zip(samples, draws):
+        single = lawlor_embed(y, sigma, ASYM)
+        assert np.allclose(s.position, single.position, rtol=0, atol=1e-13)
+        assert np.allclose(s.frame, single.frame, rtol=0, atol=1e-13)
+        assert np.allclose(s.cone_point, single.cone_point, rtol=0, atol=1e-13)
 
 
 def test_lawlor_profile_rows():
@@ -326,11 +346,44 @@ def test_lawlor_decay_both_sides():
     assert abs(fit.fitted_exponent + 2.0) < 0.1
 
 
+def _symmetric_remainder_slope_mpmath() -> float:
+    """Log-log slope of lawlor_decay_table(SYM, subtract_leading=True), with
+    every step after the seeded direction taken at 40 digits by mpmath."""
+    rng = np.random.default_rng(0)
+    sigma = rng.normal(size=3)
+    sigma /= np.linalg.norm(sigma)
+    with mpmath.workdps(40):
+        # a = (1, 1, 1): P(x) = 3 + 3 x^2 + x^4 and the three tails coincide
+        def tail(r):
+            f = lambda x: 1 / ((1 + x * x) * mpmath.sqrt(3 + 3 * x * x + x**4))
+            return mpmath.quad(f, [r, r + 1, r + 10, mpmath.inf])
+
+        def state(r):
+            r = mpmath.mpf(r)
+            rho, phase = mpmath.sqrt(1 + r * r), tail(r)
+            x = [mpmath.cos(phase) * rho * mpmath.mpf(s) for s in sigma]
+            w = [mpmath.sin(phase) * rho * mpmath.mpf(s) for s in sigma]
+            norm = mpmath.sqrt(sum(v * v for v in x))
+            return w, norm, [v / norm**3 for v in x]
+
+        w, _, model = state(240)
+        coeff = sum(p * q for p, q in zip(w, model)) / sum(q * q for q in model)
+        radii, norms = [], []
+        for r in np.geomspace(8.0, 120.0, 12):
+            w, norm, model = state(float(r))
+            rem = [p - coeff * q for p, q in zip(w, model)]
+            radii.append(float(norm))
+            norms.append(float(mpmath.sqrt(sum(v * v for v in rem))))
+    return float(np.polyfit(np.log(radii), np.log(norms), 1)[0])
+
+
 def test_symmetric_subtraction_degenerates():
-    # Im(z1 z2 z3) is a first integral: the symmetric remainder decays
-    # faster than r^-4 and the window-wide power fit must refuse it
-    with pytest.raises(FitUnstable):
-        lawlor_decay_fit(SYM, subtract_leading=True)
+    # Im(z1 z2 z3) is a first integral: the r^-4 term vanishes too, and the
+    # subtracted symmetric remainder falls off far faster than r^-4
+    fit = lawlor_decay_fit(SYM, subtract_leading=True)
+    slope = _symmetric_remainder_slope_mpmath()
+    assert slope < -6.0
+    assert abs(fit.fitted_exponent - slope) < 0.1
 
 
 def test_decay_window_tightens_outward():
