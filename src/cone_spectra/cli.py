@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,11 +53,18 @@ class SystemExit_usage(Exception):
 
 
 def _parse_number(text: str):
-    """Exact Fraction when the literal is rational, float otherwise."""
+    """Exact Fraction when the literal is rational, float otherwise; a value
+    that is not a finite float (inf, nan, 1e400) is a ValidationError."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        return float(text)
+        value = float(text)
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ValidationError(f"number '{text}' is not a finite float")
 
 
 def parse_window(text: str) -> Window:
@@ -201,32 +209,24 @@ def _cmd_indicial(args) -> dict:
     return result
 
 
+def _per_component(cone: ConeData, text: str | None, flag: str, field: str) -> ConeData:
+    """Set ``field`` on every component from one value or one per component."""
+    if text is None:
+        return cone
+    dims = [int(p) for p in text.split(",")]
+    if len(dims) == 1:
+        dims = dims * len(cone.components)
+    if len(dims) != len(cone.components):
+        raise ValidationError(f"need one {flag} per component")
+    return ConeData(
+        tuple(replace(c, **{field: d}) for c, d in zip(cone.components, dims))
+    )
+
+
 def _cmd_stability(args) -> dict:
     cone = _resolve_cone_data(args.cone, args.cutoff)
-    if args.sym_dim is not None:
-        dims = [int(p) for p in str(args.sym_dim).split(",")]
-        if len(dims) == 1:
-            dims = dims * len(cone.components)
-        if len(dims) != len(cone.components):
-            raise ValidationError("need one --sym-dim per component")
-        cone = ConeData(
-            tuple(
-                type(c)(c.kernel_source, dims[i], c.stratum_dim, c.is_plane)
-                for i, c in enumerate(cone.components)
-            )
-        )
-    if args.stratum_dim is not None:
-        dims = [int(p) for p in str(args.stratum_dim).split(",")]
-        if len(dims) == 1:
-            dims = dims * len(cone.components)
-        if len(dims) != len(cone.components):
-            raise ValidationError("need one --stratum-dim per component")
-        cone = ConeData(
-            tuple(
-                type(c)(c.kernel_source, c.symmetry_group_dim, dims[i], c.is_plane)
-                for i, c in enumerate(cone.components)
-            )
-        )
+    cone = _per_component(cone, args.sym_dim, "--sym-dim", "symmetry_group_dim")
+    cone = _per_component(cone, args.stratum_dim, "--stratum-dim", "stratum_dim")
     return stability_report(cone)
 
 
@@ -354,6 +354,8 @@ def _cmd_hl(args) -> dict:
 
 
 def _cmd_g2(args) -> dict:
+    if args.tuples < 1:
+        raise ValidationError(f"--tuples must be at least 1, got {args.tuples}")
     rng = np.random.default_rng(args.seed)
     worst_identity = worst_ortho = worst_norm = worst_psi = 0.0
     for _ in range(args.tuples):
@@ -558,10 +560,19 @@ def _csv_output(command: str, result: dict) -> str:
     return buf.getvalue()
 
 
-_BOOLEAN_FLAGS = {"--morse", "--jacobi", "--symmetry", "--subtract"}
+def _boolean_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The options that take no value (store_true, --help), in every subcommand."""
+    flags: set[str] = set()
+    for action in parser._actions:
+        if action.nargs == 0:
+            flags.update(action.option_strings)
+        elif isinstance(action.choices, dict):  # the subcommand parsers
+            for sub in action.choices.values():
+                flags |= _boolean_flags(sub)
+    return flags
 
 
-def _join_flag_values(argv) -> list[str]:
+def _join_flag_values(argv, boolean_flags: set[str]) -> list[str]:
     """Merge '--flag value' into '--flag=value' so values like -2:1 parse."""
     out: list[str] = []
     i = 0
@@ -570,7 +581,7 @@ def _join_flag_values(argv) -> list[str]:
         if (
             tok.startswith("--")
             and "=" not in tok
-            and tok not in _BOOLEAN_FLAGS
+            and tok not in boolean_flags
             and i + 1 < len(argv)
             and argv[i + 1].startswith("-")
             and not argv[i + 1].startswith("--")
@@ -586,7 +597,7 @@ def _join_flag_values(argv) -> list[str]:
 def run(argv) -> tuple[int, str]:
     """Parse argv, run the subcommand, return (exit code, output text)."""
     parser = build_parser()
-    argv = _join_flag_values(list(argv))
+    argv = _join_flag_values(list(argv), _boolean_flags(parser))
     try:
         args = parser.parse_args(argv)
         _apply_config(parser, args, argv)
@@ -624,7 +635,10 @@ def run(argv) -> tuple[int, str]:
         report["provenance"] = [
             _provenance(e.rpartition(":")[0]) for e in args.end
         ]
-    return EXIT_OK, json.dumps(report, sort_keys=True)
+    try:
+        return EXIT_OK, json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # inf or nan in the result: not JSON
+        return EXIT_NUMERICAL, json.dumps({"error": "NonFiniteResult", "message": str(exc)})
 
 
 def main(argv=None) -> int:

@@ -488,6 +488,8 @@ def verify_special_lagrangian(sampler, n_samples: int, seed: int) -> Calibration
     and then frozen; rank-2 (link) samples only contribute the Lagrangian
     omega-residual.
     """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     samples = sampler(n_samples, seed)
     phase = None
     max_omega = max_im = max_assoc = 0.0
@@ -549,14 +551,13 @@ def lawlor_decay_table(
     r_window=(8.0, 120.0),
     n_radii: int = 12,
     subtract_leading: bool = False,
-    side: int = -1,
     seed: int = 0,
 ) -> tuple[list[float], list[float]]:
     """(radius, |normal deviation|) samples of the Lawlor end over its plane.
 
     At |y| = r the end's phase over its plane is tail(r) on either side
-    (theta_k(-r) for side -1, theta_k(inf) - theta_k(r) for side +1), so
-    both ends give the same table.
+    (theta_k(-r) at the lower end, theta_k(inf) - theta_k(r) at the upper),
+    so one table describes both ends.
     """
     rng = np.random.default_rng(seed)
     sigma = rng.normal(size=3)
@@ -581,7 +582,6 @@ def lawlor_decay_fit(
     r_window=(8.0, 120.0),
     n_radii: int = 12,
     subtract_leading: bool = False,
-    side: int = -1,
     seed: int = 0,
 ) -> DecayFit:
     """Decay rate of the Lawlor end over its asymptotic plane.
@@ -595,7 +595,7 @@ def lawlor_decay_fit(
     like r^-8.
     """
     return fit_decay(
-        *lawlor_decay_table(a, r_window, n_radii, subtract_leading, side, seed)
+        *lawlor_decay_table(a, r_window, n_radii, subtract_leading, seed)
     )
 
 

@@ -7,15 +7,22 @@ harmonic 1-forms of the link.  Every root coming from an integer eigenvalue
 delta has the exact form (p + s * sqrt(1 + 4 delta)) / 2 with p in {-1, -3},
 so cross-branch merging is decided by exact integer square-root tests; float
 spectra fall back to a 1e-9 tolerance.
+
+Kernel data has one type, :class:`KernelTable`, built once per cone over the
+rates its spectrum covers; every indicial, stability and Fredholm query is a
+slice of it.  :func:`d_lambda` is the independent pointwise oracle.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from functools import cached_property
+from operator import attrgetter
+from typing import Iterable, Union
 
 from .errors import CutoffExceeded
 from .spectra import LinkTopology, Spectrum, _is_exact
@@ -60,6 +67,31 @@ class SLConeSpec:
         elif abs(float(value)) <= 1e-9:
             return self.topology.b0
         return self.spectrum.multiplicity(value)
+
+    @cached_property
+    def kernel_table(self) -> KernelTable:
+        """Every indicial root on the rates the spectrum determines, built once."""
+        exact = self.spectrum.exact
+        found = []
+        for delta, _ in self.spectrum.entries:
+            dval = float(delta)
+            m = self.multiplicity(delta)
+            disc = 1.0 + 4.0 * dval
+            for p, branch in ((-1, F_BRANCH), (-3, H_BRANCH)):
+                for s in (+1, -1):
+                    lam = (p + s * math.sqrt(disc)) / 2.0
+                    if abs(lam + 1.0) < 1e-12:
+                        continue  # lambda = -1 carries only harmonic 1-forms
+                    key = _root_key(p, s, delta) if exact else ("V", lam)
+                    found.append(_root(key, m, (BranchContribution(branch, dval, m),)))
+        if self.topology.b1 > 0:
+            key = ("Q", Fraction(-1)) if exact else ("V", -1.0)
+            harmonic = BranchContribution(HARMONIC_ONE_FORM, 0.0, self.topology.b1)
+            found.append(_root(key, self.topology.b1, (harmonic,)))
+        coverage = Window(*_rate_coverage(self.spectrum.cutoff))
+        return KernelTable(
+            coverage, merge_roots(r for r in found if coverage.contains(r.value, r.exact))
+        )
 
 
 @dataclass(frozen=True)
@@ -123,18 +155,10 @@ def _key_exact(key) -> Fraction | None:
     return key[1] if key[0] == "Q" else None
 
 
-def _key_reflect(key) -> tuple:
-    """Reflection lambda -> -2 - lambda (the d-symmetry about -1)."""
-    if key[0] == "Q":
-        return ("Q", -2 - key[1])
-    _, p, s, disc = key
-    return ("I", -4 - p, -s, disc)
-
-
 def _key_jacobi_partner(key) -> tuple:
     """Reflection lambda -> -1 - lambda (same Jacobi eigenvalue)."""
-    if key[0] == "Q":
-        return ("Q", -1 - key[1])
+    if key[0] != "I":
+        return (key[0], -1 - key[1])
     _, p, s, disc = key
     return ("I", -2 - p, -s, disc)
 
@@ -169,18 +193,64 @@ class IndicialRoot:
         }
 
 
+def _root(key: tuple, dimension: int, branches: tuple = ()) -> IndicialRoot:
+    return IndicialRoot(_key_value(key), branches, dimension, _key_exact(key), key)
+
+
+_value = attrgetter("value")
+
+
 @dataclass(frozen=True)
 class KernelTable:
-    cone: SLConeSpec
+    """d_lambda data complete on ``window``, one merged root per rate in
+    increasing rate.  Queries beyond the window raise CutoffExceeded."""
+
     window: Window
     roots: tuple[IndicialRoot, ...]
 
-    def total_dimension(self, sub: Window | None = None) -> int:
-        if sub is None:
-            return sum(r.total_dimension for r in self.roots)
-        return sum(
-            r.total_dimension for r in self.roots if sub.contains(r.value, r.exact)
-        )
+    @cached_property
+    def _coverage(self) -> tuple[float, float]:
+        return float(self.window.lo), float(self.window.hi)
+
+    def rate_coverage(self) -> tuple[float, float]:
+        """The closed rate interval on which d_lambda data is complete."""
+        return self._coverage
+
+    def _check_covered(self, lo: float, hi: float) -> None:
+        cov_lo, cov_hi = self._coverage
+        if lo < cov_lo or hi > cov_hi:
+            raise CutoffExceeded(
+                f"kernel data only covers [{cov_lo:g}, {cov_hi:g}], asked for "
+                f"[{lo:g}, {hi:g}]"
+            )
+
+    def _slice(self, lo: float, hi: float) -> tuple[IndicialRoot, ...]:
+        roots = self.roots
+        return roots[bisect_left(roots, lo, key=_value) : bisect_right(roots, hi, key=_value)]
+
+    def _inside(self, window: Window):
+        lo, hi = float(window.lo), float(window.hi)
+        self._check_covered(lo, hi)
+        return (r for r in self._slice(lo, hi) if window.contains(r.value, r.exact))
+
+    def restrict(self, window: Window) -> KernelTable:
+        """The roots inside ``window``, as a table complete on it."""
+        return KernelTable(window, tuple(self._inside(window)))
+
+    def roots_in(self, window: Window) -> list[tuple[float, int]]:
+        return [(r.value, r.total_dimension) for r in self._inside(window)]
+
+    def d_sum(self, window: Window) -> int:
+        return sum(r.total_dimension for r in self._inside(window))
+
+    def d_at(self, lam: Rate) -> int:
+        value, exact = float(lam), Fraction(lam) if _is_exact(lam) else None
+        self._check_covered(value, value)
+        near = self._slice(value - MERGE_TOL, value + MERGE_TOL)
+        return sum(r.total_dimension for r in near if _same_rate(r.value, r.exact, value, exact))
+
+    def total_dimension(self) -> int:
+        return sum(r.total_dimension for r in self.roots)
 
     def to_json(self) -> str:
         return json.dumps([r.to_dict() for r in self.roots])
@@ -196,15 +266,6 @@ def _rate_coverage(cutoff: float) -> tuple[float, float]:
     return ((-1.0 - root) / 2.0, (-3.0 + root) / 2.0)
 
 
-def _check_window_cutoff(cone: SLConeSpec, window: Window) -> None:
-    lo, hi = _rate_coverage(cone.spectrum.cutoff)
-    if float(window.lo) < lo or float(window.hi) > hi:
-        raise CutoffExceeded(
-            f"window {window} leaves [{lo:g}, {hi:g}], the rates whose kernels "
-            f"the spectrum (complete to {cone.spectrum.cutoff:g}) determines"
-        )
-
-
 def _same_rate(value: float, exact, other_value: float, other_exact) -> bool:
     """Equal exact identities, or (either missing) values within MERGE_TOL."""
     if exact is not None and other_exact is not None:
@@ -212,12 +273,11 @@ def _same_rate(value: float, exact, other_value: float, other_exact) -> bool:
     return abs(value - other_value) <= MERGE_TOL
 
 
-def _merge_rates(entries) -> list[tuple]:
+def _merge_rates(entries) -> list[list]:
     """Group (rate, exact identity or None, item) entries by rate in one sorted pass.
 
-    Returns (rate, identity, items) per rate in increasing order.  Each group
-    takes its rate and identity from its earliest entry and keeps its items
-    in input order.
+    Returns the items of each rate, rates in increasing order, items in input
+    order (so the first item is the earliest entry of its rate).
     """
     order = sorted(range(len(entries)), key=lambda i: entries[i][0])
     groups: list[list[int]] = []
@@ -226,12 +286,20 @@ def _merge_rates(entries) -> list[tuple]:
             groups[-1].append(i)
         else:
             groups.append([i])
+    return [[entries[i][2] for i in sorted(group)] for group in groups]
+
+
+def merge_roots(roots: Iterable[IndicialRoot]) -> tuple[IndicialRoot, ...]:
+    """One root per rate (equal exact keys, else within MERGE_TOL), in
+    increasing rate, none of dimension 0: the F/H branches of a spectrum,
+    duplicate table rows and several components all merge here."""
     merged = []
-    for group in groups:
-        group.sort()
-        rate, exact, _ = entries[group[0]]
-        merged.append((rate, exact, [entries[i][2] for i in group]))
-    return merged
+    for group in _merge_rates([(r.value, None if r.key[0] == "V" else r.key, r) for r in roots]):
+        first, dim = group[0], sum(r.total_dimension for r in group)
+        if dim > 0:
+            branches = tuple(c for r in group for c in r.branch_contributions)
+            merged.append(IndicialRoot(first.value, branches, dim, first.exact, first.key))
+    return tuple(merged)
 
 
 def d_lambda(cone: SLConeSpec, lam: Rate) -> int:
@@ -262,67 +330,15 @@ def d_lambda(cone: SLConeSpec, lam: Rate) -> int:
 
 def indicial_roots(cone: SLConeSpec, window: Window) -> KernelTable:
     """All indicial roots in the window, with exact F/H merging bookkeeping."""
-    _check_window_cutoff(cone, window)
-    exact_spec = cone.spectrum.exact
-    found: list[tuple] = []
-
-    def add(key, contribution):
-        value = _key_value(key)
-        if window.contains(value, _key_exact(key)):
-            # float spectra merge by value tolerance instead of exact identity
-            found.append((value, key if exact_spec else None, (key, contribution)))
-
-    for delta, mult in cone.spectrum.entries:
-        dval = float(delta)
-        m = cone.multiplicity(delta)
-        disc = 1.0 + 4.0 * dval
-        for p, branch in ((-1, F_BRANCH), (-3, H_BRANCH)):
-            for s in (+1, -1):
-                lam = (p + s * math.sqrt(disc)) / 2.0
-                if abs(lam + 1.0) < 1e-12:
-                    continue  # lambda = -1 carries only harmonic 1-forms
-                key = _root_key(p, s, delta) if exact_spec else ("V", lam)
-                add(key, BranchContribution(branch, dval, m))
-
-    if cone.topology.b1 > 0:
-        key = ("Q", Fraction(-1)) if exact_spec else ("V", -1.0)
-        add(key, BranchContribution(HARMONIC_ONE_FORM, 0.0, cone.topology.b1))
-
-    roots = []
-    for value, _, members in _merge_rates(found):
-        key = members[0][0]
-        contribs = tuple(c for _, c in members)
-        roots.append(
-            IndicialRoot(
-                value=value,
-                branch_contributions=contribs,
-                total_dimension=sum(c.dimension for c in contribs),
-                exact=_key_exact(key),
-                key=key,
-            )
-        )
-    return KernelTable(cone=cone, window=window, roots=tuple(roots))
+    return cone.kernel_table.restrict(window)
 
 
 def table_symmetry(table: KernelTable) -> bool:
     """True iff every root's dimension matches its mirror at -2 - lambda."""
-    by_key = {r.key: r.total_dimension for r in table.roots if r.key and r.key[0] != "V"}
-    for r in table.roots:
-        if r.key and r.key[0] != "V":
-            dim = by_key.get(_key_reflect(r.key), 0)
-        else:
-            mirrored = -2.0 - r.value
-            dim = next(
-                (
-                    q.total_dimension
-                    for q in table.roots
-                    if abs(q.value - mirrored) <= MERGE_TOL
-                ),
-                0,
-            )
-        if dim != r.total_dimension:
-            return False
-    return True
+    return all(
+        table.d_at(-2.0 - r.value if r.exact is None else -2 - r.exact) == r.total_dimension
+        for r in table.roots
+    )
 
 
 def symmetry_check(cone: SLConeSpec, window: Window) -> bool:
@@ -354,43 +370,25 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
     collision is resolved exactly via root identity keys and multiplicities
     are reported at the representative rate >= -1/2 (see JACOBI_CONVENTION).
     """
-    table = indicial_roots(cone, window)
-    seen: set = set()
+    table = cone.kernel_table
+    reps = []
+    for r in indicial_roots(cone, window).roots:
+        key = r.key if r.value >= -0.5 else _key_jacobi_partner(r.key)
+        reps.append((_key_value(key), None if key[0] == "V" else key, (key, r.value)))
     entries = []
-    for r in table.roots:
-        if r.key[0] == "V":
-            rep_val = max(r.value, -1.0 - r.value)
-            pair_id = ("V", round(rep_val / MERGE_TOL))
-            partner_val = -1.0 - rep_val
-            rep: Rate = rep_val
-            partner: Rate = partner_val
-        else:
-            partner_key = _key_jacobi_partner(r.key)
-            rep_key = r.key if _key_value(r.key) >= -0.5 else partner_key
-            pair_id = rep_key
-            rep_val = _key_value(rep_key)
-            partner_val = _key_value(_key_jacobi_partner(rep_key))
-            rep = rep_key[1] if rep_key[0] == "Q" else rep_val
-            partner = -1 - rep if _is_exact(rep) else partner_val
-        if pair_id in seen:
-            continue
-        seen.add(pair_id)
-        if abs(rep_val - (-0.5)) < 1e-15:
-            mult = d_lambda(cone, rep)
-            contributors = (rep_val,)
-        else:
-            mult = d_lambda(cone, rep) + d_lambda(cone, partner)
-            contributors = tuple(
-                v
-                for v in (partner_val, rep_val)
-                if any(abs(q.value - v) <= MERGE_TOL for q in table.roots)
-            )
-        ev = rep_val * rep_val + rep_val - 2.0
+    for group in _merge_rates(reps):
+        rep = group[0][0]
+        rep_val = _key_value(rep)
+        keys = (rep,) if abs(rep_val + 0.5) < 1e-15 else (_key_jacobi_partner(rep), rep)
         entries.append(
             JacobiEigenvalue(
-                eigenvalue=ev,
-                multiplicity=mult,
-                contributing_rates=contributors,
+                eigenvalue=rep_val * rep_val + rep_val - 2.0,
+                multiplicity=sum(table.d_at(k[1] if k[0] == "Q" else _key_value(k)) for k in keys),
+                contributing_rates=tuple(
+                    _key_value(k)
+                    for k in keys
+                    if any(abs(v - _key_value(k)) <= MERGE_TOL for _, v in group)
+                ),
                 representative=rep_val,
             )
         )
@@ -400,18 +398,10 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
 
 def morse_index(cone: SLConeSpec) -> int:
     """Morse index of the link's Jacobi operator:
-    d_(-1) + 2 * sum_{-1<lambda<0} d_lambda + sum_{0<=lambda<1} d_lambda.
+    d_(-1) + 2 * sum_{-1<lambda<0} d_lambda + sum_{0<=lambda<1} d_lambda
+    (needs the spectrum complete up to eigenvalue (1+2)(1+1) = 6).
     """
-    # roots with lambda < 1 can be sourced by eigenvalues up to (1+2)(1+1) = 6
-    if cone.spectrum.cutoff < 6.0 - 1e-12:
-        raise CutoffExceeded(
-            "Morse index needs the spectrum complete up to eigenvalue 6 "
-            f"(cutoff is {cone.spectrum.cutoff:g})"
-        )
-    negative = indicial_roots(cone, Window(-1, 0, include_lo=False, include_hi=False))
-    small = indicial_roots(cone, Window(0, 1, include_lo=True, include_hi=False))
-    return (
-        cone.topology.b1
-        + 2 * negative.total_dimension()
-        + small.total_dimension()
-    )
+    table = cone.kernel_table
+    negative = table.d_sum(Window(-1, 0, include_lo=False, include_hi=False))
+    small = table.d_sum(Window(0, 1, include_lo=True, include_hi=False))
+    return cone.topology.b1 + 2 * negative + small

@@ -155,11 +155,13 @@ def cotangent_laplacian(mesh: TriMesh):
     return L, mass
 
 
-def _cluster(eigenvalues: np.ndarray) -> tuple[tuple[float, int], ...]:
+def _cluster(eigenvalues: np.ndarray, scale: float) -> tuple[tuple[float, int], ...]:
+    """Split sorted eigenvalues at gaps above CLUSTER_REL_GAP * max(scale, ev);
+    with ``scale`` = 1 / total area the clusters do not depend on units."""
     entries: list[tuple[float, int]] = []
     group: list[float] = []
     for ev in eigenvalues:
-        if group and ev - group[-1] > CLUSTER_REL_GAP * max(1.0, abs(ev)):
+        if group and ev - group[-1] > CLUSTER_REL_GAP * max(scale, abs(ev)):
             entries.append((float(np.mean(group)), len(group)))
             group = []
         group.append(float(ev))
@@ -222,8 +224,9 @@ def _lowest_eigenvalues(A, count: int, sigma: float) -> np.ndarray:
 def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
     """Lowest ``count`` Laplace eigenvalues of a closed mesh.
 
-    Multiplicities are clustered with relative gap 1e-3; the result is
-    marked inexact and its cutoff is the largest computed eigenvalue.
+    Multiplicities are clustered with relative gap 1e-3, on a scale no
+    smaller than 1 / total area (so a scaled mesh clusters alike); the result
+    is marked inexact and its cutoff is the largest computed eigenvalue.
     """
     import scipy.sparse
 
@@ -234,11 +237,12 @@ def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
     s = scipy.sparse.diags(1.0 / np.sqrt(mass))
     A = s @ L @ s
     A = 0.5 * (A + A.T)
-    vals = _lowest_eigenvalues(A.tocsc(), count, sigma=-SHIFT / mass.sum())
+    area = mass.sum()
+    vals = _lowest_eigenvalues(A.tocsc(), count, sigma=-SHIFT / area)
     if vals[0] < -1e-9:
         raise InvalidMesh(f"negative eigenvalue {vals[0]:g}; mesh badly conditioned")
     vals = np.maximum(vals, 0.0)
-    return Spectrum(entries=_cluster(vals), cutoff=float(vals[-1]), exact=False)
+    return Spectrum(entries=_cluster(vals, 1.0 / area), cutoff=float(vals[-1]), exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +251,8 @@ def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
 
 def icosphere(refinements: int) -> TriMesh:
     """Unit sphere obtained by subdividing the icosahedron ``refinements`` times."""
+    if refinements < 0:
+        raise ValueError(f"refinements must be >= 0, got {refinements}")
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = [
         (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import NonPositiveDefinite, ValidationError
@@ -20,6 +22,10 @@ Number = int | float | Fraction
 
 # work budget of torus_spectrum: 1e5 points take about 2 s with Fraction metrics
 MAX_LATTICE_POINTS = 100_000
+# work budget of sphere_spectrum: the indicial roots of 1e4 degrees take about 1 s
+MAX_SPHERE_DEGREE = 10_000
+
+_eigenvalue = itemgetter(0)
 
 
 def _is_exact(x) -> bool:
@@ -57,17 +63,23 @@ class Spectrum:
         return out
 
     def multiplicity(self, value, tol: float = 1e-9) -> int:
-        """Multiplicity at ``value`` (0 if absent or negative)."""
+        """Multiplicity at ``value`` (0 if absent or negative): exact equality
+        in an exact spectrum, else the lowest eigenvalue within ``tol`` relative."""
         if value < 0:
             return 0
-        for ev, mult in self.entries:
-            if self.exact and _is_exact(value) and _is_exact(ev):
-                if ev == value:
-                    return mult
-            else:
-                fv, fe = float(value), float(ev)
-                if abs(fv - fe) <= tol * max(1.0, abs(fv)):
-                    return mult
+        entries = self.entries
+        if self.exact and _is_exact(value):
+            i = bisect_left(entries, value, key=_eigenvalue)
+            return entries[i][1] if i < len(entries) and entries[i][0] == value else 0
+        fv = float(value)
+        t = tol * max(1.0, abs(fv))
+        # start a rounding margin below fv - t; past fv, a miss means all later miss
+        for i in range(bisect_left(entries, fv - 2.0 * t, key=_eigenvalue), len(entries)):
+            fe = float(entries[i][0])
+            if abs(fv - fe) <= t:
+                return entries[i][1]
+            if fe > fv:
+                break
         return 0
 
     def to_json(self) -> str:
@@ -174,12 +186,14 @@ def sphere_spectrum(cutoff: float) -> Spectrum:
     """Round unit 2-sphere: eigenvalue l(l+1) with multiplicity 2l+1."""
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    entries = []
-    ell = 0
-    while ell * (ell + 1) <= cutoff:
-        entries.append((ell * (ell + 1), 2 * ell + 1))
-        ell += 1
-    return Spectrum(entries=tuple(entries), cutoff=float(cutoff), exact=True)
+    if not cutoff < (MAX_SPHERE_DEGREE + 1) * (MAX_SPHERE_DEGREE + 2):
+        raise ValidationError(
+            f"cutoff {float(cutoff):g} needs degrees beyond {MAX_SPHERE_DEGREE}"
+        )
+    # l(l+1) <= cutoff  <=>  (2l+1)^2 <= 4 cutoff + 1
+    top = (math.isqrt(math.floor(4 * cutoff) + 1) - 1) // 2
+    entries = tuple((ell * (ell + 1), 2 * ell + 1) for ell in range(top + 1))
+    return Spectrum(entries=entries, cutoff=float(cutoff), exact=True)
 
 
 def eigenvalue_count_below(spectrum: Spectrum, bound: float) -> int:

@@ -9,17 +9,16 @@ disconnected) link, the three indices are
 
 where H_j is the G2 symmetry group of the j-th link component and Z_j the
 stratum of its moduli of holomorphic links.  Results are Fractions, never
-floats: index formulas admit no tolerance.
+floats: index formulas admit no tolerance.  Every d_lambda is read from the
+cone's one KernelTable, its components' tables merged.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Union
 
 from .errors import (
@@ -29,14 +28,12 @@ from .errors import (
     NonPositiveArea,
 )
 from .indicial import (
-    MERGE_TOL,
+    KernelTable,
     Rate,
     SLConeSpec,
     Window,
-    _merge_rates,
-    _rate_coverage,
-    _same_rate,
-    indicial_roots,
+    _root,
+    merge_roots,
 )
 from .spectra import LinkTopology, _is_exact
 
@@ -44,10 +41,6 @@ DIM_G2 = 14
 
 OPEN_UNIT = Window(-1, 1, include_lo=False, include_hi=False)
 HALF_OPEN_UNIT = Window(-1, 1, include_lo=False, include_hi=True)
-
-#: one row of a root table: (rate, exact rate or None, d_lambda)
-Row = tuple[float, Union[Fraction, None], int]
-_rate = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -64,60 +57,21 @@ class DLambdaTable:
             if not self.coverage.contains(float(lam), Fraction(lam) if _is_exact(lam) else None):
                 raise ValueError(f"table row {lam} outside coverage {self.coverage}")
 
+    @cached_property
+    def kernel_table(self) -> KernelTable:
+        """The rows as a kernel table on ``coverage``, duplicate rates summed."""
+        roots = (
+            _root(("Q", Fraction(lam)) if _is_exact(lam) else ("V", float(lam)), d)
+            for lam, d in self.rows
+        )
+        return KernelTable(self.coverage, merge_roots(roots))
+
 
 KernelSource = Union[SLConeSpec, DLambdaTable]
 
 
-def _merge_rows(rows: list[Row]) -> tuple[Row, ...]:
-    """Rows sorted by rate, one per rate (dimensions summed), none of dimension 0."""
-    merged = ((rate, exact, sum(dims)) for rate, exact, dims in _merge_rates(rows))
-    return tuple(row for row in merged if row[2] > 0)
-
-
-class _RootTableQueries:
-    """d_lambda queries answered as slices of one sorted root table.
-
-    Subclasses provide ``_roots``, built once: the closed rate interval on
-    which the table is complete, and its merged rows in increasing rate.
-    """
-
-    def rate_coverage(self) -> tuple[float, float]:
-        """The closed rate interval on which d_lambda data is complete."""
-        return self._roots[0]
-
-    def _check_covered(self, lo: float, hi: float) -> None:
-        cov_lo, cov_hi = self._roots[0]
-        if lo < cov_lo or hi > cov_hi:
-            raise CutoffExceeded(
-                f"kernel data only covers [{cov_lo:g}, {cov_hi:g}], asked for "
-                f"[{lo:g}, {hi:g}]"
-            )
-
-    def _rows_between(self, lo: float, hi: float) -> tuple[Row, ...]:
-        rows = self._roots[1]
-        return rows[bisect_left(rows, lo, key=_rate) : bisect_right(rows, hi, key=_rate)]
-
-    def d_at(self, lam: Rate) -> int:
-        value, exact = float(lam), Fraction(lam) if _is_exact(lam) else None
-        self._check_covered(value, value)
-        near = self._rows_between(value - MERGE_TOL, value + MERGE_TOL)
-        return sum(d for rate, e, d in near if _same_rate(rate, e, value, exact))
-
-    def d_sum(self, window: Window) -> int:
-        return sum(d for _, d in self.roots_in(window))
-
-    def roots_in(self, window: Window) -> list[tuple[float, int]]:
-        lo, hi = float(window.lo), float(window.hi)
-        self._check_covered(lo, hi)
-        return [
-            (rate, d)
-            for rate, exact, d in self._rows_between(lo, hi)
-            if window.contains(rate, exact)
-        ]
-
-
 @dataclass(frozen=True)
-class ConeComponent(_RootTableQueries):
+class ConeComponent:
     """One connected link component plus its optional group/stratum data."""
 
     kernel_source: KernelSource
@@ -137,25 +91,18 @@ class ConeComponent(_RootTableQueries):
         ):
             raise ValueError("stratum_dim must be >= 14 - symmetry_group_dim")
 
-    @cached_property
-    def _roots(self) -> tuple[tuple[float, float], tuple[Row, ...]]:
-        source = self.kernel_source
-        if isinstance(source, DLambdaTable):
-            coverage = (float(source.coverage.lo), float(source.coverage.hi))
-            rows = [
-                (float(lam), Fraction(lam) if _is_exact(lam) else None, d)
-                for lam, d in source.rows
-            ]
-        else:
-            coverage = _rate_coverage(source.spectrum.cutoff)
-            table = indicial_roots(source, Window(*coverage))
-            rows = [(r.value, r.exact, r.total_dimension) for r in table.roots]
-        return coverage, _merge_rows(rows)
+    @property
+    def kernel_table(self) -> KernelTable:
+        return self.kernel_source.kernel_table
 
 
 @dataclass(frozen=True)
-class ConeData(_RootTableQueries):
-    """An associative cone as a disjoint union of link components."""
+class ConeData:
+    """An associative cone as a disjoint union of link components.
+
+    Its kernel table merges the components' tables on the rates they all
+    cover; the d_lambda queries below read it.
+    """
 
     components: tuple[ConeComponent, ...]
 
@@ -164,10 +111,31 @@ class ConeData(_RootTableQueries):
             raise ValueError("a cone needs at least one component")
 
     @cached_property
-    def _roots(self) -> tuple[tuple[float, float], tuple[Row, ...]]:
-        tables = [c._roots for c in self.components]
-        coverage = (max(cov[0] for cov, _ in tables), min(cov[1] for cov, _ in tables))
-        return coverage, _merge_rows([row for _, rows in tables for row in rows])
+    def kernel_table(self) -> KernelTable:
+        tables = [c.kernel_table for c in self.components]
+        if len(tables) == 1:
+            return tables[0]
+        lo = max(t.rate_coverage()[0] for t in tables)
+        hi = min(t.rate_coverage()[1] for t in tables)
+        if lo > hi:
+            raise CutoffExceeded("the components' kernel data share no covered rate")
+        window = Window(lo, hi)
+        return KernelTable(
+            window,
+            merge_roots(r for t in tables for r in t.roots if window.contains(r.value, r.exact)),
+        )
+
+    def rate_coverage(self) -> tuple[float, float]:
+        return self.kernel_table.rate_coverage()
+
+    def d_at(self, lam: Rate) -> int:
+        return self.kernel_table.d_at(lam)
+
+    def d_sum(self, window: Window) -> int:
+        return self.kernel_table.d_sum(window)
+
+    def roots_in(self, window: Window) -> list[tuple[float, int]]:
+        return self.kernel_table.roots_in(window)
 
 
 def _base_sum(cone: ConeData, window: Window) -> Fraction:
@@ -202,12 +170,7 @@ def is_rigid(cone: ConeData) -> bool:
 
 def s_ind(cone: ConeData) -> Fraction:
     """Stability index, subtracting the stratum dimensions (rigid default)."""
-    strata = []
-    for c in cone.components:
-        if c.stratum_dim is not None:
-            strata.append(c.stratum_dim)
-        else:
-            strata.append(None)
+    strata = [c.stratum_dim for c in cone.components]
     if any(s is None for s in strata):
         # rigid cones default the stratum to the G2 orbit
         try:
@@ -258,23 +221,20 @@ def stability_report(cone: ConeData, window: Window | None = None) -> dict:
     """JSON-ready report; exact rationals are serialized as "p/q" strings."""
     window = window or Window(-3, 1)
 
-    def rat(x: Fraction) -> str:
-        return str(x)
-
     report: dict = {
         "d_table": [
             {"lambda": lam, "dimension": d} for lam, d in cone.roots_in(window)
         ],
-        "s_ind_minus": rat(s_ind_minus(cone)),
+        "s_ind_minus": str(s_ind_minus(cone)),
     }
     try:
-        report["s_ind_plus"] = rat(s_ind_plus(cone))
+        report["s_ind_plus"] = str(s_ind_plus(cone))
         report["rigid"] = is_rigid(cone)
     except MissingSymmetryData:
         report["s_ind_plus"] = None
         report["rigid"] = None
     try:
-        report["s_ind"] = rat(s_ind(cone))
+        report["s_ind"] = str(s_ind(cone))
     except (MissingStratumData, MissingSymmetryData):
         report["s_ind"] = None
     if any(c.is_plane for c in cone.components):

@@ -4,6 +4,9 @@ import json
 import math
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cone_spectra import presets, stability
 from cone_spectra.cli import (
     EXIT_NUMERICAL,
@@ -90,10 +93,29 @@ def test_exit_codes(tmp_path):
         ["hl", "xi-relation", "--r", "inf"],
         ["hl", "xi-relation", "--r", "nan"],
         ["spectrum", "torus", "--metric", "1,0,1", "--cutoff", "1e9"],
+        # number literals that are not finite floats, and unbounded sphere degrees
+        ["indicial", "--cone", "hl", "--window=-1e400:1"],
+        ["stability", "--cone", "torus:1e400,0,1"],
+        ["spectrum", "sphere", "--cutoff", "inf"],
+        ["spectrum", "sphere", "--cutoff", "1e300"],
+        ["g2", "check", "--tuples", "-1"],
     ):
         code, out = run(argv)
         assert code == EXIT_VALIDATION
         assert json.loads(out)["error"] == "ValidationError"
+    # empty sample sets and negative refinements check nothing
+    for argv in (
+        ["hl", "verify", "--samples", "0"],
+        ["lawlor", "verify", "--a", "1,1,1", "--samples", "-5"],
+        ["spectrum", "mesh", "--builtin", "icosphere:-1"],
+    ):
+        code, out = run(argv)
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "ValueError"
+    # a result that overflows to inf is a numerical failure, not invalid JSON
+    code, out = run(["lawlor", "profile", "--a", "1,1,1", "--y-max", "1e200", "--count", "3"])
+    assert code == EXIT_NUMERICAL
+    assert json.loads(out)["error"] == "NonFiniteResult"
     # a Newton tolerance must be positive and finite
     for tol in ("-1", "0", "nan"):
         code, out = run(["lawlor", "solve", "--theta", "0.9,1.1,1.1415926535897931",
@@ -248,3 +270,54 @@ def test_hl_subcommands():
     code, out = run(["hl", "verify", "--branch", "1", "--samples", "40"])
     assert code == EXIT_OK
     assert json.loads(out)["result"]["branch_1"]["max_im_omega"] < 1e-6
+
+
+NUMBERS = ["-2", "1", "0", "-1", "-1/2", "7/3", "0.25", "-3.75", "1e300", "-1e400", "inf",
+           "-inf", "nan", "1/0", "abc", ""]
+CONES = ["hl", "plane", "plane-pair", "torus:1,0,1", "torus:2/3,1/3,2/3", "torus:1,2,1",
+         "torus:1e400,0,1", "torus:nan,0,1", "torus:1,0", "nope", "table:missing.json"]
+CUTOFFS = st.one_of(
+    st.floats(min_value=0.5, max_value=30.0).map(repr),
+    st.sampled_from(["inf", "nan", "0", "-1", "1e300", "6", "12"]),
+)
+NUMBER = st.one_of(st.sampled_from(NUMBERS), st.floats(-5.0, 3.0).map(repr))
+WINDOWS = st.builds(
+    lambda lo_b, lo, hi, hi_b: f"{lo_b}{lo}:{hi}{hi_b}",
+    st.sampled_from(["", "[", "("]), NUMBER, NUMBER, st.sampled_from(["", "]", ")"]),
+) | st.text(max_size=6)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["indicial", "stability", "index", "torus", "sphere"]))
+    cutoff = ["--cutoff", draw(CUTOFFS)]
+    if command == "indicial":
+        flags = draw(st.lists(st.sampled_from(["--morse", "--jacobi", "--symmetry"]), unique=True))
+        return ["indicial", "--cone", draw(st.sampled_from(CONES)),
+                f"--window={draw(WINDOWS)}", *cutoff, *flags]
+    if command == "stability":
+        return ["stability", "--cone", draw(st.sampled_from(CONES)), *cutoff,
+                "--sym-dim", draw(st.sampled_from(["2", "6", "6,6", "15", "x"]))]
+    if command == "index":
+        argv = ["index", "--kind", draw(st.sampled_from(["ac", "cs"])), *cutoff,
+                "--end", f"{draw(st.sampled_from(CONES))}:{draw(NUMBER)}"]
+        if draw(st.booleans()):
+            argv.append(f"--cross={draw(NUMBER)}:{draw(NUMBER)}")
+        return argv
+    if command == "torus":
+        metrics = ["1,0,1", "2/3,1/3,2/3", "1,2,1", "1e400,0,1", "0.7,0.1,1.3"]
+        return ["spectrum", "torus", "--metric", draw(st.sampled_from(metrics)), *cutoff]
+    return ["spectrum", "sphere", *cutoff]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@settings(max_examples=80, deadline=2000, derandomize=True, database=None)
+@given(_argv())
+def test_cli_contract_property(argv):
+    # every input ends in a documented exit code with strictly valid JSON
+    code, out = run(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_USAGE), (argv, out)
+    json.loads(out, parse_constant=_reject_constant)

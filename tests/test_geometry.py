@@ -341,11 +341,6 @@ def test_lawlor_decay_rate_after_subtraction():
     assert abs(fit.fitted_exponent + 4.0) < 0.3
 
 
-def test_lawlor_decay_both_sides():
-    fit = lawlor_decay_fit(ASYM, side=+1)
-    assert abs(fit.fitted_exponent + 2.0) < 0.1
-
-
 def _symmetric_remainder_slope_mpmath() -> float:
     """Log-log slope of lawlor_decay_table(SYM, subtract_leading=True), with
     every step after the seeded direction taken at 40 digits by mpmath."""

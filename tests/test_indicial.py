@@ -126,9 +126,9 @@ def test_symmetry_negative_control():
             key=("Q", Fraction(value)),
         )
 
-    good = KernelTable(HL, Window(-3, 1), (root(-2, 7), root(0, 7)))
+    good = KernelTable(Window(-3, 1), (root(-2, 7), root(0, 7)))
     assert table_symmetry(good)
-    broken = KernelTable(HL, Window(-3, 1), (root(-2, 5), root(0, 7)))
+    broken = KernelTable(Window(-3, 1), (root(-2, 5), root(0, 7)))
     assert not table_symmetry(broken)
 
 

@@ -204,11 +204,18 @@ def test_count_equal_to_vertex_count():
     assert abs(sp.cutoff - dense[-1]) < 1e-10 * dense[-1]
 
 
-@pytest.mark.parametrize(
-    "mesh", [icosphere(3), clifford_torus_mesh(24)], ids=["ico3", "clifford24"]
-)
-@pytest.mark.parametrize("scale", [0.1, 10.0])
-def test_eigenvalues_scale_inverse_square(mesh, scale):
+SCALED_MESHES = {
+    "ico3": icosphere(3),
+    "clifford24": clifford_torus_mesh(24),
+    "clifford32": clifford_torus_mesh(32),  # splits eigenvalue 2 as 4 + 2 at any scale
+}
+SCALE_CASES = [(0.1, "ico3"), (0.1, "clifford24"), (10.0, "ico3"), (10.0, "clifford24"),
+               (10.0, "clifford32")]
+
+
+@pytest.mark.parametrize("scale, name", SCALE_CASES, ids=[f"{s}-{n}" for s, n in SCALE_CASES])
+def test_eigenvalues_scale_inverse_square(scale, name):
+    mesh = SCALED_MESHES[name]
     base = mesh_spectrum(mesh, 13)
     scaled = mesh_spectrum(TriMesh(scale * mesh.vertices, mesh.faces), 13)
     assert [m for _, m in scaled.entries] == [m for _, m in base.entries]

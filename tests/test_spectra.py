@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cone_spectra.errors import NonPositiveDefinite
+from cone_spectra.errors import NonPositiveDefinite, ValidationError
 from cone_spectra.spectra import (
+    MAX_SPHERE_DEGREE,
     LinkTopology,
     Spectrum,
     TorusMetric,
@@ -112,6 +113,55 @@ def test_sphere_examples():
     assert sphere_spectrum(6).entries == ((0, 1), (2, 3), (6, 5))
     assert sphere_spectrum(0.5).entries == ((0, 1),)
     assert sphere_spectrum(20).entries[-1] == (20, 9)
+
+
+def test_sphere_degree_bound():
+    # the top degree comes from a closed form, checked at and next to l(l+1)
+    for ell in (1, 2, 17, 999):
+        top = ell * (ell + 1)
+        assert sphere_spectrum(top).entries[-1] == (top, 2 * ell + 1)
+        assert sphere_spectrum(math.nextafter(top, 0)).entries[-1][0] < top
+    last = MAX_SPHERE_DEGREE * (MAX_SPHERE_DEGREE + 1)
+    assert len(sphere_spectrum(last).entries) == MAX_SPHERE_DEGREE + 1
+    for cutoff in (last + 2 * MAX_SPHERE_DEGREE + 2, 1e300, math.inf):
+        with pytest.raises(ValidationError, match=str(MAX_SPHERE_DEGREE)):
+            sphere_spectrum(cutoff)
+
+
+def _linear_multiplicity(spectrum, value, tol=1e-9):
+    """The lookup as a scan over every entry, first match wins."""
+    if value < 0:
+        return 0
+    for ev, mult in spectrum.entries:
+        if spectrum.exact and isinstance(value, (int, Fraction)):
+            if ev == value:
+                return mult
+        elif abs(float(value) - float(ev)) <= tol * max(1.0, abs(float(value))):
+            return mult
+    return 0
+
+
+def test_multiplicity_matches_linear_scan():
+    rng = np.random.default_rng(5)
+    spectra = [
+        sphere_spectrum(90),
+        torus_spectrum(TorusMetric(Fraction(3, 2), Fraction(1, 3), Fraction(5, 4)), 30),
+        # neighbours closer than the tolerance: the lowest match wins
+        Spectrum(((0.0, 1), (1.0, 2), (1.0 + 5e-10, 3), (1.0 + 1.5e-9, 4), (2.0, 5)), 3.0, False),
+    ]
+    for _ in range(4):
+        a = rng.normal(size=(2, 2))
+        g = a @ a.T + 0.4 * np.eye(2)
+        spectra.append(torus_spectrum(TorusMetric(g[0, 0], g[0, 1], g[1, 1]), 30.0))
+    for sp in spectra:
+        queries = [-1, 0, 0.0, Fraction(7, 3), *rng.uniform(0.0, 40.0, 30)]
+        for ev, _ in sp.entries:
+            fe = float(ev)
+            step = 1e-9 * max(1.0, fe)
+            queries += [ev, fe, fe + step, fe - step, fe + 2 * step, fe - 0.99 * step,
+                        math.nextafter(fe + step, math.inf), math.nextafter(fe - step, -math.inf)]
+        for q in queries:
+            assert sp.multiplicity(q) == _linear_multiplicity(sp, q), (sp.entries[:3], q)
 
 
 def test_spectrum_validation():

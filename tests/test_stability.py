@@ -13,9 +13,16 @@ from cone_spectra.errors import (
     MissingSymmetryData,
     NonPositiveArea,
 )
-from cone_spectra import stability
 from cone_spectra.fredholm import AC, EndSpec, OperatorSpec, chamber, index, wall_crossing, with_rates
-from cone_spectra.indicial import SLConeSpec, Window, d_lambda, indicial_roots
+from cone_spectra.indicial import (
+    SLConeSpec,
+    Window,
+    d_lambda,
+    indicial_roots,
+    jacobi_spectrum,
+    morse_index,
+    symmetry_check,
+)
 from cone_spectra.presets import hl_cone, plane_cone, plane_pair_cone, torus_cone
 from cone_spectra.spectra import LinkTopology, TorusMetric
 from cone_spectra.stability import (
@@ -200,9 +207,27 @@ def _oracle_d(component, lam):
 
 
 def _oracle_sum(component, window):
+    """sum of d_lambda over the window, from candidate roots of the raw spectrum."""
     source = component.kernel_source
     if isinstance(source, SLConeSpec):
-        return indicial_roots(source, window).total_dimension()
+        candidates = {Fraction(-1)}
+        for delta, _ in source.spectrum.entries:
+            disc = 1 + 4 * delta
+            root = math.isqrt(disc) if isinstance(delta, int) else None
+            for p in (-1, -3):
+                for s in (1, -1):
+                    if root is not None and root * root == disc:
+                        candidates.add(Fraction(p + s * root, 2))
+                    else:
+                        candidates.add((p + s * math.sqrt(disc)) / 2)
+        rates = sorted(candidates)
+        # float spectra give the same rate from two branches up to rounding
+        rates = [lam for i, lam in enumerate(rates) if i == 0 or lam - rates[i - 1] > 1e-9]
+        return sum(
+            d_lambda(source, lam)
+            for lam in rates
+            if window.contains(float(lam), lam if isinstance(lam, Fraction) else None)
+        )
     exact = (int, Fraction)
     return sum(
         d
@@ -259,14 +284,20 @@ def test_root_table_matches_kernel_sources(name):
 
 
 def test_index_sweep_builds_roots_once(monkeypatch):
-    calls = []
+    builds = []
+    build = SLConeSpec.kernel_table.func
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return indicial_roots(*args, **kwargs)
+    def counted(spec):
+        builds.append(spec)
+        return build(spec)
 
-    monkeypatch.setattr(stability, "indicial_roots", counted)
+    monkeypatch.setattr(SLConeSpec.kernel_table, "func", counted)
     cone = hl_cone()
+    spec = cone.components[0].kernel_source
+    assert [r.value for r in indicial_roots(spec, Window(-2, 1)).roots] == [-2, -1, 0, 1]
+    assert symmetry_check(spec, Window(-3, 1))
+    assert morse_index(spec) == 9
+    assert len(jacobi_spectrum(spec, Window(-2, 1)).entries) == 2
     rng = random.Random(16)
     rates = [rng.uniform(-3.9, 1.9) for _ in range(16)]
     op = OperatorSpec(AC, (EndSpec(cone, rates[0]),))
@@ -276,4 +307,4 @@ def test_index_sweep_builds_roots_once(monkeypatch):
     for r in rates:
         chamber(cone, r)
     stability_report(cone)
-    assert len(calls) == 1
+    assert builds == [spec]
