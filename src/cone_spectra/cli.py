@@ -5,6 +5,10 @@ key=value config file), calls the library once, and prints a JSON report
 embedding the tool version and the resolved config.  Exact rationals are
 serialized as "p/q" strings.  Exit codes: 0 success, 2 validation error,
 3 numerical failure, 64 usage error.
+
+Each handler imports the layers it runs, so the exact subcommands
+(``spectrum torus|sphere``, ``indicial``, ``stability``, ``index``) start
+without numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +21,9 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, g2, geometry, presets
+from . import __version__
 from .errors import (
     ConeSpectraError,
     FitUnstable,
@@ -28,11 +31,10 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .fredholm import AC, CS, EndSpec, OperatorSpec, crossed_roots, index_report, wall_crossing
-from .indicial import SLConeSpec, Window, indicial_roots, jacobi_spectrum, morse_index, symmetry_check
-from .mesh import clifford_torus_mesh, icosphere, load_off, mesh_spectrum
-from .spectra import TorusMetric, sphere_spectrum, torus_spectrum
-from .stability import ConeComponent, ConeData, DLambdaTable, stability_report
+
+if TYPE_CHECKING:
+    from .indicial import Window
+    from .stability import ConeData
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,6 +70,8 @@ def _parse_number(text: str):
 
 
 def parse_window(text: str) -> Window:
+    from .indicial import Window
+
     include_lo = not text.startswith("(")
     include_hi = not text.endswith(")")
     body = text.strip("[]()")
@@ -94,6 +98,9 @@ def _parse_triple(text: str | None) -> tuple:
 def _load_table_cone(path: str) -> ConeData:
     """A cone from a user d-table JSON: {"rows": [{"lambda", "dimension"}, ...],
     "coverage": [lo, hi]} (non-SL cones enter only this way)."""
+    from .indicial import Window
+    from .stability import ConeComponent, ConeData, DLambdaTable
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -111,6 +118,9 @@ def _load_table_cone(path: str) -> ConeData:
 
 
 def _resolve_cone_data(name: str, cutoff: float) -> ConeData:
+    from . import presets
+    from .spectra import TorusMetric
+
     if name == "hl":
         return presets.hl_cone(cutoff)
     if name == "plane":
@@ -131,6 +141,8 @@ def _resolve_cone_data(name: str, cutoff: float) -> ConeData:
 
 
 def _provenance(name: str) -> str:
+    from . import presets
+
     key = name.split(":", 1)[0]
     return presets.PRESET_PROVENANCE.get(key, "user-specified")
 
@@ -141,13 +153,19 @@ def _provenance(name: str) -> str:
 
 def _cmd_spectrum(args) -> dict:
     if args.mode == "torus":
+        from .spectra import TorusMetric, torus_spectrum
+
         if args.metric is None:
             raise ValidationError("spectrum torus needs --metric g11,g12,g22")
         g11, g12, g22 = (_parse_number(p) for p in args.metric.split(","))
         spectrum = torus_spectrum(TorusMetric(g11, g12, g22), args.cutoff)
     elif args.mode == "sphere":
+        from .spectra import sphere_spectrum
+
         spectrum = sphere_spectrum(args.cutoff)
     else:  # mesh
+        from .mesh import clifford_torus_mesh, icosphere, load_off, mesh_spectrum
+
         if args.off:
             mesh = load_off(args.off)
         elif args.builtin:
@@ -171,6 +189,15 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_indicial(args) -> dict:
+    from .indicial import (
+        SLConeSpec,
+        Window,
+        indicial_roots,
+        jacobi_spectrum,
+        morse_index,
+        symmetry_check,
+    )
+
     window = parse_window(args.window)
     cone = _resolve_cone_data(args.cone, args.cutoff)
     specs = [c.kernel_source for c in cone.components]
@@ -218,12 +245,15 @@ def _per_component(cone: ConeData, text: str | None, flag: str, field: str) -> C
         dims = dims * len(cone.components)
     if len(dims) != len(cone.components):
         raise ValidationError(f"need one {flag} per component")
-    return ConeData(
-        tuple(replace(c, **{field: d}) for c, d in zip(cone.components, dims))
+    return replace(
+        cone,
+        components=tuple(replace(c, **{field: d}) for c, d in zip(cone.components, dims)),
     )
 
 
 def _cmd_stability(args) -> dict:
+    from .stability import stability_report
+
     cone = _resolve_cone_data(args.cone, args.cutoff)
     cone = _per_component(cone, args.sym_dim, "--sym-dim", "symmetry_group_dim")
     cone = _per_component(cone, args.stratum_dim, "--stratum-dim", "stratum_dim")
@@ -231,6 +261,8 @@ def _cmd_stability(args) -> dict:
 
 
 def _cmd_index(args) -> dict:
+    from .fredholm import EndSpec, OperatorSpec, crossed_roots, index_report, wall_crossing
+
     if not args.end:
         raise ValidationError("need at least one --end PRESET:RATE")
     ends = []
@@ -259,6 +291,8 @@ def _cmd_index(args) -> dict:
 
 
 def _cmd_lawlor(args) -> dict:
+    from . import geometry
+
     if args.mode == "angles":
         params = geometry.LawlorParams(_parse_triple(args.a))
         angles = geometry.lawlor_angles(params)
@@ -277,6 +311,8 @@ def _cmd_lawlor(args) -> dict:
             "a": list(params.a),
         }
     if args.mode == "profile":
+        import numpy as np
+
         params = geometry.LawlorParams(_parse_triple(args.a))
         ys = np.linspace(args.y_min, args.y_max, args.count)
         rows = geometry.lawlor_profile(params, ys)
@@ -314,6 +350,8 @@ def _cmd_lawlor(args) -> dict:
 
 
 def _cmd_hl(args) -> dict:
+    from . import geometry
+
     if args.mode == "verify":
         branches = (1, 2, 3) if args.branch == 0 else (args.branch,)
         out = {}
@@ -354,6 +392,10 @@ def _cmd_hl(args) -> dict:
 
 
 def _cmd_g2(args) -> dict:
+    import numpy as np
+
+    from . import g2
+
     if args.tuples < 1:
         raise ValidationError(f"--tuples must be at least 1, got {args.tuples}")
     rng = np.random.default_rng(args.seed)
@@ -384,6 +426,8 @@ def _cmd_g2(args) -> dict:
 
 
 def _cmd_planes(args) -> dict:
+    from . import g2, geometry
+
     pair = geometry.transverse_plane_pair(_parse_triple(args.theta))
     recovered = geometry.jordan_angles(pair.frame_zero, pair.frame_theta)
     return {
@@ -445,7 +489,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cutoff", type=float, default=12.0)
 
     p = sub.add_parser("index", help="Fredholm index of the weighted Fueter operator", parents=[common])
-    p.add_argument("--kind", choices=(AC, CS), required=True)
+    p.add_argument("--kind", choices=("ac", "cs"), required=True)
     p.add_argument("--end", action="append", help="PRESET:RATE, repeatable")
     p.add_argument("--cross", help="FROM:TO wall crossing probe")
     p.add_argument("--cutoff", type=float, default=12.0)
@@ -492,11 +536,28 @@ HANDLERS = {
 }
 
 
-def _apply_config(parser, args, argv) -> None:
-    """Config file entries act as defaults; explicit flags win."""
-    if not args.config:
-        return
-    entries: dict[str, str] = {}
+def _config_tokens(parser, args, argv) -> list[str]:
+    """The config file's entries as '--key=value' tokens for the same parser.
+
+    Keys are the chosen subcommand's option flags; a flag that takes no value
+    takes 'true' or 'false'.  Entries for flags that argv sets are dropped,
+    so explicit flags win.
+    """
+    subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+    options = {  # option flag -> whether it takes no value
+        opt: action.nargs == 0
+        for action in subparsers.choices[args.command]._actions
+        if action.dest not in ("help", "config")
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+    explicit = set()
+    for tok in argv:
+        if tok.startswith("--"):
+            flag = tok.split("=", 1)[0]
+            # argparse also accepts a unique prefix of a flag
+            explicit |= {flag} if flag in options else {o for o in options if o.startswith(flag)}
+    tokens: list[str] = []
     with open(args.config, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -505,33 +566,20 @@ def _apply_config(parser, args, argv) -> None:
             if "=" not in line:
                 raise ValidationError(f"{args.config}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            entries[key] = value
-    valid = {
-        a.replace("--", "").replace("_", "-")
-        for a in vars(args)
-    }
-    explicit = {
-        tok.split("=", 1)[0].lstrip("-").replace("_", "-")
-        for tok in argv
-        if tok.startswith("--")
-    }
-    for key, value in entries.items():
-        attr = key.replace("-", "_")
-        if key.replace("_", "-") not in valid:
-            raise ValidationError(f"unknown config key '{key}'")
-        if key.replace("_", "-") in explicit:
-            continue
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, attr, int(value))
-        elif isinstance(current, float):
-            setattr(args, attr, float(value))
-        elif key == "end":
-            setattr(args, attr, (current or []) + [value])
-        else:
-            setattr(args, attr, value)
+            flag = "--" + key.replace("_", "-")
+            if flag not in options:
+                raise ValidationError(f"unknown config key '{key}'")
+            if flag in explicit:
+                continue
+            if not options[flag]:
+                tokens.append(f"{flag}={value}")
+            elif value.lower() == "true":
+                tokens.append(flag)
+            elif value.lower() != "false":
+                raise ValidationError(
+                    f"{args.config}:{lineno}: '{key}' takes true or false, got '{value}'"
+                )
+    return tokens
 
 
 def _csv_output(command: str, result: dict) -> str:
@@ -600,7 +648,12 @@ def run(argv) -> tuple[int, str]:
     argv = _join_flag_values(list(argv), _boolean_flags(parser))
     try:
         args = parser.parse_args(argv)
-        _apply_config(parser, args, argv)
+        if args.config:
+            tokens = _config_tokens(parser, args, argv)
+            try:
+                args = parser.parse_args(argv + tokens)
+            except SystemExit_usage as exc:  # argv alone parsed: the file is at fault
+                raise ValidationError(f"{args.config}: {exc}") from None
         result = HANDLERS[args.command](args)
     except SystemExit_usage as exc:
         return EXIT_USAGE, json.dumps({"error": "usage", "message": str(exc)})

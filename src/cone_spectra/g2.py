@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 
 import numpy as np
 
@@ -43,23 +44,20 @@ PHI_MONOMIALS = (
 )
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(n) as rows, with their signs (-1)^inversions."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], k=1).sum(axis=(1, 2))
+    return perms, 1.0 - 2.0 * (inversions % 2)
 
 
 def _build_phi() -> np.ndarray:
+    monomials = np.array(PHI_MONOMIALS)
+    perms, signs = _permutations(3)
+    # every reordering of each monomial, signed relative to its own index order
+    idx = (monomials[:, :3] - 1)[:, perms]
     phi = np.zeros((7, 7, 7))
-    for i, j, k, s in PHI_MONOMIALS:
-        base = (i - 1, j - 1, k - 1)
-        # sign relative to the monomial's own index order
-        for perm in itertools.permutations(range(3)):
-            phi[base[perm[0]], base[perm[1]], base[perm[2]]] = s * _perm_sign(perm)
+    phi[idx[..., 0], idx[..., 1], idx[..., 2]] = monomials[:, 3:] * signs
     return phi
 
 
@@ -83,14 +81,13 @@ def associator(u: Vec7, v: Vec7, w: Vec7) -> Vec7:
 
 
 def _build_psi() -> np.ndarray:
-    # psi(e_i,e_j,e_k,e_l) = g([e_i,e_j,e_k], e_l)
+    # psi(e_i,e_j,e_k,e_l) = g([e_i,e_j,e_k], e_l), one einsum per associator term
     eye = np.eye(7)
-    psi = np.zeros((7, 7, 7, 7))
-    for i in range(7):
-        for j in range(7):
-            for k in range(7):
-                psi[i, j, k, :] = associator(eye[i], eye[j], eye[k])
-    return psi
+    return (
+        np.einsum("ijm,mkl->ijkl", PHI, PHI)
+        + np.einsum("jk,il->ijkl", eye, eye)
+        - np.einsum("ik,jl->ijkl", eye, eye)
+    )
 
 
 PSI = _build_psi()
@@ -106,13 +103,12 @@ def psi4(u: Vec7, v: Vec7, w: Vec7, z: Vec7) -> float:
 # the G2 identity  iota_u phi ^ iota_v phi ^ phi = 6 g(u,v) vol
 # ---------------------------------------------------------------------------
 
-def _build_perm7():
-    perms = np.array(list(itertools.permutations(range(7))), dtype=np.intp)
-    signs = np.array([_perm_sign(p) for p in perms], dtype=np.float64)
+@cache
+def _perm7() -> tuple[np.ndarray, np.ndarray]:
+    perms, signs = _permutations(7)
+    perms.setflags(write=False)
+    signs.setflags(write=False)
     return perms, signs
-
-
-_PERMS7, _SIGNS7 = _build_perm7()
 
 
 def g2_identity_residual(u: Vec7, v: Vec7) -> float:
@@ -123,14 +119,14 @@ def g2_identity_residual(u: Vec7, v: Vec7) -> float:
     """
     a = np.einsum("ijk,i->jk", PHI, u)  # 2-form iota_u phi
     b = np.einsum("ijk,i->jk", PHI, v)
-    p = _PERMS7
+    p, signs = _perm7()
     terms = (
         a[p[:, 0], p[:, 1]]
         * b[p[:, 2], p[:, 3]]
         * PHI[p[:, 4], p[:, 5], p[:, 6]]
     )
     # wedge of a 2-, 2- and 3-form evaluated on (e_1,...,e_7)
-    coeff = float(np.dot(_SIGNS7, terms)) / (2.0 * 2.0 * 6.0)
+    coeff = float(np.dot(signs, terms)) / (2.0 * 2.0 * 6.0)
     return coeff - 6.0 * float(np.dot(u, v))
 
 

@@ -24,6 +24,8 @@ Number = int | float | Fraction
 MAX_LATTICE_POINTS = 100_000
 # work budget of sphere_spectrum: the indicial roots of 1e4 degrees take about 1 s
 MAX_SPHERE_DEGREE = 10_000
+# float eigenvalues this close, relative to max(1, value), are one eigenvalue
+RELATIVE_TOL = 1e-9
 
 _eigenvalue = itemgetter(0)
 
@@ -62,7 +64,7 @@ class Spectrum:
             out.extend([float(ev)] * mult)
         return out
 
-    def multiplicity(self, value, tol: float = 1e-9) -> int:
+    def multiplicity(self, value, tol: float = RELATIVE_TOL) -> int:
         """Multiplicity at ``value`` (0 if absent or negative): exact equality
         in an exact spectrum, else the lowest eigenvalue within ``tol`` relative."""
         if value < 0:
@@ -178,8 +180,20 @@ def torus_spectrum(metric: TorusMetric, cutoff: float) -> Spectrum:
     if exact_out:
         entries = tuple(sorted((int(q), mult) for q, mult in counts.items()))
     else:
-        entries = tuple(sorted((float(q), mult) for q, mult in counts.items()))
+        entries = _merge_close(sorted((float(q), mult) for q, mult in counts.items()))
     return Spectrum(entries=entries, cutoff=float(cutoff), exact=exact_out)
+
+
+def _merge_close(pairs) -> tuple[tuple[float, int], ...]:
+    """Sorted (value, count) pairs, each value within RELATIVE_TOL of its
+    group's lowest merged into that lowest value: rounding splits no eigenvalue."""
+    merged: list[list] = []
+    for value, count in pairs:
+        if merged and value - merged[-1][0] <= RELATIVE_TOL * max(1.0, value):
+            merged[-1][1] += count
+        else:
+            merged.append([value, count])
+    return tuple((value, count) for value, count in merged)
 
 
 def sphere_spectrum(cutoff: float) -> Spectrum:

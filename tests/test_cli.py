@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +211,37 @@ def test_config_file(tmp_path):
         ["--config", str(cfg), "indicial", "--cone", "hl", "--window", "[0:1]"]
     )
     assert json.loads(out)["config"]["window"] == "[0:1]"
+    # so does a unique prefix of a flag
+    code, out = run(["--config", str(cfg), "indicial", "--cone", "hl", "--cut", "8"])
+    assert json.loads(out)["config"]["cutoff"] == 8.0
+    cfg.write_text("morse = TRUE\njacobi = false\nseed = 5\n")
+    code, out = run(["--config", str(cfg), "indicial", "--cone", "hl"])
+    config = json.loads(out)["config"]
+    assert (code, config["morse"], config["jacobi"], config["seed"]) == (EXIT_OK, True, False, 5)
+    cfg.write_text("end = plane-pair:-1.5\n")
+    code, out = run(["--config", str(cfg), "index", "--kind", "ac"])
+    assert json.loads(out)["config"]["end"] == ["plane-pair:-1.5"]
+    code, out = run(["--config", str(cfg), "index", "--kind", "ac", "--end", "hl:-0.9"])
+    assert json.loads(out)["config"]["end"] == ["hl:-0.9"]
+
+
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        ("command = g2", ["spectrum", "sphere"]),  # not an option flag
+        ("mode = mesh", ["spectrum", "sphere", "--builtin", "icosphere:1"]),  # nor a positional
+        ("morse = ture", ["indicial", "--cone", "hl"]),  # true or false only
+        ("cutoff = twelve", ["indicial", "--cone", "hl"]),  # typed by the parser
+        ("output_format = xml", ["indicial", "--cone", "hl"]),  # choices checked
+        ("help = true", ["indicial", "--cone", "hl"]),
+    ],
+)
+def test_config_bad_entry_exits_2(tmp_path, entry, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(entry + "\n")
+    code, out = run(["--config", str(cfg), *argv])
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"] == "ValidationError"
 
 
 def test_config_unknown_key_rejected(tmp_path):

@@ -112,6 +112,20 @@ def test_psi_is_hodge_dual_of_phi():
     assert np.allclose(g2.PSI, _psi_oracle(_phi_oracle()))
 
 
+def test_tables_match_loop_builds():
+    # reference: the tables built entry by entry with Python loops
+    psi = np.zeros((7, 7, 7, 7))
+    for i, j, k in itertools.product(range(7), repeat=3):
+        psi[i, j, k, :] = g2.associator(E[i], E[j], E[k])
+    assert np.array_equal(g2.PSI, psi)
+    assert np.array_equal(g2.PHI, _phi_oracle())
+    perms = np.array(list(itertools.permutations(range(7))), dtype=np.intp)
+    signs = np.array([_levi_civita_sign(p) for p in perms], dtype=np.float64)
+    table, table_signs = g2._perm7()
+    assert np.array_equal(table, perms)
+    assert np.array_equal(table_signs, signs)
+
+
 def test_g2_identity_examples():
     assert abs(g2.g2_identity_residual(E[0], E[0])) < 1e-12
     assert abs(g2.g2_identity_residual(E[0], E[1])) < 1e-12

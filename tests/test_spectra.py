@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from cone_spectra.errors import NonPositiveDefinite, ValidationError
+from cone_spectra.presets import torus_cone_spec
 from cone_spectra.spectra import (
     MAX_SPHERE_DEGREE,
+    RELATIVE_TOL,
     LinkTopology,
     Spectrum,
     TorusMetric,
@@ -85,6 +87,28 @@ def test_torus_multiplicities_even_for_random_metrics():
         for ev, mult in sp.entries:
             if float(ev) > 0:
                 assert mult % 2 == 0
+
+
+def test_float_torus_merges_rounding_splits():
+    # one rounding away from the Clifford metric, the eigenvalue 38 of
+    # multiplicity 12 comes out of the lattice as two float values
+    s = 1 + 1e-10
+    metric = TorusMetric(2 / 3 * s, 1 / 3 * s, 2 / 3 * s)
+    sp = torus_spectrum(metric, 48)
+    assert sp.multiplicity(38.0) == 12
+    exact = torus_spectrum(clifford_torus_metric(), 48)
+    assert [m for _, m in sp.entries] == [m for _, m in exact.entries]
+    # (lambda + 2)(lambda + 1) = 38
+    assert torus_cone_spec(metric, 48).kernel_table.d_at((-3 + math.sqrt(153)) / 2) == 12
+    rng = np.random.default_rng(3)
+    spectra = [sp]
+    for _ in range(5):
+        a = rng.normal(size=(2, 2))
+        g = a @ a.T + 0.4 * np.eye(2)
+        spectra.append(torus_spectrum(TorusMetric(g[0, 0], g[0, 1], g[1, 1]), 40.0))
+    for spectrum in spectra:
+        values = [ev for ev, _ in spectrum.entries]
+        assert all(b - a > RELATIVE_TOL * max(1.0, a, b) for a, b in zip(values, values[1:]))
 
 
 def test_weyl_law():
