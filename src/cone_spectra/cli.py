@@ -43,6 +43,12 @@ EXIT_USAGE = 64
 
 NUMERICAL_ERRORS = (QuadratureFailure, NoConvergence, FitUnstable)
 
+# Upper bounds on the batch sizes of the numeric checks, each checked before
+# any array is built; the largest allowed call stays under 200 MB peak RSS.
+MAX_SAMPLES = 50_000  # hl verify, lawlor verify --samples
+MAX_TUPLES = 25_000  # g2 check --tuples
+MAX_PROFILE_ROWS = 50_000  # lawlor profile --count
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 64, not argparse's 2
@@ -84,6 +90,11 @@ def parse_window(text: str) -> Window:
         include_lo=include_lo,
         include_hi=include_hi,
     )
+
+
+def _check_at_most(flag: str, value: int, bound: int, name: str) -> None:
+    if value > bound:
+        raise ValidationError(f"{flag} {value} exceeds {name} = {bound}")
 
 
 def _parse_triple(text: str | None) -> tuple:
@@ -313,11 +324,13 @@ def _cmd_lawlor(args) -> dict:
     if args.mode == "profile":
         import numpy as np
 
+        _check_at_most("--count", args.count, MAX_PROFILE_ROWS, "MAX_PROFILE_ROWS")
         params = geometry.LawlorParams(_parse_triple(args.a))
         ys = np.linspace(args.y_min, args.y_max, args.count)
         rows = geometry.lawlor_profile(params, ys)
         return {"a": list(params.a), "rows": rows}
     if args.mode == "verify":
+        _check_at_most("--samples", args.samples, MAX_SAMPLES, "MAX_SAMPLES")
         params = geometry.LawlorParams(_parse_triple(args.a))
         report = geometry.verify_special_lagrangian(
             geometry.lawlor_sampler(params), args.samples, args.seed
@@ -353,6 +366,7 @@ def _cmd_hl(args) -> dict:
     from . import geometry
 
     if args.mode == "verify":
+        _check_at_most("--samples", args.samples, MAX_SAMPLES, "MAX_SAMPLES")
         branches = (1, 2, 3) if args.branch == 0 else (args.branch,)
         out = {}
         for b in branches:
@@ -398,30 +412,22 @@ def _cmd_g2(args) -> dict:
 
     if args.tuples < 1:
         raise ValidationError(f"--tuples must be at least 1, got {args.tuples}")
-    rng = np.random.default_rng(args.seed)
-    worst_identity = worst_ortho = worst_norm = worst_psi = 0.0
-    for _ in range(args.tuples):
-        u, v, w, z = rng.normal(size=(4, 7))
-        u, v, w, z = (x / np.linalg.norm(x) for x in (u, v, w, z))
-        worst_identity = max(worst_identity, abs(g2.g2_identity_residual(u, v)))
-        cr = g2.cross(u, v)
-        worst_ortho = max(
-            worst_ortho, abs(float(np.dot(cr, u))), abs(float(np.dot(cr, v)))
-        )
-        gram = np.array([u, v, w]) @ np.array([u, v, w]).T
-        lhs = float(np.linalg.det(gram))
-        assoc = g2.associator(u, v, w)
-        rhs = g2.phi3(u, v, w) ** 2 + float(np.dot(assoc, assoc))
-        worst_norm = max(worst_norm, abs(lhs - rhs))
-        worst_psi = max(
-            worst_psi, abs(g2.psi4(u, v, w, z) - float(np.dot(assoc, z)))
-        )
+    _check_at_most("--tuples", args.tuples, MAX_TUPLES, "MAX_TUPLES")
+    x = np.random.default_rng(args.seed).normal(size=(args.tuples, 4, 7))
+    unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    u, v, w, z = np.moveaxis(unit, 1, 0)
+    cr = g2.cross(u, v)
+    ortho = np.maximum(np.abs((cr * u).sum(axis=-1)), np.abs((cr * v).sum(axis=-1)))
+    gram_det = np.linalg.det(unit[:, :3] @ unit[:, :3].transpose(0, 2, 1))
+    assoc = g2.associator(u, v, w)
+    norm_defect = gram_det - (g2.phi3(u, v, w) ** 2 + (assoc * assoc).sum(axis=-1))
+    psi_defect = g2.psi4(u, v, w, z) - (assoc * z).sum(axis=-1)
     return {
         "tuples": args.tuples,
-        "max_g2_identity_residual": worst_identity,
-        "max_cross_orthogonality": worst_ortho,
-        "max_associator_norm_identity": worst_norm,
-        "max_psi_defect": worst_psi,
+        "max_g2_identity_residual": float(np.abs(g2.g2_identity_residual(u, v)).max()),
+        "max_cross_orthogonality": float(ortho.max()),
+        "max_associator_norm_identity": float(np.abs(norm_defect).max()),
+        "max_psi_defect": float(np.abs(psi_defect).max()),
     }
 
 

@@ -18,6 +18,15 @@ which forces the real axes X = (e_2, -e_4, e_6) and the imaginary axes
 Y = J X = (e_3, e_5, -e_7).  With this pairing the real locus
 span(e_2, e_4, e_6) is the model special Lagrangian plane; this is asserted
 at import time.
+
+Batches.  The forms and products (``cross``, ``phi3``, ``psi4``,
+``associator``, ``kahler_form``, ``holomorphic_volume``,
+``g2_identity_residual``) and ``orthonormalize`` broadcast over leading
+axes: vectors of shape (..., 7) give results with the same leading axes,
+so one call checks a whole sample set.  Every contraction is a chain of
+vector-matrix products against ``PHI`` or ``PSI`` reshaped to (7, 49) or
+(7, 343).  Single vectors give floats (complex for
+``holomorphic_volume``) as before.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateFrame
 
-Vec7 = np.ndarray  # shape (7,), float entries
+Vec7 = np.ndarray  # shape (7,) or a batch (..., 7), float entries
 
 #: monomials of phi as (i, j, k, sign), 1-based indices as in the expansion
 PHI_MONOMIALS = (
@@ -65,19 +74,44 @@ PHI = _build_phi()
 PHI.setflags(write=False)
 
 
+def _contract(tensor: np.ndarray, *vectors) -> np.ndarray:
+    """tensor(v_1, ..., v_m, .) over its leading slots, one slot at a time.
+
+    Each vector has shape (..., 7); the batch axes broadcast.  The result has
+    shape (..., 7^(rank - m)) with the remaining slots flattened.  Every step
+    is a vector-matrix product written as a two-operand einsum: a BLAS matmul
+    of a large batch against (7, 343) starts the BLAS thread pool, which on a
+    two-core host costs more than the product.
+    """
+    out = np.einsum("...i,ij->...j", vectors[0], tensor.reshape(7, -1))
+    for v in vectors[1:]:
+        out = np.einsum("...i,...ij->...j", v, out.reshape(out.shape[:-1] + (7, -1)))
+    return out
+
+
+def _value(x):
+    """A float for a single evaluation, the array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _dot(u, v):
+    """g(u, v) over the last axis."""
+    return (np.asarray(u, dtype=float) * v).sum(axis=-1)
+
+
 def cross(u: Vec7, v: Vec7) -> Vec7:
     """Seven-dimensional cross product, g(u x v, w) = phi(u, v, w)."""
-    return np.einsum("ijk,i,j->k", PHI, u, v)
+    return _contract(PHI, u, v)
 
 
-def phi3(u: Vec7, v: Vec7, w: Vec7) -> float:
+def phi3(u: Vec7, v: Vec7, w: Vec7) -> float | np.ndarray:
     """The associative 3-form phi(u, v, w)."""
-    return float(np.einsum("ijk,i,j,k->", PHI, u, v, w))
+    return _value(_contract(PHI, u, v, w)[..., 0])
 
 
 def associator(u: Vec7, v: Vec7, w: Vec7) -> Vec7:
     """[u,v,w] = (u x v) x w + <v,w> u - <u,w> v; vanishes on associative planes."""
-    return cross(cross(u, v), w) + np.dot(v, w) * u - np.dot(u, w) * v
+    return cross(cross(u, v), w) + _dot(v, w)[..., None] * u - _dot(u, w)[..., None] * v
 
 
 def _build_psi() -> np.ndarray:
@@ -94,9 +128,9 @@ PSI = _build_psi()
 PSI.setflags(write=False)
 
 
-def psi4(u: Vec7, v: Vec7, w: Vec7, z: Vec7) -> float:
+def psi4(u: Vec7, v: Vec7, w: Vec7, z: Vec7) -> float | np.ndarray:
     """The coassociative 4-form psi(u,v,w,z) = g([u,v,w], z)."""
-    return float(np.einsum("ijkl,i,j,k,l->", PSI, u, v, w, z))
+    return _value(_contract(PSI, u, v, w, z)[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +145,34 @@ def _perm7() -> tuple[np.ndarray, np.ndarray]:
     return perms, signs
 
 
-def g2_identity_residual(u: Vec7, v: Vec7) -> float:
+@cache
+def _wedge_tensor() -> np.ndarray:
+    """W with (a ^ b ^ phi)(e_1, ..., e_7) = a_ij W_ijkl b_kl for 2-forms a, b.
+
+    W_ijkl sums sign(p) PHI[p_4, p_5, p_6] over the permutations p of
+    (0, ..., 6) that start with (i, j, k, l); it is returned as a (49, 49)
+    matrix.  (W equals 6 PSI, since psi = *phi.)
+    """
+    p, signs = _perm7()
+    w = np.zeros((7, 7, 7, 7))
+    np.add.at(w, tuple(p[:, :4].T), signs * PHI[p[:, 4], p[:, 5], p[:, 6]])
+    w = w.reshape(49, 49)
+    w.setflags(write=False)
+    return w
+
+
+def g2_identity_residual(u: Vec7, v: Vec7) -> float | np.ndarray:
     """Coefficient of iota_u phi ^ iota_v phi ^ phi - 6 g(u,v) vol.
 
     Zero (to rounding) for every pair; exercised as a structure-constant
     self-check.
     """
-    a = np.einsum("ijk,i->jk", PHI, u)  # 2-form iota_u phi
-    b = np.einsum("ijk,i->jk", PHI, v)
-    p, signs = _perm7()
-    terms = (
-        a[p[:, 0], p[:, 1]]
-        * b[p[:, 2], p[:, 3]]
-        * PHI[p[:, 4], p[:, 5], p[:, 6]]
-    )
+    a = _contract(PHI, u)  # 2-form iota_u phi, flattened
+    b = _contract(PHI, v)
     # wedge of a 2-, 2- and 3-form evaluated on (e_1,...,e_7)
-    coeff = float(np.dot(signs, terms)) / (2.0 * 2.0 * 6.0)
-    return coeff - 6.0 * float(np.dot(u, v))
+    wedge = (np.einsum("...i,ij->...j", a, _wedge_tensor()) * b).sum(axis=-1)
+    coeff = wedge / (2.0 * 2.0 * 6.0)
+    return _value(coeff - 6.0 * _dot(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +183,22 @@ RANK_TOL = 1e-10
 
 
 def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Modified Gram-Schmidt; raises DegenerateFrame below full rank."""
-    out = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
-        for q in out:
-            w = w - np.dot(q, w) * q
+    """Modified Gram-Schmidt on the rows of a (k, 7) frame or a (..., k, 7)
+    stack of frames; raises DegenerateFrame if any frame is below rank k."""
+    out = np.array(vectors, dtype=float)
+    k = out.shape[-2]
+    for i in range(k):
+        w = out[..., i, :]
         # second pass stabilizes nearly dependent inputs
-        for q in out:
-            w = w - np.dot(q, w) * q
-        n = float(np.linalg.norm(w))
-        if n < rank_tol:
-            raise DegenerateFrame(f"frame has rank < {len(vectors)} (tol {rank_tol})")
-        out.append(w / n)
-    return np.array(out)
+        for _ in range(2):
+            for j in range(i):
+                q = out[..., j, :]
+                w = w - _dot(q, w)[..., None] * q
+        n = np.sqrt(_dot(w, w))
+        if np.any(n < rank_tol):
+            raise DegenerateFrame(f"frame has rank < {k} (tol {rank_tol})")
+        out[..., i, :] = w / n[..., None]
+    return out
 
 
 def is_associative_frame(frame, tol: float = 1e-8) -> bool:
@@ -174,7 +221,7 @@ E1 = E[0]
 
 #: real and imaginary coordinate axes of (z_1, z_2, z_3)
 X_AXES = np.array([E[1], -E[3], E[5]])
-Y_AXES = np.array([cross(E1, x) for x in X_AXES])
+Y_AXES = cross(E1, X_AXES)
 
 
 def complex_structure(v: Vec7) -> Vec7:
@@ -193,34 +240,32 @@ def to_c3(v: Vec7) -> np.ndarray:
     return X_AXES @ v + 1j * (Y_AXES @ v)
 
 
-def kahler_form(u: Vec7, v: Vec7) -> float:
+def kahler_form(u: Vec7, v: Vec7) -> float | np.ndarray:
     """omega(u, v) = g(Ju, v) = phi(e_1, u, v) on C^3 vectors."""
     return phi3(E1, u, v)
 
 
-def re_omega(u: Vec7, v: Vec7, w: Vec7) -> float:
+def re_omega(u: Vec7, v: Vec7, w: Vec7) -> float | np.ndarray:
     """Re Omega = phi restricted to C^3 (phi = e^1 ^ omega + Re Omega)."""
     return phi3(u, v, w)
 
 
-def im_omega(u: Vec7, v: Vec7, w: Vec7) -> float:
+def im_omega(u: Vec7, v: Vec7, w: Vec7) -> float | np.ndarray:
     """Im Omega = -iota_{e_1} psi on C^3 (psi = omega^2/2 - e^1 ^ Im Omega)."""
     return -psi4(E1, u, v, w)
 
 
-def holomorphic_volume(u: Vec7, v: Vec7, w: Vec7) -> complex:
-    """Omega(u, v, w) as a complex number."""
-    return complex(re_omega(u, v, w), im_omega(u, v, w))
+def holomorphic_volume(u: Vec7, v: Vec7, w: Vec7) -> complex | np.ndarray:
+    """Omega(u, v, w) as a complex number (a complex array for a batch)."""
+    re, im = re_omega(u, v, w), im_omega(u, v, w)
+    return complex(re, im) if np.ndim(re) == 0 else re + 1j * im
 
 
 def lagrangian_residual(frame) -> float:
     """max |omega(f_i, f_j)| over an orthonormalized frame (2 or 3 vectors)."""
     f = orthonormalize(frame)
-    return max(
-        abs(kahler_form(f[i], f[j]))
-        for i in range(len(f))
-        for j in range(i + 1, len(f))
-    )
+    i, j = np.triu_indices(len(f), 1)
+    return float(np.abs(kahler_form(f[i], f[j])).max())
 
 
 def sl_residual(frame, phase: float = 0.0) -> tuple[float, float]:

@@ -14,6 +14,14 @@ is A = 4 pi / (3 sqrt(a_1 a_2 a_3)).  Every angle integral is an incomplete
 elliptic integral, evaluated in closed form by Carlson's R_J
 (:func:`cone_spectra.quadrature.carlson_rj`; G. Lawlor, The angle
 criterion, Invent. Math. 95 (1989)).
+
+Sampling is batched.  A sampler takes its random draws in a fixed order and
+builds the positions and tangent frames of all n samples as (n, k, 7)
+arrays; the SurfaceSamples it returns hold row views of them, and
+``hl_embed``/``lawlor_embed`` are the n = 1 case of the same builders.
+``verify_special_lagrangian`` stacks the frames by rank and checks each
+stack (Gram-Schmidt, omega, Im Omega and the associator) in one batched pass
+of the :mod:`cone_spectra.g2` forms.
 """
 
 from __future__ import annotations
@@ -107,9 +115,11 @@ def lawlor_theta_at(y, a: LawlorParams) -> np.ndarray:
     return np.where(y[..., None] > 0.0, 2.0 * lawlor_tails(0.0, a) - tails, tails)
 
 
-def lawlor_theta_prime(y: float, a: LawlorParams) -> np.ndarray:
+def lawlor_theta_prime(y, a: LawlorParams) -> np.ndarray:
+    """theta_k'(y), shape y.shape + (3,)."""
+    y = np.asarray(y, dtype=float)[..., None]
     arr = np.array(a.a)
-    return arr / ((1.0 + arr * y * y) * math.sqrt(lawlor_P(y, a)))
+    return arr / ((1.0 + arr * y * y) * np.sqrt(lawlor_P(y, a)))
 
 
 def lawlor_solve(
@@ -191,11 +201,24 @@ class SurfaceSample:
     cone_point: np.ndarray | None = None
 
 
+def _samples(params, positions, frames, cone_points=None, radii=None) -> list[SurfaceSample]:
+    """One SurfaceSample per row of the batch arrays (positions, frames and
+    cone points are row views); the radii default to |position|."""
+    if cone_points is None:
+        cone_points = [None] * len(params)
+    if radii is None:
+        radii = np.linalg.norm(positions, axis=-1).tolist()
+    return [
+        SurfaceSample(p, x, f, r, c)
+        for p, x, f, r, c in zip(params, positions, frames, radii, cone_points)
+    ]
+
+
 def _orthocomplement(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(sigma)))] = 1.0
-    t1 = axis - np.dot(axis, sigma) * sigma
-    t1 /= np.linalg.norm(t1)
+    """Orthonormal (tau_1, tau_2) completing unit 3-vectors sigma (..., 3)."""
+    axis = np.eye(3)[np.argmin(np.abs(sigma), axis=-1)]
+    t1 = axis - (axis * sigma).sum(axis=-1)[..., None] * sigma
+    t1 /= np.linalg.norm(t1, axis=-1)[..., None]
     return t1, np.cross(sigma, t1)
 
 
@@ -205,34 +228,30 @@ def lawlor_embed(y: float, sigma, a: LawlorParams) -> SurfaceSample:
     The recorded cone point is the foot of the position on the nearer
     asymptotic plane (Pi_0 for y <= 0, Pi_theta for y > 0).
     """
-    return _lawlor_sample(y, sigma, lawlor_theta_at(y, a), 2.0 * lawlor_tails(0.0, a), a)
-
-
-def _lawlor_sample(y: float, sigma, theta, totals, a: LawlorParams) -> SurfaceSample:
-    """lawlor_embed given theta_k(y) and the total angles."""
     sigma = np.asarray(sigma, dtype=float)
-    if abs(np.linalg.norm(sigma) - 1.0) > 1e-9:
+    batch = _lawlor_batch([y], [sigma], lawlor_theta_at([y], a), a)
+    return _samples([{"y": y, "sigma": tuple(sigma)}], *batch)[0]
+
+
+def _lawlor_batch(ys, sigmas, theta, a: LawlorParams):
+    """Positions (n, 7), tangent frames (n, 3, 7) and cone points (n, 7) of
+    the Lawlor neck at the rows (y, sigma), given theta_k(y)."""
+    y = np.asarray(ys, dtype=float).reshape(-1)
+    sigma = np.asarray(sigmas, dtype=float).reshape(-1, 3)
+    if np.any(np.abs(np.linalg.norm(sigma, axis=-1) - 1.0) > 1e-9):
         raise ValueError("sigma must be a unit 3-vector")
-    rho = np.sqrt(1.0 / np.array(a.a) + y * y)
-    z = np.exp(1j * theta) * rho
-    dz = np.exp(1j * theta) * (1j * lawlor_theta_prime(y, a) * rho + y / rho)
+    yy = y[:, None]
+    rho = np.sqrt(1.0 / np.array(a.a) + yy * yy)
+    turn = np.exp(1j * theta)
+    z = turn * rho
+    dz = turn * (1j * lawlor_theta_prime(y, a) * rho + yy / rho)
     tau1, tau2 = _orthocomplement(sigma)
-    position = g2.from_c3(z * sigma)
-    frame = np.array(
-        [g2.from_c3(dz * sigma), g2.from_c3(z * tau1), g2.from_c3(z * tau2)]
-    )
-    if y <= 0:
-        foot = (z * sigma).real.astype(complex)
-    else:
-        phases = np.exp(1j * totals)
-        foot = phases * (np.conj(phases) * (z * sigma)).real
-    return SurfaceSample(
-        params={"y": y, "sigma": tuple(sigma)},
-        position=position,
-        frame=frame,
-        r=float(np.linalg.norm(position)),
-        cone_point=g2.from_c3(foot),
-    )
+    point = z * sigma
+    frames = g2.from_c3(np.stack([dz * sigma, z * tau1, z * tau2], axis=-2))
+    # the foot on Pi_0 below the waist, on Pi_theta above it
+    phases = np.exp(1j * (2.0 * lawlor_tails(0.0, a)))
+    foot = np.where(yy <= 0, point.real, phases * (np.conj(phases) * point).real)
+    return g2.from_c3(point), frames, g2.from_c3(foot)
 
 
 def lawlor_profile(a: LawlorParams, ys) -> list[dict]:
@@ -259,12 +278,14 @@ def lawlor_sampler(a: LawlorParams, y_max: float = 8.0):
         rng = np.random.default_rng(seed)
         big = math.asinh(y_max)
         ys, sigmas = [], []
+        # per sample a uniform then three ziggurat normals, which take a
+        # variable number of raw draws: this order has no batched form
         for _ in range(n):
             ys.append(math.sinh(rng.uniform(-big, big)))
             sigma = rng.normal(size=3)
             sigmas.append(sigma / np.linalg.norm(sigma))
-        theta, totals = lawlor_theta_at(ys, a), 2.0 * lawlor_tails(0.0, a)
-        return [_lawlor_sample(y, s, t, totals, a) for y, s, t in zip(ys, sigmas, theta)]
+        params = [{"y": y, "sigma": tuple(s)} for y, s in zip(ys, sigmas)]
+        return _samples(params, *_lawlor_batch(ys, sigmas, lawlor_theta_at(ys, a), a))
 
     return sample
 
@@ -273,19 +294,41 @@ def lawlor_sampler(a: LawlorParams, y_max: float = 8.0):
 # Harvey-Lawson cone and AC smoothings
 # ---------------------------------------------------------------------------
 
-def _hl_raw(r: float, theta1: float, theta2: float, a: float):
-    """Branch-1 point and tangents before the cyclic coordinate shift."""
-    s = math.sqrt(r * r + a)
-    e1, e2, e3 = (
-        np.exp(1j * theta1),
-        np.exp(1j * theta2),
-        np.exp(-1j * (theta1 + theta2)),
-    )
-    w = np.array([s * e1, r * e2, r * e3])
-    dr = np.array([r / s * e1, e2, e3])
-    dt1 = np.array([1j * s * e1, 0.0, -1j * r * e3])
-    dt2 = np.array([0.0, 1j * r * e2, -1j * r * e3])
-    return w, (dr, dt1, dt2)
+def _torus_phases(alpha1, alpha2) -> np.ndarray:
+    """(e^{i a1}, e^{i a2}, e^{-i(a1 + a2)}), shape alpha.shape + (3,)."""
+    a1, a2 = np.asarray(alpha1, dtype=float), np.asarray(alpha2, dtype=float)
+    return np.stack([np.exp(1j * a1), np.exp(1j * a2), np.exp(-1j * (a1 + a2))], axis=-1)
+
+
+def _hl_raw(r, theta1, theta2, a: float):
+    """Branch-1 points (..., 3) and tangents (..., 3, 3) along (r, theta1,
+    theta2), before the cyclic coordinate shift."""
+    r, theta1, theta2 = np.broadcast_arrays(np.asarray(r, dtype=float), theta1, theta2)
+    s = np.sqrt(r * r + a)
+    e = _torus_phases(theta1, theta2)
+    e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
+    zero = np.zeros_like(e1)
+    w = np.stack([s * e1, r * e2, r * e3], axis=-1)
+    dr = np.stack([r / s * e1, e2, e3], axis=-1)
+    dt1 = np.stack([1j * s * e1, zero, -1j * r * e3], axis=-1)
+    dt2 = np.stack([zero, 1j * r * e2, -1j * r * e3], axis=-1)
+    return w, np.stack([dr, dt1, dt2], axis=-2)
+
+
+def _hl_batch(r, theta1, theta2, branch: int, a: float):
+    """Positions (n, 7), tangent frames (n, 3, 7) and matched cone points
+    (n, 7) of L^branch_a at the rows (r, theta1, theta2)."""
+    if branch not in (1, 2, 3):
+        raise ValueError("branch must be 1, 2 or 3")
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0) or a < 0:
+        raise ValueError("need r > 0 and a >= 0")
+    w, tangents = _hl_raw(r, theta1, theta2, a)
+    shift = branch - 1
+    cone = np.roll(hl_cone_point(r, theta1, theta2), shift, axis=-1)
+    position = g2.from_c3(np.roll(w, shift, axis=-1))
+    frames = g2.from_c3(np.roll(tangents, shift, axis=-1))
+    return position, frames, g2.from_c3(cone)
 
 
 def hl_embed(
@@ -296,54 +339,31 @@ def hl_embed(
     Branches 2 and 3 are the cyclic coordinate shifts of branch 1; a = 0
     degenerates onto the T^2-cone.  The rescaling law is eps L^k_a = L^k_{eps^2 a}.
     """
-    if branch not in (1, 2, 3):
-        raise ValueError("branch must be 1, 2 or 3")
-    if r <= 0 or a < 0:
-        raise ValueError("need r > 0 and a >= 0")
-    w, tangents = _hl_raw(r, theta1, theta2, a)
-    shift = branch - 1
-    cone = np.roll(_hl_raw(r, theta1, theta2, 0.0)[0], shift)  # matched cone point
-    position = g2.from_c3(np.roll(w, shift))
-    frame = np.array([g2.from_c3(np.roll(t, shift)) for t in tangents])
-    return SurfaceSample(
-        params={"r": r, "theta1": theta1, "theta2": theta2, "branch": branch, "a": a},
-        position=position,
-        frame=frame,
-        r=float(np.linalg.norm(position)),
-        cone_point=g2.from_c3(cone),
-    )
+    params = {"r": r, "theta1": theta1, "theta2": theta2, "branch": branch, "a": a}
+    return _samples([params], *_hl_batch([r], [theta1], [theta2], branch, a))[0]
 
 
-def hl_cone_point(r: float, alpha1: float, alpha2: float) -> np.ndarray:
-    """Cone point r*(e^{i a1}, e^{i a2}, e^{-i(a1+a2)}) as a complex triple."""
-    return r * np.array(
-        [np.exp(1j * alpha1), np.exp(1j * alpha2), np.exp(-1j * (alpha1 + alpha2))]
-    )
+def hl_cone_point(r, alpha1, alpha2) -> np.ndarray:
+    """Cone point r*(e^{i a1}, e^{i a2}, e^{-i(a1+a2)}) as a complex triple
+    (shape alpha.shape + (3,) for arrays)."""
+    return np.asarray(r, dtype=float)[..., None] * _torus_phases(alpha1, alpha2)
 
 
-def _real_dot(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.real(np.vdot(v, u)))
+def _real_dot(u: np.ndarray, v: np.ndarray):
+    """Re <u, v> of complex vectors over the last axis."""
+    return (u * np.conj(v)).real.sum(axis=-1)
 
 
-def _hl_cone_tangent_frame(r: float, alpha1: float, alpha2: float) -> list[np.ndarray]:
-    """Orthonormal real basis of the cone tangent at (r, alpha1, alpha2)."""
-    e1, e2, e3 = (
-        np.exp(1j * alpha1),
-        np.exp(1j * alpha2),
-        np.exp(-1j * (alpha1 + alpha2)),
-    )
-    raw = [
-        np.array([e1, e2, e3]),
-        np.array([1j * e1, 0.0, -1j * e3]),
-        np.array([0.0, 1j * e2, -1j * e3]),
-    ]
+def _hl_cone_tangent_frame(alpha1, alpha2) -> np.ndarray:
+    """Orthonormal real basis (..., 3, 3) of the cone tangent at (alpha1,
+    alpha2): Gram-Schmidt on the (r, alpha1, alpha2) tangents, which do not
+    depend on r."""
     frame = []
-    for v in raw:
-        w = v.astype(complex)
+    for v in np.moveaxis(_hl_raw(1.0, alpha1, alpha2, 0.0)[1], -2, 0):
         for q in frame:
-            w = w - _real_dot(w, q) * q
-        frame.append(w / math.sqrt(_real_dot(w, w)))
-    return frame
+            v = v - _real_dot(v, q)[..., None] * q
+        frame.append(v / np.sqrt(_real_dot(v, v))[..., None])
+    return np.stack(frame, axis=-2)
 
 
 def _hl_matched_branch_point(
@@ -358,7 +378,7 @@ def _hl_matched_branch_point(
     t1 = alphas[branch - 1]
     t2 = alphas[branch % 3]
     w, _ = _hl_raw(r, t1, t2, a)
-    return np.roll(w, branch - 1)
+    return np.roll(w, branch - 1, axis=-1)
 
 
 def hl_normal_deviation(
@@ -369,7 +389,7 @@ def hl_normal_deviation(
     dev = _hl_matched_branch_point(branch, r, alpha1, alpha2, a) - hl_cone_point(
         r, alpha1, alpha2
     )
-    for q in _hl_cone_tangent_frame(r, alpha1, alpha2):
+    for q in _hl_cone_tangent_frame(alpha1, alpha2):
         dev = dev - _real_dot(dev, q) * q
     return dev
 
@@ -401,43 +421,36 @@ def hl_branch_deviation_magnitude(r_probe: float, a: float = 1.0) -> float:
     return math.sqrt(_real_dot(dev, dev))
 
 
+def _radius_angle_draws(rng, n: int, r_range) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Per sample a log-uniform radius in r_range, then two uniform angles in
+    [0, 2 pi): the values and order of 3n scalar ``rng.uniform`` draws."""
+    lo, hi = math.log(r_range[0]), math.log(r_range[1])
+    draws = rng.uniform((lo, 0.0, 0.0), (hi, 2.0 * math.pi, 2.0 * math.pi), size=(n, 3))
+    # math.exp as the scalar draws took it: numpy's exp can differ in the last bit
+    return list(map(math.exp, draws[:, 0].tolist())), draws[:, 1], draws[:, 2]
+
+
 def hl_smoothing_sampler(branch: int, a: float = 1.0, r_range=(0.05, 20.0)):
     def sample(n: int, seed: int) -> list[SurfaceSample]:
-        rng = np.random.default_rng(seed)
-        lo, hi = math.log(r_range[0]), math.log(r_range[1])
-        return [
-            hl_embed(
-                math.exp(rng.uniform(lo, hi)),
-                rng.uniform(0.0, 2.0 * math.pi),
-                rng.uniform(0.0, 2.0 * math.pi),
-                branch,
-                a,
-            )
-            for _ in range(n)
+        r, theta1, theta2 = _radius_angle_draws(np.random.default_rng(seed), n, r_range)
+        params = [
+            {"r": ri, "theta1": t1, "theta2": t2, "branch": branch, "a": a}
+            for ri, t1, t2 in zip(r, theta1.tolist(), theta2.tolist())
         ]
+        return _samples(params, *_hl_batch(r, theta1, theta2, branch, a))
 
     return sample
 
 
 def hl_cone_sampler(r_range=(0.5, 2.0)):
     def sample(n: int, seed: int) -> list[SurfaceSample]:
-        rng = np.random.default_rng(seed)
-        lo, hi = math.log(r_range[0]), math.log(r_range[1])
-        out = []
-        for _ in range(n):
-            r = math.exp(rng.uniform(lo, hi))
-            a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            q = hl_cone_point(r / math.sqrt(3.0), a1, a2)
-            frame = _hl_cone_tangent_frame(r / math.sqrt(3.0), a1, a2)
-            out.append(
-                SurfaceSample(
-                    params={"r": r, "alpha1": a1, "alpha2": a2},
-                    position=g2.from_c3(q),
-                    frame=np.array([g2.from_c3(v) for v in frame]),
-                    r=r,
-                )
-            )
-        return out
+        r, a1, a2 = _radius_angle_draws(np.random.default_rng(seed), n, r_range)
+        params = [
+            {"r": ri, "alpha1": x, "alpha2": y} for ri, x, y in zip(r, a1.tolist(), a2.tolist())
+        ]
+        positions = g2.from_c3(hl_cone_point(np.array(r) / math.sqrt(3.0), a1, a2))
+        frames = g2.from_c3(_hl_cone_tangent_frame(a1, a2))
+        return _samples(params, positions, frames, radii=r)
 
     return sample
 
@@ -446,20 +459,11 @@ def hl_link_sampler():
     """Rank-2 tangent frames of the Clifford-torus link in S^5."""
 
     def sample(n: int, seed: int) -> list[SurfaceSample]:
-        rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(n):
-            a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            frame = _hl_cone_tangent_frame(1.0 / math.sqrt(3.0), a1, a2)[1:]
-            out.append(
-                SurfaceSample(
-                    params={"alpha1": a1, "alpha2": a2},
-                    position=g2.from_c3(hl_cone_point(1.0 / math.sqrt(3.0), a1, a2)),
-                    frame=np.array([g2.from_c3(v) for v in frame]),
-                    r=1.0,
-                )
-            )
-        return out
+        a1, a2 = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n, 2)).T
+        params = [{"alpha1": x, "alpha2": y} for x, y in zip(a1.tolist(), a2.tolist())]
+        positions = g2.from_c3(hl_cone_point(1.0 / math.sqrt(3.0), a1, a2))
+        frames = g2.from_c3(_hl_cone_tangent_frame(a1, a2)[..., 1:, :])
+        return _samples(params, positions, frames, radii=[1.0] * n)
 
     return sample
 
@@ -484,27 +488,28 @@ class CalibrationReport:
 def verify_special_lagrangian(sampler, n_samples: int, seed: int) -> CalibrationReport:
     """Max calibration residuals over seeded samples of one model family.
 
-    The special Lagrangian phase is fitted from the first full-rank sample
-    and then frozen; rank-2 (link) samples only contribute the Lagrangian
-    omega-residual.
+    The frames are stacked by rank, and each stack is orthonormalized and
+    checked in one batched pass.  The special Lagrangian phase is fitted
+    from the first full-rank sample and then frozen; rank-2 (link) samples
+    only contribute the Lagrangian omega-residual.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     samples = sampler(n_samples, seed)
+    frames = [np.asarray(s.frame, dtype=float) for s in samples]
     phase = None
     max_omega = max_im = max_assoc = 0.0
-    for s in samples:
-        f = g2.orthonormalize(s.frame)
-        max_omega = max(max_omega, g2.lagrangian_residual(f))
-        if len(f) == 3:
-            vol = g2.holomorphic_volume(f[0], f[1], f[2])
-            if phase is None:
-                phase = -math.atan2(vol.imag, vol.real)
+    for k in sorted({len(f) for f in frames}):
+        f = g2.orthonormalize(np.stack([x for x in frames if len(x) == k]))
+        i, j = np.triu_indices(k, 1)
+        max_omega = max(max_omega, float(np.abs(g2.kahler_form(f[:, i], f[:, j])).max()))
+        if k == 3:
+            vol = g2.holomorphic_volume(f[:, 0], f[:, 1], f[:, 2])
+            phase = -math.atan2(vol[0].imag, vol[0].real)
             rotated = vol * complex(math.cos(phase), math.sin(phase))
-            max_im = max(max_im, abs(rotated.imag))
-            max_assoc = max(
-                max_assoc, float(np.linalg.norm(g2.associator(f[0], f[1], f[2])))
-            )
+            max_im = float(np.abs(rotated.imag).max())
+            assoc = g2.associator(f[:, 0], f[:, 1], f[:, 2])
+            max_assoc = float(np.linalg.norm(assoc, axis=-1).max())
     return CalibrationReport(
         max_omega=max_omega,
         max_im_omega=max_im,

@@ -4,16 +4,20 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_spectra import presets, stability
+from cone_spectra import g2, presets, stability
 from cone_spectra.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    MAX_PROFILE_ROWS,
+    MAX_SAMPLES,
+    MAX_TUPLES,
     parse_window,
     run,
 )
@@ -304,6 +308,73 @@ def test_hl_subcommands():
     assert json.loads(out)["result"]["branch_1"]["max_im_omega"] < 1e-6
 
 
+def _g2_check_per_tuple(tuples, seed):
+    """The per-tuple loop of `g2 check` before batching (the reference)."""
+    rng = np.random.default_rng(seed)
+    worst_identity = worst_ortho = worst_norm = worst_psi = 0.0
+    for _ in range(tuples):
+        u, v, w, z = rng.normal(size=(4, 7))
+        u, v, w, z = (x / np.linalg.norm(x) for x in (u, v, w, z))
+        worst_identity = max(worst_identity, abs(g2.g2_identity_residual(u, v)))
+        cr = g2.cross(u, v)
+        worst_ortho = max(worst_ortho, abs(float(np.dot(cr, u))), abs(float(np.dot(cr, v))))
+        gram = np.array([u, v, w]) @ np.array([u, v, w]).T
+        assoc = g2.associator(u, v, w)
+        rhs = g2.phi3(u, v, w) ** 2 + float(np.dot(assoc, assoc))
+        worst_norm = max(worst_norm, abs(float(np.linalg.det(gram)) - rhs))
+        worst_psi = max(worst_psi, abs(g2.psi4(u, v, w, z) - float(np.dot(assoc, z))))
+    return {
+        "tuples": tuples,
+        "max_g2_identity_residual": worst_identity,
+        "max_cross_orthogonality": worst_ortho,
+        "max_associator_norm_identity": worst_norm,
+        "max_psi_defect": worst_psi,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_g2_check_matches_per_tuple_loop(seed):
+    code, out = run(["g2", "check", "--tuples", "300", "--seed", str(seed)])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    reference = _g2_check_per_tuple(300, seed)
+    assert result.keys() == reference.keys() and result["tuples"] == 300
+    for key in reference:
+        assert abs(result[key] - reference[key]) <= 1e-14, key
+
+
+def test_g2_check_evaluates_identity_once(monkeypatch):
+    calls = []
+    residual = g2.g2_identity_residual
+
+    def counted(u, v):
+        calls.append(np.shape(u))
+        return residual(u, v)
+
+    monkeypatch.setattr(g2, "g2_identity_residual", counted)
+    code, _ = run(["g2", "check", "--tuples", "1000"])
+    assert code == EXIT_OK
+    assert calls == [(1000, 7)]
+
+
+@pytest.mark.parametrize(
+    "argv, bound, name",
+    [
+        (["hl", "verify", "--samples"], MAX_SAMPLES, "MAX_SAMPLES"),
+        (["lawlor", "verify", "--a", "1,1,1", "--samples"], MAX_SAMPLES, "MAX_SAMPLES"),
+        (["g2", "check", "--tuples"], MAX_TUPLES, "MAX_TUPLES"),
+        (["lawlor", "profile", "--a", "1,1,1", "--count"], MAX_PROFILE_ROWS, "MAX_PROFILE_ROWS"),
+    ],
+)
+def test_batch_sizes_are_bounded(argv, bound, name):
+    # rejected before any array is built, so these calls allocate nothing
+    for value in (bound + 1, 10**12):
+        code, out = run([*argv, str(value)])
+        assert code == EXIT_VALIDATION
+        body = json.loads(out)
+        assert body["error"] == "ValidationError" and name in body["message"]
+
+
 NUMBERS = ["-2", "1", "0", "-1", "-1/2", "7/3", "0.25", "-3.75", "1e300", "-1e400", "inf",
            "-inf", "nan", "1/0", "abc", ""]
 CONES = ["hl", "plane", "plane-pair", "torus:1,0,1", "torus:2/3,1/3,2/3", "torus:1,2,1",
@@ -342,14 +413,82 @@ def _argv(draw):
     return ["spectrum", "sphere", *cutoff]
 
 
+# batch-size flags, each fuzzed with {-1, 0, 1, 7, bound + 1, 10^12}
+BATCH_FLAGS = {
+    "hl-verify": (["hl", "verify", "--samples"], MAX_SAMPLES),
+    "lawlor-verify": (["lawlor", "verify", "--a", "1,1,1", "--samples"], MAX_SAMPLES),
+    "g2": (["g2", "check", "--tuples"], MAX_TUPLES),
+    "profile": (["lawlor", "profile", "--a", "1,1,1", "--count"], MAX_PROFILE_ROWS),
+}
+BATCH_VALUES = ["-1", "0", "1", "7", str(MAX_SAMPLES + 1), str(MAX_TUPLES + 1),
+                str(MAX_PROFILE_ROWS + 1), str(10**12)]
+
+
+@st.composite
+def _batch_argv(draw):
+    argv, bound = BATCH_FLAGS[draw(st.sampled_from(sorted(BATCH_FLAGS)))]
+    return [*argv, str(draw(st.sampled_from([-1, 0, 1, 7, bound + 1, 10**12])))]
+
+
+# user d-tables: well-formed bodies with fuzzed entries, and malformed JSON
+TABLE_VALUES = st.one_of(
+    st.sampled_from(NUMBERS), st.integers(-3, 9), st.floats(-4.0, 4.0), st.none(),
+    st.sampled_from([[], {}, True, 10**12]),
+)
+TABLE_BODIES = st.one_of(
+    st.builds(
+        lambda rows, coverage: json.dumps({"rows": rows, "coverage": coverage}),
+        st.lists(st.fixed_dictionaries({"lambda": TABLE_VALUES, "dimension": TABLE_VALUES})
+                 | TABLE_VALUES, max_size=4),
+        st.lists(TABLE_VALUES, max_size=3) | TABLE_VALUES,
+    ),
+    st.sampled_from(["", "{", "[]", "null", '{"rows": 3}', '{"rows": [], "coverage": [1]}']),
+)
+TABLE_CONE = "table:{dir}/table.json"
+
+# config files: entries for any subcommand's flags, with any of the fuzzed values
+CONFIG_KEYS = ["cone", "cutoff", "window", "morse", "samples", "tuples", "count", "seed", "a",
+               "sym_dim", "kind", "end", "output_format", "help", "nope"]
+CONFIG_ENTRIES = st.builds(
+    "{} = {}".format,
+    st.sampled_from(CONFIG_KEYS),
+    st.sampled_from(NUMBERS + CONES + BATCH_VALUES + ["true", "false", "1,1,1", "hl:-0.9"]),
+) | st.sampled_from(["# comment", "", "no value", "=", " = 3"])
+
+
+@st.composite
+def _case(draw):
+    """(argv, files): the files, written to a fresh directory, replace {dir}."""
+    kind = draw(st.sampled_from(["exact", "exact", "batch", "table", "config"]))
+    if kind == "exact":
+        return draw(_argv()), {}
+    if kind == "batch":
+        return draw(_batch_argv()), {}
+    if kind == "table":
+        argv = draw(st.sampled_from([
+            ["stability", "--cone", TABLE_CONE],
+            ["indicial", "--cone", TABLE_CONE],
+            ["index", "--kind", "ac", "--end", f"{TABLE_CONE}:-0.5"],
+        ]))
+        return argv, {"table.json": draw(TABLE_BODIES)}
+    argv = draw(_argv() | _batch_argv())
+    entries = draw(st.lists(CONFIG_ENTRIES, max_size=4))
+    return ["--config", "{dir}/run.cfg", *argv], {"run.cfg": "\n".join(entries) + "\n"}
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-@settings(max_examples=80, deadline=2000, derandomize=True, database=None)
-@given(_argv())
-def test_cli_contract_property(argv):
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(_case())
+def test_cli_contract_property(tmp_path_factory, case):
     # every input ends in a documented exit code with strictly valid JSON
+    argv, files = case
+    work = tmp_path_factory.mktemp("contract")
+    for name, text in files.items():
+        (work / name).write_text(text, encoding="utf-8")
+    argv = [tok.replace("{dir}", str(work)) for tok in argv]
     code, out = run(argv)
-    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_USAGE), (argv, out)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_USAGE), (argv, files, out)
     json.loads(out, parse_constant=_reject_constant)

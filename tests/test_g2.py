@@ -225,3 +225,62 @@ def test_holomorphic_volume_against_complex_determinant():
         det = np.linalg.det(zs)
         vol = g2.holomorphic_volume(*frame)
         assert abs(vol - det) < 1e-10 * max(1.0, abs(det))
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+def test_wedge_tensor_is_six_psi():
+    # sum of sign(p) PHI[p4, p5, p6] over the permutations starting (i, j, k, l)
+    # is 6 psi_ijkl, since psi = *phi
+    assert np.array_equal(g2._wedge_tensor().reshape(7, 7, 7, 7), 6.0 * g2.PSI)
+
+
+def _identity_residual_by_gather(u, v):
+    """The residual from the 5,040-row permutation gather (the reference)."""
+    a = np.einsum("ijk,i->jk", g2.PHI, u)
+    b = np.einsum("ijk,i->jk", g2.PHI, v)
+    p, signs = g2._perm7()
+    terms = a[p[:, 0], p[:, 1]] * b[p[:, 2], p[:, 3]] * g2.PHI[p[:, 4], p[:, 5], p[:, 6]]
+    return float(np.dot(signs, terms)) / 24.0 - 6.0 * float(np.dot(u, v))
+
+
+def test_batched_identity_residual_matches_per_pair():
+    u, v = np.random.default_rng(12).normal(size=(2, 200, 7))
+    batch = g2.g2_identity_residual(u, v)
+    assert batch.shape == (200,)
+    singles = [g2.g2_identity_residual(x, y) for x, y in zip(u, v)]
+    assert all(type(r) is float for r in singles)
+    assert np.max(np.abs(batch - singles)) <= 1e-14
+    gathered = [_identity_residual_by_gather(x, y) for x, y in zip(u[:20], v[:20])]
+    assert np.max(np.abs(batch[:20] - gathered)) <= 1e-13
+
+
+def test_batched_forms_match_single_vectors():
+    u, v, w, z = np.random.default_rng(13).normal(size=(4, 50, 7))
+    forms = (
+        (g2.cross, (u, v)),
+        (g2.phi3, (u, v, w)),
+        (g2.psi4, (u, v, w, z)),
+        (g2.associator, (u, v, w)),
+        (g2.kahler_form, (u, v)),
+        (g2.holomorphic_volume, (u, v, w)),
+    )
+    for form, args in forms:
+        batch = form(*args)
+        singles = [form(*row) for row in zip(*args)]
+        assert np.max(np.abs(batch - np.array(singles))) <= 1e-14, form.__name__
+    # single vectors keep their scalar return types
+    assert type(g2.phi3(u[0], v[0], w[0])) is float
+    assert type(g2.psi4(u[0], v[0], w[0], z[0])) is float
+    assert type(g2.kahler_form(u[0], v[0])) is float
+    assert type(g2.holomorphic_volume(u[0], v[0], w[0])) is complex
+    # a batch of frames against one frame at a time
+    frames = np.stack([u, v, w], axis=1)
+    stacked = g2.orthonormalize(frames)
+    assert np.max(np.abs(stacked - [g2.orthonormalize(f) for f in frames])) <= 1e-14
+    # one degenerate frame in the batch is reported
+    frames[7, 2] = frames[7, 0] + frames[7, 1]
+    with pytest.raises(DegenerateFrame):
+        g2.orthonormalize(frames)

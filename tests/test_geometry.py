@@ -326,6 +326,129 @@ def test_verify_detects_e1_tilt_via_associator():
     assert report.max_associator > 1e-4
 
 
+def _verify_per_sample(sampler, n_samples, seed):
+    """The per-sample loop verify_special_lagrangian replaced (the reference)."""
+    samples = sampler(n_samples, seed)
+    phase = None
+    max_omega = max_im = max_assoc = 0.0
+    for s in samples:
+        f = g2.orthonormalize(s.frame)
+        max_omega = max(max_omega, g2.lagrangian_residual(f))
+        if len(f) == 3:
+            vol = g2.holomorphic_volume(f[0], f[1], f[2])
+            if phase is None:
+                phase = -math.atan2(vol.imag, vol.real)
+            rotated = vol * complex(math.cos(phase), math.sin(phase))
+            max_im = max(max_im, abs(rotated.imag))
+            max_assoc = max(
+                max_assoc, float(np.linalg.norm(g2.associator(f[0], f[1], f[2])))
+            )
+    return max_omega, max_im, max_assoc, 0.0 if phase is None else phase, len(samples)
+
+
+def _tilted_sampler(n, seed):
+    # residuals of order 0.01 that differ from sample to sample
+    out = []
+    for s in hl_smoothing_sampler(1)(n, seed):
+        frame = s.frame.copy()
+        tilt = 0.05 * s.params["theta1"] / (2.0 * math.pi)
+        frame[0] = frame[0] + tilt * (g2.complex_structure(frame[1]) + g2.E1)
+        out.append(type(s)(s.params, s.position, frame, s.r))
+    return out
+
+
+SAMPLERS = {
+    "lawlor": lambda: lawlor_sampler(ASYM),
+    "hl-smoothing": lambda: hl_smoothing_sampler(2, 0.5),
+    "hl-cone": hl_cone_sampler,
+    "hl-link": hl_link_sampler,
+    "hl-tilted": lambda: _tilted_sampler,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_batched_verify_matches_per_sample_loop(name, seed):
+    sampler = SAMPLERS[name]()
+    report = verify_special_lagrangian(sampler, 200, seed)
+    max_omega, max_im, max_assoc, phase, n = _verify_per_sample(sampler, 200, seed)
+    assert report.n_samples == n == 200
+    assert abs(report.max_omega - max_omega) <= 1e-14
+    assert abs(report.max_im_omega - max_im) <= 1e-14
+    assert abs(report.max_associator - max_assoc) <= 1e-14
+    assert abs(math.remainder(report.phase - phase, 2.0 * math.pi)) <= 1e-14
+
+
+def test_hl_samplers_keep_draw_order():
+    # the per-sample draw loops: a log-uniform radius, then two angles
+    rng = np.random.default_rng(11)
+    lo, hi = math.log(0.05), math.log(20.0)
+    draws = []
+    for _ in range(30):
+        r = math.exp(rng.uniform(lo, hi))
+        draws.append((r, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)))
+    samples = hl_smoothing_sampler(3, 0.5)(30, 11)
+    assert [s.params for s in samples] == [
+        {"r": r, "theta1": t1, "theta2": t2, "branch": 3, "a": 0.5} for r, t1, t2 in draws
+    ]
+    for s, (r, t1, t2) in zip(samples, draws):
+        single = hl_embed(r, t1, t2, 3, 0.5)
+        assert np.allclose(s.position, single.position, rtol=0, atol=1e-13)
+        assert np.allclose(s.frame, single.frame, rtol=0, atol=1e-13)
+        assert np.allclose(s.cone_point, single.cone_point, rtol=0, atol=1e-13)
+        assert s.r == pytest.approx(single.r, abs=1e-13)
+
+    rng = np.random.default_rng(12)
+    lo, hi = math.log(0.5), math.log(2.0)
+    draws = []
+    for _ in range(30):
+        r = math.exp(rng.uniform(lo, hi))
+        a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        draws.append({"r": r, "alpha1": a1, "alpha2": a2})
+    samples = hl_cone_sampler()(30, 12)
+    assert [s.params for s in samples] == draws
+    assert [s.r for s in samples] == [d["r"] for d in draws]
+
+    rng = np.random.default_rng(13)
+    draws = []
+    for _ in range(30):
+        a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        draws.append({"alpha1": a1, "alpha2": a2})
+    samples = hl_link_sampler()(30, 13)
+    assert [s.params for s in samples] == draws
+    for s, d in zip(samples, draws):
+        q = hl_cone_point(1.0 / math.sqrt(3.0), d["alpha1"], d["alpha2"])
+        assert np.allclose(g2.to_c3(s.position), q, rtol=0, atol=1e-15)
+        assert s.frame.shape == (2, 7)
+
+
+def test_verify_orthonormalizes_once_per_frame_rank(monkeypatch):
+    # one Gram-Schmidt pass per frame rank, whatever the number of samples
+    calls = []
+    orthonormalize = g2.orthonormalize
+
+    def counted(vectors, *args, **kwargs):
+        calls.append(np.shape(vectors))
+        return orthonormalize(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(g2, "orthonormalize", counted)
+
+    def mixed(n, seed):
+        return hl_smoothing_sampler(1)(n, seed) + hl_link_sampler()(n, seed)
+
+    for n in (50, 500):
+        calls.clear()
+        verify_special_lagrangian(hl_smoothing_sampler(1), n, 0)
+        assert calls == [(n, 3, 7)]
+        calls.clear()
+        verify_special_lagrangian(hl_link_sampler(), n, 0)
+        assert calls == [(n, 2, 7)]
+        calls.clear()
+        report = verify_special_lagrangian(mixed, n, 0)
+        assert sorted(calls) == [(n, 2, 7), (n, 3, 7)]
+        assert report.n_samples == 2 * n
+
+
 # ---------------------------------------------------------------------------
 # decay rates
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from cone_spectra.errors import NonPositiveDefinite, ValidationError
 from cone_spectra.presets import torus_cone_spec
@@ -109,6 +110,55 @@ def test_float_torus_merges_rounding_splits():
     for spectrum in spectra:
         values = [ev for ev, _ in spectrum.entries]
         assert all(b - a > RELATIVE_TOL * max(1.0, a, b) for a, b in zip(values, values[1:]))
+
+
+def _sympy_torus_spectrum(g11, g12, g22, cutoff):
+    """Exact (eigenvalue, multiplicity) pairs by sympy, independent of spectra.py.
+
+    The Laplace-Beltrami operator of the flat metric g in angle coordinates is
+    applied symbolically to exp(i(m t1 + n t2)); the lattice box comes from
+    the least eigenvalue of g^-1, which bounds lambda below by mu |(m, n)|^2.
+    """
+    t1, t2 = sympy.symbols("t1 t2", real=True)
+    m, n = sympy.symbols("m n", integer=True)
+    g = sympy.Matrix([[g11, g12], [g12, g22]]).applyfunc(sympy.nsimplify)
+    ginv = g.inv()
+    coords = (t1, t2)
+    f = sympy.exp(sympy.I * (m * t1 + n * t2))
+    laplace = -sum(
+        ginv[i, j] * sympy.diff(f, coords[i], coords[j]) for i in range(2) for j in range(2)
+    )
+    eigenvalue = sympy.expand(sympy.simplify(laplace / f))
+    mu = min(ginv.eigenvals())
+    box = int(sympy.floor(sympy.sqrt(sympy.nsimplify(cutoff) / mu)))
+    counts = {}
+    for i in range(-box, box + 1):
+        for j in range(-box, box + 1):
+            value = eigenvalue.subs({m: i, n: j})
+            if value <= cutoff:
+                counts[value] = counts.get(value, 0) + 1
+    return [(Fraction(int(v.p), int(v.q)), counts[v]) for v in sorted(counts)]
+
+
+@pytest.mark.parametrize(
+    "metric, cutoff",
+    [
+        ((Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)), 20),  # Clifford: integral
+        ((Fraction(2, 5), Fraction(-1, 5), Fraction(3, 5)), 30),  # integral g^-1
+        ((Fraction(3, 2), Fraction(1, 3), Fraction(5, 4)), 9),  # rational eigenvalues
+    ],
+)
+def test_torus_spectrum_matches_sympy(metric, cutoff):
+    spectrum = torus_spectrum(TorusMetric(*metric), cutoff)
+    reference = _sympy_torus_spectrum(*metric, cutoff)
+    # exact output exactly when every eigenvalue below the cutoff is an integer
+    assert spectrum.exact == all(ev.denominator == 1 for ev, _ in reference)
+    assert [m for _, m in spectrum.entries] == [m for _, m in reference]
+    if spectrum.exact:
+        assert list(spectrum.entries) == reference
+    else:
+        for (ev, _), (want, _) in zip(spectrum.entries, reference):
+            assert abs(ev - float(want)) <= 1e-12 * max(1.0, float(want))
 
 
 def test_weyl_law():
