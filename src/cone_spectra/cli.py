@@ -43,8 +43,9 @@ EXIT_USAGE = 64
 
 NUMERICAL_ERRORS = (QuadratureFailure, NoConvergence, FitUnstable)
 
-# Upper bounds on the batch sizes of the numeric checks, each checked before
-# any array is built; the largest allowed call stays under 200 MB peak RSS.
+# Upper bounds on the batch sizes of the numeric checks, each checked (with the
+# lower bound 1) before any array is built; the largest allowed call stays
+# under 200 MB peak RSS, which a test in tests/test_cli.py checks.
 MAX_SAMPLES = 50_000  # hl verify, lawlor verify --samples
 MAX_TUPLES = 25_000  # g2 check --tuples
 MAX_PROFILE_ROWS = 50_000  # lawlor profile --count
@@ -92,7 +93,9 @@ def parse_window(text: str) -> Window:
     )
 
 
-def _check_at_most(flag: str, value: int, bound: int, name: str) -> None:
+def _check_batch_size(flag: str, value: int, bound: int, name: str) -> None:
+    if value < 1:
+        raise ValidationError(f"{flag} must be at least 1, got {value}")
     if value > bound:
         raise ValidationError(f"{flag} {value} exceeds {name} = {bound}")
 
@@ -324,13 +327,13 @@ def _cmd_lawlor(args) -> dict:
     if args.mode == "profile":
         import numpy as np
 
-        _check_at_most("--count", args.count, MAX_PROFILE_ROWS, "MAX_PROFILE_ROWS")
+        _check_batch_size("--count", args.count, MAX_PROFILE_ROWS, "MAX_PROFILE_ROWS")
         params = geometry.LawlorParams(_parse_triple(args.a))
         ys = np.linspace(args.y_min, args.y_max, args.count)
         rows = geometry.lawlor_profile(params, ys)
         return {"a": list(params.a), "rows": rows}
     if args.mode == "verify":
-        _check_at_most("--samples", args.samples, MAX_SAMPLES, "MAX_SAMPLES")
+        _check_batch_size("--samples", args.samples, MAX_SAMPLES, "MAX_SAMPLES")
         params = geometry.LawlorParams(_parse_triple(args.a))
         report = geometry.verify_special_lagrangian(
             geometry.lawlor_sampler(params), args.samples, args.seed
@@ -366,7 +369,7 @@ def _cmd_hl(args) -> dict:
     from . import geometry
 
     if args.mode == "verify":
-        _check_at_most("--samples", args.samples, MAX_SAMPLES, "MAX_SAMPLES")
+        _check_batch_size("--samples", args.samples, MAX_SAMPLES, "MAX_SAMPLES")
         branches = (1, 2, 3) if args.branch == 0 else (args.branch,)
         out = {}
         for b in branches:
@@ -410,9 +413,7 @@ def _cmd_g2(args) -> dict:
 
     from . import g2
 
-    if args.tuples < 1:
-        raise ValidationError(f"--tuples must be at least 1, got {args.tuples}")
-    _check_at_most("--tuples", args.tuples, MAX_TUPLES, "MAX_TUPLES")
+    _check_batch_size("--tuples", args.tuples, MAX_TUPLES, "MAX_TUPLES")
     x = np.random.default_rng(args.seed).normal(size=(args.tuples, 4, 7))
     unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
     u, v, w, z = np.moveaxis(unit, 1, 0)

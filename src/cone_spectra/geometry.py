@@ -15,13 +15,15 @@ elliptic integral, evaluated in closed form by Carlson's R_J
 (:func:`cone_spectra.quadrature.carlson_rj`; G. Lawlor, The angle
 criterion, Invent. Math. 95 (1989)).
 
-Sampling is batched.  A sampler takes its random draws in a fixed order and
-builds the positions and tangent frames of all n samples as (n, k, 7)
-arrays; the SurfaceSamples it returns hold row views of them, and
-``hl_embed``/``lawlor_embed`` are the n = 1 case of the same builders.
-``verify_special_lagrangian`` stacks the frames by rank and checks each
-stack (Gram-Schmidt, omega, Im Omega and the associator) in one batched pass
-of the :mod:`cone_spectra.g2` forms.
+Samples are arrays.  A sampler ``sample(n, seed)`` takes its random draws in
+a fixed order and returns one SurfaceSample whose positions (n, 7), tangent
+frames (n, k, 7) and cone points (n, 7) carry a leading sample axis; every
+sampler produces frames of a single rank k.  ``hl_embed`` and
+``lawlor_embed`` broadcast over their parameters: the smoothing and neck
+samplers are the embeds at their draws, and scalar parameters give fields
+without the sample axis.  ``verify_special_lagrangian`` orthonormalizes the
+frames once and checks omega, Im Omega and the associator in one batched
+pass of the :mod:`cone_spectra.g2` forms.
 """
 
 from __future__ import annotations
@@ -194,24 +196,11 @@ def lawlor_solve(
 
 @dataclass(frozen=True)
 class SurfaceSample:
-    params: dict
-    position: np.ndarray  # Vec7
-    frame: np.ndarray  # (k, 7) analytic tangent vectors
-    r: float
-    cone_point: np.ndarray | None = None
+    """Sampled surface points; each field may carry a leading sample axis."""
 
-
-def _samples(params, positions, frames, cone_points=None, radii=None) -> list[SurfaceSample]:
-    """One SurfaceSample per row of the batch arrays (positions, frames and
-    cone points are row views); the radii default to |position|."""
-    if cone_points is None:
-        cone_points = [None] * len(params)
-    if radii is None:
-        radii = np.linalg.norm(positions, axis=-1).tolist()
-    return [
-        SurfaceSample(p, x, f, r, c)
-        for p, x, f, r, c in zip(params, positions, frames, radii, cone_points)
-    ]
+    position: np.ndarray  # (..., 7)
+    frame: np.ndarray  # (..., k, 7) analytic tangent vectors
+    cone_point: np.ndarray | None = None  # (..., 7); None on the cone itself
 
 
 def _orthocomplement(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,27 +211,20 @@ def _orthocomplement(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, np.cross(sigma, t1)
 
 
-def lawlor_embed(y: float, sigma, a: LawlorParams) -> SurfaceSample:
-    """Point and analytic tangent frame of the Lawlor neck at (y, sigma).
+def lawlor_embed(y, sigma, a: LawlorParams) -> SurfaceSample:
+    """Points and analytic tangent frames of the Lawlor neck at y (...) and
+    unit sigma (..., 3): positions (..., 7), frames (..., 3, 7).
 
     The recorded cone point is the foot of the position on the nearer
     asymptotic plane (Pi_0 for y <= 0, Pi_theta for y > 0).
     """
+    y = np.asarray(y, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    batch = _lawlor_batch([y], [sigma], lawlor_theta_at([y], a), a)
-    return _samples([{"y": y, "sigma": tuple(sigma)}], *batch)[0]
-
-
-def _lawlor_batch(ys, sigmas, theta, a: LawlorParams):
-    """Positions (n, 7), tangent frames (n, 3, 7) and cone points (n, 7) of
-    the Lawlor neck at the rows (y, sigma), given theta_k(y)."""
-    y = np.asarray(ys, dtype=float).reshape(-1)
-    sigma = np.asarray(sigmas, dtype=float).reshape(-1, 3)
     if np.any(np.abs(np.linalg.norm(sigma, axis=-1) - 1.0) > 1e-9):
         raise ValueError("sigma must be a unit 3-vector")
-    yy = y[:, None]
+    yy = y[..., None]
     rho = np.sqrt(1.0 / np.array(a.a) + yy * yy)
-    turn = np.exp(1j * theta)
+    turn = np.exp(1j * lawlor_theta_at(y, a))
     z = turn * rho
     dz = turn * (1j * lawlor_theta_prime(y, a) * rho + yy / rho)
     tau1, tau2 = _orthocomplement(sigma)
@@ -251,7 +233,7 @@ def _lawlor_batch(ys, sigmas, theta, a: LawlorParams):
     # the foot on Pi_0 below the waist, on Pi_theta above it
     phases = np.exp(1j * (2.0 * lawlor_tails(0.0, a)))
     foot = np.where(yy <= 0, point.real, phases * (np.conj(phases) * point).real)
-    return g2.from_c3(point), frames, g2.from_c3(foot)
+    return SurfaceSample(g2.from_c3(point), frames, g2.from_c3(foot))
 
 
 def lawlor_profile(a: LawlorParams, ys) -> list[dict]:
@@ -274,7 +256,7 @@ def lawlor_profile(a: LawlorParams, ys) -> list[dict]:
 
 
 def lawlor_sampler(a: LawlorParams, y_max: float = 8.0):
-    def sample(n: int, seed: int) -> list[SurfaceSample]:
+    def sample(n: int, seed: int) -> SurfaceSample:
         rng = np.random.default_rng(seed)
         big = math.asinh(y_max)
         ys, sigmas = [], []
@@ -284,8 +266,7 @@ def lawlor_sampler(a: LawlorParams, y_max: float = 8.0):
             ys.append(math.sinh(rng.uniform(-big, big)))
             sigma = rng.normal(size=3)
             sigmas.append(sigma / np.linalg.norm(sigma))
-        params = [{"y": y, "sigma": tuple(s)} for y, s in zip(ys, sigmas)]
-        return _samples(params, *_lawlor_batch(ys, sigmas, lawlor_theta_at(ys, a), a))
+        return lawlor_embed(ys, sigmas, a)
 
     return sample
 
@@ -315,9 +296,14 @@ def _hl_raw(r, theta1, theta2, a: float):
     return w, np.stack([dr, dt1, dt2], axis=-2)
 
 
-def _hl_batch(r, theta1, theta2, branch: int, a: float):
-    """Positions (n, 7), tangent frames (n, 3, 7) and matched cone points
-    (n, 7) of L^branch_a at the rows (r, theta1, theta2)."""
+def hl_embed(r, theta1, theta2, branch: int = 1, a: float = 1.0) -> SurfaceSample:
+    """The Harvey-Lawson AC special Lagrangian L^branch_a at (r, theta1,
+    theta2), broadcast together: positions (..., 7), tangent frames
+    (..., 3, 7) and matched cone points (..., 7).
+
+    Branches 2 and 3 are the cyclic coordinate shifts of branch 1; a = 0
+    degenerates onto the T^2-cone.  The rescaling law is eps L^k_a = L^k_{eps^2 a}.
+    """
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
     r = np.asarray(r, dtype=float)
@@ -328,19 +314,7 @@ def _hl_batch(r, theta1, theta2, branch: int, a: float):
     cone = np.roll(hl_cone_point(r, theta1, theta2), shift, axis=-1)
     position = g2.from_c3(np.roll(w, shift, axis=-1))
     frames = g2.from_c3(np.roll(tangents, shift, axis=-1))
-    return position, frames, g2.from_c3(cone)
-
-
-def hl_embed(
-    r: float, theta1: float, theta2: float, branch: int = 1, a: float = 1.0
-) -> SurfaceSample:
-    """The Harvey-Lawson AC special Lagrangian L^branch_a at (r, theta1, theta2).
-
-    Branches 2 and 3 are the cyclic coordinate shifts of branch 1; a = 0
-    degenerates onto the T^2-cone.  The rescaling law is eps L^k_a = L^k_{eps^2 a}.
-    """
-    params = {"r": r, "theta1": theta1, "theta2": theta2, "branch": branch, "a": a}
-    return _samples([params], *_hl_batch([r], [theta1], [theta2], branch, a))[0]
+    return SurfaceSample(position, frames, g2.from_c3(cone))
 
 
 def hl_cone_point(r, alpha1, alpha2) -> np.ndarray:
@@ -366,9 +340,7 @@ def _hl_cone_tangent_frame(alpha1, alpha2) -> np.ndarray:
     return np.stack(frame, axis=-2)
 
 
-def _hl_matched_branch_point(
-    branch: int, r: float, alpha1: float, alpha2: float, a: float
-) -> np.ndarray:
+def _hl_matched_branch_point(branch: int, r, alpha1, alpha2, a: float) -> np.ndarray:
     """Branch point lying over the cone parameters (alpha1, alpha2).
 
     L^k deviates from the cone in its k-th coordinate only; the branch's own
@@ -381,17 +353,15 @@ def _hl_matched_branch_point(
     return np.roll(w, branch - 1, axis=-1)
 
 
-def hl_normal_deviation(
-    branch: int, r: float, alpha1: float, alpha2: float, a: float = 1.0
-) -> np.ndarray:
+def hl_normal_deviation(branch: int, r, alpha1, alpha2, a: float = 1.0) -> np.ndarray:
     """Deviation of L^branch_a from its matched cone point, projected onto the
-    cone's normal space (a complex triple)."""
+    cone's normal space: complex triples (..., 3), broadcast over r and the
+    angles."""
     dev = _hl_matched_branch_point(branch, r, alpha1, alpha2, a) - hl_cone_point(
         r, alpha1, alpha2
     )
-    for q in _hl_cone_tangent_frame(alpha1, alpha2):
-        dev = dev - _real_dot(dev, q) * q
-    return dev
+    frame = _hl_cone_tangent_frame(alpha1, alpha2)
+    return dev - (_real_dot(dev[..., None, :], frame)[..., None] * frame).sum(axis=-2)
 
 
 def hl_xi_relation_residual(
@@ -402,15 +372,9 @@ def hl_xi_relation_residual(
     The three per-coordinate deviations sum to a radial vector, so the
     residual sits at rounding level and is bounded by C / r_probe^2.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        total = sum(
-            hl_normal_deviation(k, r_probe, a1, a2, a) for k in (1, 2, 3)
-        )
-        worst = max(worst, math.sqrt(_real_dot(total, total)))
-    return worst
+    a1, a2 = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n_samples, 2)).T
+    total = sum(hl_normal_deviation(k, r_probe, a1, a2, a) for k in (1, 2, 3))
+    return float(np.sqrt(_real_dot(total, total)).max(initial=0.0))
 
 
 def hl_branch_deviation_magnitude(r_probe: float, a: float = 1.0) -> float:
@@ -421,36 +385,30 @@ def hl_branch_deviation_magnitude(r_probe: float, a: float = 1.0) -> float:
     return math.sqrt(_real_dot(dev, dev))
 
 
-def _radius_angle_draws(rng, n: int, r_range) -> tuple[list[float], np.ndarray, np.ndarray]:
+def _radius_angle_draws(rng, n: int, r_range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per sample a log-uniform radius in r_range, then two uniform angles in
     [0, 2 pi): the values and order of 3n scalar ``rng.uniform`` draws."""
     lo, hi = math.log(r_range[0]), math.log(r_range[1])
     draws = rng.uniform((lo, 0.0, 0.0), (hi, 2.0 * math.pi, 2.0 * math.pi), size=(n, 3))
     # math.exp as the scalar draws took it: numpy's exp can differ in the last bit
-    return list(map(math.exp, draws[:, 0].tolist())), draws[:, 1], draws[:, 2]
+    return np.array(list(map(math.exp, draws[:, 0].tolist()))), draws[:, 1], draws[:, 2]
 
 
 def hl_smoothing_sampler(branch: int, a: float = 1.0, r_range=(0.05, 20.0)):
-    def sample(n: int, seed: int) -> list[SurfaceSample]:
+    def sample(n: int, seed: int) -> SurfaceSample:
         r, theta1, theta2 = _radius_angle_draws(np.random.default_rng(seed), n, r_range)
-        params = [
-            {"r": ri, "theta1": t1, "theta2": t2, "branch": branch, "a": a}
-            for ri, t1, t2 in zip(r, theta1.tolist(), theta2.tolist())
-        ]
-        return _samples(params, *_hl_batch(r, theta1, theta2, branch, a))
+        return hl_embed(r, theta1, theta2, branch, a)
 
     return sample
 
 
 def hl_cone_sampler(r_range=(0.5, 2.0)):
-    def sample(n: int, seed: int) -> list[SurfaceSample]:
+    """Points of the T^2-cone with |position| = r drawn log-uniformly in r_range."""
+
+    def sample(n: int, seed: int) -> SurfaceSample:
         r, a1, a2 = _radius_angle_draws(np.random.default_rng(seed), n, r_range)
-        params = [
-            {"r": ri, "alpha1": x, "alpha2": y} for ri, x, y in zip(r, a1.tolist(), a2.tolist())
-        ]
-        positions = g2.from_c3(hl_cone_point(np.array(r) / math.sqrt(3.0), a1, a2))
-        frames = g2.from_c3(_hl_cone_tangent_frame(a1, a2))
-        return _samples(params, positions, frames, radii=r)
+        positions = g2.from_c3(hl_cone_point(r / math.sqrt(3.0), a1, a2))
+        return SurfaceSample(positions, g2.from_c3(_hl_cone_tangent_frame(a1, a2)))
 
     return sample
 
@@ -458,12 +416,10 @@ def hl_cone_sampler(r_range=(0.5, 2.0)):
 def hl_link_sampler():
     """Rank-2 tangent frames of the Clifford-torus link in S^5."""
 
-    def sample(n: int, seed: int) -> list[SurfaceSample]:
+    def sample(n: int, seed: int) -> SurfaceSample:
         a1, a2 = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n, 2)).T
-        params = [{"alpha1": x, "alpha2": y} for x, y in zip(a1.tolist(), a2.tolist())]
         positions = g2.from_c3(hl_cone_point(1.0 / math.sqrt(3.0), a1, a2))
-        frames = g2.from_c3(_hl_cone_tangent_frame(a1, a2)[..., 1:, :])
-        return _samples(params, positions, frames, radii=[1.0] * n)
+        return SurfaceSample(positions, g2.from_c3(_hl_cone_tangent_frame(a1, a2)[..., 1:, :]))
 
     return sample
 
@@ -488,34 +444,30 @@ class CalibrationReport:
 def verify_special_lagrangian(sampler, n_samples: int, seed: int) -> CalibrationReport:
     """Max calibration residuals over seeded samples of one model family.
 
-    The frames are stacked by rank, and each stack is orthonormalized and
-    checked in one batched pass.  The special Lagrangian phase is fitted
-    from the first full-rank sample and then frozen; rank-2 (link) samples
-    only contribute the Lagrangian omega-residual.
+    The (n, k, 7) frames are orthonormalized and checked in one batched
+    pass.  For k = 3 the special Lagrangian phase is fitted from the first
+    sample and then frozen; rank-2 (link) frames only contribute the
+    Lagrangian omega-residual.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    samples = sampler(n_samples, seed)
-    frames = [np.asarray(s.frame, dtype=float) for s in samples]
-    phase = None
-    max_omega = max_im = max_assoc = 0.0
-    for k in sorted({len(f) for f in frames}):
-        f = g2.orthonormalize(np.stack([x for x in frames if len(x) == k]))
-        i, j = np.triu_indices(k, 1)
-        max_omega = max(max_omega, float(np.abs(g2.kahler_form(f[:, i], f[:, j])).max()))
-        if k == 3:
-            vol = g2.holomorphic_volume(f[:, 0], f[:, 1], f[:, 2])
-            phase = -math.atan2(vol[0].imag, vol[0].real)
-            rotated = vol * complex(math.cos(phase), math.sin(phase))
-            max_im = float(np.abs(rotated.imag).max())
-            assoc = g2.associator(f[:, 0], f[:, 1], f[:, 2])
-            max_assoc = float(np.linalg.norm(assoc, axis=-1).max())
+    f = g2.orthonormalize(sampler(n_samples, seed).frame)
+    i, j = np.triu_indices(f.shape[-2], 1)
+    max_omega = float(np.abs(g2.kahler_form(f[:, i], f[:, j])).max())
+    phase = max_im = max_assoc = 0.0
+    if f.shape[-2] == 3:
+        vol = g2.holomorphic_volume(f[:, 0], f[:, 1], f[:, 2])
+        phase = -math.atan2(vol[0].imag, vol[0].real)
+        rotated = vol * complex(math.cos(phase), math.sin(phase))
+        max_im = float(np.abs(rotated.imag).max())
+        assoc = g2.associator(f[:, 0], f[:, 1], f[:, 2])
+        max_assoc = float(np.linalg.norm(assoc, axis=-1).max())
     return CalibrationReport(
         max_omega=max_omega,
         max_im_omega=max_im,
         max_associator=max_assoc,
-        phase=0.0 if phase is None else phase,
-        n_samples=len(samples),
+        phase=phase,
+        n_samples=len(f),
     )
 
 
@@ -611,12 +563,9 @@ def hl_decay_table(
     n_radii: int = 12,
     alphas=(0.7, 1.3),
 ) -> tuple[list[float], list[float]]:
-    radii = [float(r) for r in np.geomspace(r_window[0], r_window[1], n_radii)]
-    norms = []
-    for r in radii:
-        dev = hl_normal_deviation(branch, r, alphas[0], alphas[1], a)
-        norms.append(math.sqrt(_real_dot(dev, dev)))
-    return radii, norms
+    radii = np.geomspace(r_window[0], r_window[1], n_radii)
+    dev = hl_normal_deviation(branch, radii, alphas[0], alphas[1], a)
+    return radii.tolist(), np.sqrt(_real_dot(dev, dev)).tolist()
 
 
 def hl_decay_fit(

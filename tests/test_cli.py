@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cone_spectra
 from cone_spectra import g2, presets, stability
 from cone_spectra.cli import (
     EXIT_NUMERICAL,
@@ -104,14 +109,15 @@ def test_exit_codes(tmp_path):
         ["spectrum", "sphere", "--cutoff", "inf"],
         ["spectrum", "sphere", "--cutoff", "1e300"],
         ["g2", "check", "--tuples", "-1"],
+        # empty sample sets check nothing
+        ["hl", "verify", "--samples", "0"],
+        ["lawlor", "verify", "--a", "1,1,1", "--samples", "-5"],
     ):
         code, out = run(argv)
         assert code == EXIT_VALIDATION
         assert json.loads(out)["error"] == "ValidationError"
-    # empty sample sets and negative refinements check nothing
+    # negative refinements check nothing
     for argv in (
-        ["hl", "verify", "--samples", "0"],
-        ["lawlor", "verify", "--a", "1,1,1", "--samples", "-5"],
         ["spectrum", "mesh", "--builtin", "icosphere:-1"],
     ):
         code, out = run(argv)
@@ -422,6 +428,34 @@ BATCH_FLAGS = {
 }
 BATCH_VALUES = ["-1", "0", "1", "7", str(MAX_SAMPLES + 1), str(MAX_TUPLES + 1),
                 str(MAX_PROFILE_ROWS + 1), str(10**12)]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_FLAGS))
+def test_batch_size_zero_is_rejected(name):
+    argv, _bound = BATCH_FLAGS[name]
+    code, out = run([*argv, "0"])
+    assert code == EXIT_VALIDATION
+    body = json.loads(out)
+    assert body["error"] == "ValidationError" and argv[-1] in body["message"]
+
+
+def test_largest_batch_stays_under_memory_budget():
+    # the MAX_SAMPLES bound promises < 200 MB peak RSS; a fresh process
+    # reports its own high-water mark
+    child = (
+        "import resource, sys\n"
+        "from cone_spectra.cli import run\n"
+        "code, _ = run(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(cone_spectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["lawlor", "verify", "--a", "1,1,1", "--samples", str(MAX_SAMPLES)]
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, max_rss_kb = map(int, done.stdout.split())
+    assert code == EXIT_OK
+    assert max_rss_kb / 1024 < 200.0
 
 
 @st.composite

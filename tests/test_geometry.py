@@ -1,5 +1,6 @@
 """Lawlor necks, Harvey-Lawson smoothings, plane pairs: construction checks."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -19,6 +20,7 @@ from cone_spectra.geometry import (
     hl_cone_point,
     hl_cone_sampler,
     hl_decay_fit,
+    hl_decay_table,
     hl_embed,
     hl_link_sampler,
     hl_normal_deviation,
@@ -209,12 +211,16 @@ def test_sampler_keeps_draw_order():
         sigma /= np.linalg.norm(sigma)
         draws.append((y, tuple(sigma)))
     samples = lawlor_sampler(ASYM)(20, 11)
-    assert [(s.params["y"], s.params["sigma"]) for s in samples] == draws
-    for s, (y, sigma) in zip(samples, draws):
-        single = lawlor_embed(y, sigma, ASYM)
-        assert np.allclose(s.position, single.position, rtol=0, atol=1e-13)
-        assert np.allclose(s.frame, single.frame, rtol=0, atol=1e-13)
-        assert np.allclose(s.cone_point, single.cone_point, rtol=0, atol=1e-13)
+    _assert_rows_match(samples, [lawlor_embed(y, sigma, ASYM) for y, sigma in draws])
+
+
+def _assert_rows_match(samples, singles):
+    """Row i of the batched samples is the i-th single embedding."""
+    assert samples.position.shape == (len(singles), 7)
+    for i, single in enumerate(singles):
+        assert np.allclose(samples.position[i], single.position, rtol=0, atol=1e-13)
+        assert np.allclose(samples.frame[i], single.frame, rtol=0, atol=1e-13)
+        assert np.allclose(samples.cone_point[i], single.cone_point, rtol=0, atol=1e-13)
 
 
 def test_lawlor_profile_rows():
@@ -297,14 +303,11 @@ def test_verify_hl_cone_and_link():
 def test_verify_detects_noncalibrated_surface():
     def bad_sampler(n, seed):
         samples = hl_smoothing_sampler(1)(n, seed)
-        out = []
-        for s in samples:
-            frame = s.frame.copy()
-            # tilt one tangent toward J of another: breaks the Lagrangian
-            # condition while staying inside C^3
-            frame[0] = frame[0] + 0.05 * g2.complex_structure(frame[1])
-            out.append(type(s)(s.params, s.position, frame, s.r))
-        return out
+        frame = samples.frame.copy()
+        # tilt one tangent toward J of another: breaks the Lagrangian
+        # condition while staying inside C^3
+        frame[:, 0] += 0.05 * g2.complex_structure(frame[:, 1])
+        return dataclasses.replace(samples, frame=frame)
 
     report = verify_special_lagrangian(bad_sampler, 50, 5)
     assert max(report.residuals) > 1e-4
@@ -315,12 +318,9 @@ def test_verify_detects_e1_tilt_via_associator():
     # omega / Im Omega residuals stay small; the associator residual sees it
     def tilted_sampler(n, seed):
         samples = hl_smoothing_sampler(1)(n, seed)
-        out = []
-        for s in samples:
-            frame = s.frame.copy()
-            frame[0] = frame[0] + 0.05 * g2.E1
-            out.append(type(s)(s.params, s.position, frame, s.r))
-        return out
+        frame = samples.frame.copy()
+        frame[:, 0] += 0.05 * g2.E1
+        return dataclasses.replace(samples, frame=frame)
 
     report = verify_special_lagrangian(tilted_sampler, 50, 5)
     assert report.max_associator > 1e-4
@@ -328,11 +328,11 @@ def test_verify_detects_e1_tilt_via_associator():
 
 def _verify_per_sample(sampler, n_samples, seed):
     """The per-sample loop verify_special_lagrangian replaced (the reference)."""
-    samples = sampler(n_samples, seed)
+    frames = sampler(n_samples, seed).frame
     phase = None
     max_omega = max_im = max_assoc = 0.0
-    for s in samples:
-        f = g2.orthonormalize(s.frame)
+    for frame in frames:
+        f = g2.orthonormalize(frame)
         max_omega = max(max_omega, g2.lagrangian_residual(f))
         if len(f) == 3:
             vol = g2.holomorphic_volume(f[0], f[1], f[2])
@@ -343,18 +343,16 @@ def _verify_per_sample(sampler, n_samples, seed):
             max_assoc = max(
                 max_assoc, float(np.linalg.norm(g2.associator(f[0], f[1], f[2])))
             )
-    return max_omega, max_im, max_assoc, 0.0 if phase is None else phase, len(samples)
+    return max_omega, max_im, max_assoc, 0.0 if phase is None else phase, len(frames)
 
 
 def _tilted_sampler(n, seed):
     # residuals of order 0.01 that differ from sample to sample
-    out = []
-    for s in hl_smoothing_sampler(1)(n, seed):
-        frame = s.frame.copy()
-        tilt = 0.05 * s.params["theta1"] / (2.0 * math.pi)
-        frame[0] = frame[0] + tilt * (g2.complex_structure(frame[1]) + g2.E1)
-        out.append(type(s)(s.params, s.position, frame, s.r))
-    return out
+    samples = hl_smoothing_sampler(1)(n, seed)
+    frame = samples.frame.copy()
+    tilt = 0.05 * np.arange(n)[:, None] / n
+    frame[:, 0] += tilt * (g2.complex_structure(frame[:, 1]) + g2.E1)
+    return dataclasses.replace(samples, frame=frame)
 
 
 SAMPLERS = {
@@ -388,15 +386,7 @@ def test_hl_samplers_keep_draw_order():
         r = math.exp(rng.uniform(lo, hi))
         draws.append((r, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)))
     samples = hl_smoothing_sampler(3, 0.5)(30, 11)
-    assert [s.params for s in samples] == [
-        {"r": r, "theta1": t1, "theta2": t2, "branch": 3, "a": 0.5} for r, t1, t2 in draws
-    ]
-    for s, (r, t1, t2) in zip(samples, draws):
-        single = hl_embed(r, t1, t2, 3, 0.5)
-        assert np.allclose(s.position, single.position, rtol=0, atol=1e-13)
-        assert np.allclose(s.frame, single.frame, rtol=0, atol=1e-13)
-        assert np.allclose(s.cone_point, single.cone_point, rtol=0, atol=1e-13)
-        assert s.r == pytest.approx(single.r, abs=1e-13)
+    _assert_rows_match(samples, [hl_embed(r, t1, t2, 3, 0.5) for r, t1, t2 in draws])
 
     rng = np.random.default_rng(12)
     lo, hi = math.log(0.5), math.log(2.0)
@@ -404,22 +394,22 @@ def test_hl_samplers_keep_draw_order():
     for _ in range(30):
         r = math.exp(rng.uniform(lo, hi))
         a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        draws.append({"r": r, "alpha1": a1, "alpha2": a2})
+        draws.append((r, a1, a2))
     samples = hl_cone_sampler()(30, 12)
-    assert [s.params for s in samples] == draws
-    assert [s.r for s in samples] == [d["r"] for d in draws]
+    assert samples.cone_point is None and samples.frame.shape == (30, 3, 7)
+    for position, (r, a1, a2) in zip(samples.position, draws):
+        q = hl_cone_point(r / math.sqrt(3.0), a1, a2)
+        assert np.allclose(g2.to_c3(position), q, rtol=0, atol=1e-15)
+        assert np.linalg.norm(position) == pytest.approx(r, abs=1e-15)
 
     rng = np.random.default_rng(13)
-    draws = []
-    for _ in range(30):
-        a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        draws.append({"alpha1": a1, "alpha2": a2})
+    draws = [rng.uniform(0.0, 2.0 * math.pi, size=2) for _ in range(30)]
     samples = hl_link_sampler()(30, 13)
-    assert [s.params for s in samples] == draws
-    for s, d in zip(samples, draws):
-        q = hl_cone_point(1.0 / math.sqrt(3.0), d["alpha1"], d["alpha2"])
-        assert np.allclose(g2.to_c3(s.position), q, rtol=0, atol=1e-15)
-        assert s.frame.shape == (2, 7)
+    assert samples.cone_point is None and samples.frame.shape == (30, 2, 7)
+    for position, (a1, a2) in zip(samples.position, draws):
+        q = hl_cone_point(1.0 / math.sqrt(3.0), a1, a2)
+        assert np.allclose(g2.to_c3(position), q, rtol=0, atol=1e-15)
+        assert np.linalg.norm(position) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_verify_orthonormalizes_once_per_frame_rank(monkeypatch):
@@ -432,10 +422,6 @@ def test_verify_orthonormalizes_once_per_frame_rank(monkeypatch):
         return orthonormalize(vectors, *args, **kwargs)
 
     monkeypatch.setattr(g2, "orthonormalize", counted)
-
-    def mixed(n, seed):
-        return hl_smoothing_sampler(1)(n, seed) + hl_link_sampler()(n, seed)
-
     for n in (50, 500):
         calls.clear()
         verify_special_lagrangian(hl_smoothing_sampler(1), n, 0)
@@ -443,10 +429,6 @@ def test_verify_orthonormalizes_once_per_frame_rank(monkeypatch):
         calls.clear()
         verify_special_lagrangian(hl_link_sampler(), n, 0)
         assert calls == [(n, 2, 7)]
-        calls.clear()
-        report = verify_special_lagrangian(mixed, n, 0)
-        assert sorted(calls) == [(n, 2, 7), (n, 3, 7)]
-        assert report.n_samples == 2 * n
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +503,40 @@ def test_hl_deviation_is_normal_and_small():
     mag = math.sqrt(float(np.real(np.vdot(dev, dev))))
     # normal part of the (sqrt(r^2+1) - r) e_1-deviation: sqrt(2/3) / (2r)
     assert abs(mag - math.sqrt(2.0 / 3.0) / 100.0) < 1e-5
+
+
+def _normal_deviation_per_point(branch, r, a1, a2, a):
+    """hl_normal_deviation at one point, projecting out one tangent at a time."""
+    dev = geometry._hl_matched_branch_point(branch, r, a1, a2, a) - hl_cone_point(r, a1, a2)
+    for q in geometry._hl_cone_tangent_frame(a1, a2):
+        dev = dev - np.real(np.vdot(q, dev)) * q
+    return dev
+
+
+@pytest.mark.parametrize("branch, a", [(1, 1.0), (2, 0.5), (3, 2.0)])
+def test_hl_deviation_arrays_match_per_point_loop(branch, a):
+    r = np.geomspace(1.0, 100.0, 7)
+    a1, a2 = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, size=(2, 7))
+    devs = hl_normal_deviation(branch, r, a1, a2, a)
+    assert devs.shape == (7, 3)
+    for dev, point in zip(devs, zip(r, a1, a2)):
+        assert np.abs(dev - _normal_deviation_per_point(branch, *point, a)).max() <= 1e-14
+
+    radii, norms = hl_decay_table(branch, a, r_window=(5.0, 300.0), n_radii=9)
+    assert radii == np.geomspace(5.0, 300.0, 9).tolist()
+    for r, norm in zip(radii, norms):
+        dev = _normal_deviation_per_point(branch, r, 0.7, 1.3, a)
+        assert abs(norm - np.linalg.norm(dev)) <= 1e-14
+
+    for r in (2.0, 50.0):
+        # one size=2 draw per point, as the loop took them
+        rng = np.random.default_rng(4)
+        worst = 0.0
+        for _ in range(6):
+            a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            total = sum(_normal_deviation_per_point(k, r, a1, a2, a) for k in (1, 2, 3))
+            worst = max(worst, float(np.linalg.norm(total)))
+        assert abs(hl_xi_relation_residual(r, 6, 4, a) - worst) <= 1e-14
 
 
 def test_hl_xi_relation():
