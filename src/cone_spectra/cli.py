@@ -49,6 +49,10 @@ NUMERICAL_ERRORS = (QuadratureFailure, NoConvergence, FitUnstable)
 MAX_SAMPLES = 50_000  # hl verify, lawlor verify --samples
 MAX_TUPLES = 25_000  # g2 check --tuples
 MAX_PROFILE_ROWS = 50_000  # lawlor profile --count
+# spectrum mesh: vertices of a builtin (from its parameter) or an OFF file, and
+# --count; the largest call takes ~11 s and < 200 MB
+MAX_MESH_VERTICES = 20_000
+MAX_MESH_COUNT = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,6 +169,31 @@ def _provenance(name: str) -> str:
 # subcommand handlers: each returns a JSON-ready result dict
 # ---------------------------------------------------------------------------
 
+def _check_mesh_size(source: str, vertices: int) -> None:
+    _check_batch_size(f"{source} vertex count", vertices, MAX_MESH_VERTICES, "MAX_MESH_VERTICES")
+
+
+def _builtin_mesh(text: str):
+    """icosphere:N or clifford:N, checked against MAX_MESH_VERTICES before it is built."""
+    from .mesh import clifford_torus_mesh, icosphere
+
+    kind, _, param = text.partition(":")
+    # the vertex count from the parameter; None where it has too many digits
+    # to be worth computing (far over the budget)
+    if kind == "icosphere":
+        n = int(param or 3)
+        build, vertices = icosphere, 10 * 4**n + 2 if n <= 32 else None
+    elif kind == "clifford":
+        n = int(param or 64)
+        build, vertices = clifford_torus_mesh, n * n if n <= MAX_MESH_VERTICES else None
+    else:
+        raise ValidationError(f"unknown builtin mesh '{text}'")
+    if vertices is None:
+        raise ValidationError(f"--builtin {text} exceeds MAX_MESH_VERTICES = {MAX_MESH_VERTICES}")
+    _check_mesh_size(f"--builtin {text}", vertices)
+    return build(n)
+
+
 def _cmd_spectrum(args) -> dict:
     if args.mode == "torus":
         from .spectra import TorusMetric, torus_spectrum
@@ -178,18 +207,14 @@ def _cmd_spectrum(args) -> dict:
 
         spectrum = sphere_spectrum(args.cutoff)
     else:  # mesh
-        from .mesh import clifford_torus_mesh, icosphere, load_off, mesh_spectrum
+        from .mesh import load_off, mesh_spectrum
 
+        _check_batch_size("--count", args.count, MAX_MESH_COUNT, "MAX_MESH_COUNT")
         if args.off:
             mesh = load_off(args.off)
+            _check_mesh_size(f"--off {args.off}", len(mesh.vertices))
         elif args.builtin:
-            kind, _, param = args.builtin.partition(":")
-            if kind == "icosphere":
-                mesh = icosphere(int(param or 3))
-            elif kind == "clifford":
-                mesh = clifford_torus_mesh(int(param or 64))
-            else:
-                raise ValidationError(f"unknown builtin mesh '{args.builtin}'")
+            mesh = _builtin_mesh(args.builtin)
         else:
             raise ValidationError("spectrum mesh needs --off PATH or --builtin NAME")
         spectrum = mesh_spectrum(mesh, args.count)

@@ -96,7 +96,8 @@ def lawlor_tails(y, a: LawlorParams) -> np.ndarray:
     else:
         q = -(e2 + math.sqrt(disc)) / 2.0  # no cancellation: e2 > 0
         s1, s2 = q / e3, e1 / q
-    Y = np.asarray(y, dtype=float)[..., None] ** 2
+    with np.errstate(over="ignore"):  # a huge y gives inf, which callers report
+        Y = np.asarray(y, dtype=float)[..., None] ** 2
     return carlson_rj(Y, Y - s1, Y - s2, Y + 1.0 / np.array(a.a)) / (3.0 * math.sqrt(e3))
 
 
@@ -240,7 +241,8 @@ def lawlor_profile(a: LawlorParams, ys) -> list[dict]:
     """Profile rows (y, theta_k(y), |z_k(y)|) for CSV export."""
     ys = np.asarray(ys, dtype=float)
     theta = lawlor_theta_at(ys, a)
-    rho = np.sqrt(1.0 / np.array(a.a) + ys[:, None] ** 2)
+    with np.errstate(over="ignore"):  # a huge y gives inf: a non-finite result
+        rho = np.sqrt(1.0 / np.array(a.a) + ys[:, None] ** 2)
     return [
         {
             "y": float(y),

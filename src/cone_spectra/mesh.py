@@ -3,12 +3,16 @@
 The discrete operator is the cotangent-weight Laplacian (Pinkall-Polthier)
 with lumped (barycentric diagonal) mass, assembled as a sparse matrix.  The
 generalized problem L x = lambda M x is reduced by M^{-1/2} to a sparse
-symmetric one, whose lowest eigenvalues ARPACK finds in shift-invert mode
-about a small negative shift.  An inertia count (Sylvester's law) certifies
-that no copy of a multiple eigenvalue was missed.  No n x n dense matrix is
-formed unless the request reaches the top of the spectrum.  Only intrinsic
-data (triangle edge lengths) enter, so vertices may live in any ambient R^d
-with d >= 3; the flat Clifford-torus sample needs d = 6.
+symmetric one A.  A is permuted once by reverse Cuthill-McKee, and every
+factorization of a shifted A is one symmetric set-up: SuperLU with diagonal
+pivots (an L D L^T factor) on the minimum-degree order of A + A^T.  ARPACK
+finds the lowest eigenvalues in shift-invert mode about a small negative
+shift, through one such factor that all its rounds reuse.  An inertia count
+(Sylvester's law) from another certifies that no copy of a multiple
+eigenvalue was missed.  No n x n dense matrix is formed unless the request
+reaches the top of the spectrum.  Only intrinsic data (triangle edge
+lengths) enter, so vertices may live in any ambient R^d with d >= 3; the
+flat Clifford-torus sample needs d = 6.
 
 scipy is imported inside the functions that use it, so importing the package
 does not load it.
@@ -17,6 +21,7 @@ does not load it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +64,23 @@ class TriMesh:
         f = self.faces
         if len(f) == 0:
             raise InvalidMesh("mesh has no faces")
-        if np.any(self.face_areas() <= AREA_TOL):
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = self.face_areas()
+        if not np.all(np.isfinite(areas)):
+            raise InvalidMesh("face area overflows (vertex coordinates too large)")
+        if np.any(areas <= AREA_TOL):
             raise InvalidMesh("degenerate face (area <= 1e-14)")
         if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])):
             raise InvalidMesh("face with repeated vertex")
         # directed edges (a, b), (b, c), (c, a) encoded as tail * nv + head
         nv = len(self.vertices)
-        tails, heads = f.ravel(), np.roll(f, -1, axis=1).ravel()
-        directed = tails * nv + heads
-        if len(np.unique(directed)) != len(directed):
+        tails, heads = f.ravel(), f[:, [1, 2, 0]].ravel()
+        directed = np.sort(tails * nv + heads)
+        if np.any(directed[1:] == directed[:-1]):
             raise InvalidMesh("non-manifold or inconsistently oriented edge")
-        # closed and oriented: every directed edge is matched by its reverse
-        if not np.all(np.isin(heads * nv + tails, directed)):
+        # closed and oriented: every directed edge is matched by its reverse,
+        # that is (the edges being distinct) the reversed edges are the edges
+        if not np.array_equal(np.sort(heads * nv + tails), directed):
             raise InvalidMesh("open boundary edge")
 
     def face_areas(self) -> np.ndarray:
@@ -88,11 +98,13 @@ class TriMesh:
 def load_off(path) -> TriMesh:
     """Read an OFF file ("OFF", counts, vertex lines, face lines "3 i j k")."""
     with open(path, "r", encoding="utf-8") as fh:
-        tokens: list[str] = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise InvalidMesh("OFF file is not UTF-8 text") from None
+    if "#" in text:
+        text = re.sub("#[^\n]*", "", text)
+    tokens = text.split()
     if not tokens or tokens[0] != "OFF":
         raise InvalidMesh("not an OFF file (missing header)")
     try:
@@ -115,6 +127,8 @@ def load_off(path) -> TriMesh:
         records = np.array(tokens[4 + 3 * nv :], dtype=np.int64).reshape(nf, 4)
     except ValueError:
         raise InvalidMesh("OFF face records must be integers") from None
+    except OverflowError:
+        raise InvalidMesh("face index out of range") from None
     if np.any(records[:, 0] != 3):
         raise InvalidMesh("only triangle faces are supported")
     return TriMesh(verts, records[:, 1:])
@@ -170,41 +184,61 @@ def _cluster(eigenvalues: np.ndarray, scale: float) -> tuple[tuple[float, int], 
     return tuple(entries)
 
 
-def _count_below(A, tau: float) -> int:
-    """Number of eigenvalues of the sparse symmetric matrix A below ``tau``.
+def _factor(A, shift: float):
+    """SuperLU factor of the sparse symmetric matrix A - shift I.
 
-    Sylvester's law of inertia: with diagonal pivots (threshold 0) SuperLU
-    factors P (A - tau I) P^T = L D L^T, and D has as many negative entries.
+    Diagonal pivots (threshold 0) in symmetric mode on the minimum-degree
+    order of A + A^T: P (A - shift I) P^T = L D L^T with U = D L^T, which
+    serves as a shift-invert operator and gives the inertia of A - shift I.
     """
     import scipy.sparse
     import scipy.sparse.linalg
 
-    shifted = (A - tau * scipy.sparse.identity(A.shape[0])).tocsc()
-    lu = scipy.sparse.linalg.splu(
-        shifted, diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    shifted = (A - shift * scipy.sparse.identity(A.shape[0], format="csc")).tocsc()
+    return scipy.sparse.linalg.splu(
+        shifted,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
     )
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _count_below(A, tau: float) -> int:
+    """Number of eigenvalues of the sparse symmetric matrix A below ``tau``:
+    by Sylvester's law of inertia, the negative entries of D in the L D L^T
+    factor of A - tau I."""
+    return int(np.count_nonzero(_factor(A, tau).U.diagonal() < 0.0))
 
 
 def _lowest_eigenvalues(A, count: int, sigma: float) -> np.ndarray:
     """The ``count`` lowest eigenvalues of the sparse symmetric matrix A.
 
-    ARPACK (shift-invert about ``sigma``, below the spectrum) can return a
-    member of the next cluster in place of one copy of a multiple eigenvalue.
-    So the answer is certified: at the first gap at or above the last
-    eigenvalue wanted, an inertia count must find no eigenvalue that ARPACK
-    missed.  Until it does, the request is doubled.
+    A is first permuted to reverse Cuthill-McKee order, and the start vector
+    with it, so the eigenvalues and (in exact arithmetic) the Krylov sequence
+    do not change.  ARPACK (shift-invert about ``sigma``, below the spectrum)
+    can return a member of the next cluster in place of one copy of a
+    multiple eigenvalue.  So the answer is certified: at the first gap at or
+    above the last eigenvalue wanted, an inertia count must find no
+    eigenvalue that ARPACK missed.  Until it does, the request is doubled;
+    every request reuses the one factor of A - sigma I.
     """
+    import scipy.sparse.csgraph
     import scipy.sparse.linalg
 
     n = A.shape[0]
     # a fixed start vector keeps reruns bit-identical (ARPACK's is random)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    order = scipy.sparse.csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+    A, v0 = A[order][:, order], v0[order]
+    OPinv = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=_factor(A, sigma).solve, dtype=A.dtype
+    )
     k = count + 1
     while k < n:
         try:
             vals = scipy.sparse.linalg.eigsh(
-                A, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
+                A, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv,
+                return_eigenvectors=False,
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NoConvergence(f"eigensolver did not converge: {exc}") from None
@@ -290,21 +324,17 @@ def clifford_torus_mesh(n: int = 64) -> TriMesh:
     if n < 3:
         raise ValueError("need n >= 3")
     thetas = 2.0 * math.pi * np.arange(n) / n
-    verts = np.zeros((n * n, 6))
-    inv_sqrt3 = 1.0 / math.sqrt(3.0)
-    for i, t1 in enumerate(thetas):
-        for j, t2 in enumerate(thetas):
-            z = inv_sqrt3 * np.array(
-                [np.exp(1j * t1), np.exp(1j * t2), np.exp(-1j * (t1 + t2))]
-            )
-            verts[i * n + j] = np.concatenate([z.real, z.imag])
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            a = i * n + j
-            b = ((i + 1) % n) * n + j
-            c = ((i + 1) % n) * n + (j + 1) % n
-            d = i * n + (j + 1) % n
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return TriMesh(verts, np.array(faces, dtype=int))
+    t1, t2 = np.meshgrid(thetas, thetas, indexing="ij")
+    z = (1.0 / math.sqrt(3.0)) * np.stack(
+        [np.exp(1j * t1), np.exp(1j * t2), np.exp(-1j * (t1 + t2))], axis=-1
+    )
+    verts = np.concatenate([z.real, z.imag], axis=-1).reshape(n * n, 6)
+    # grid square (i, j) with corners a = (i, j), b = (i+1, j), c = (i+1, j+1)
+    # and d = (i, j+1) splits into the triangles (a, b, c) and (a, c, d)
+    i, j = np.divmod(np.arange(n * n), n)
+    a = i * n + j
+    b = (i + 1) % n * n + j
+    c = (i + 1) % n * n + (j + 1) % n
+    d = i * n + (j + 1) % n
+    faces = np.stack([a, b, c, a, c, d], axis=1).reshape(2 * n * n, 3)
+    return TriMesh(verts, faces)

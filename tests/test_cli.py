@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cone_spectra
-from cone_spectra import g2, presets, stability
+from cone_spectra import cli, g2, mesh, presets, stability
 from cone_spectra.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    MAX_MESH_COUNT,
+    MAX_MESH_VERTICES,
     MAX_PROFILE_ROWS,
     MAX_SAMPLES,
     MAX_TUPLES,
@@ -27,6 +29,7 @@ from cone_spectra.cli import (
     run,
 )
 from cone_spectra.geometry import LawlorParams, lawlor_angles
+from cone_spectra.spectra import Spectrum
 
 
 def test_indicial_example():
@@ -370,6 +373,8 @@ def test_g2_check_evaluates_identity_once(monkeypatch):
         (["lawlor", "verify", "--a", "1,1,1", "--samples"], MAX_SAMPLES, "MAX_SAMPLES"),
         (["g2", "check", "--tuples"], MAX_TUPLES, "MAX_TUPLES"),
         (["lawlor", "profile", "--a", "1,1,1", "--count"], MAX_PROFILE_ROWS, "MAX_PROFILE_ROWS"),
+        (["spectrum", "mesh", "--builtin", "icosphere:1", "--count"], MAX_MESH_COUNT,
+         "MAX_MESH_COUNT"),
     ],
 )
 def test_batch_sizes_are_bounded(argv, bound, name):
@@ -379,6 +384,74 @@ def test_batch_sizes_are_bounded(argv, bound, name):
         assert code == EXIT_VALIDATION
         body = json.loads(out)
         assert body["error"] == "ValidationError" and name in body["message"]
+
+
+def _record_mesh_calls(monkeypatch):
+    """Builders and mesh_spectrum that record their arguments; the builders
+    return a small mesh, so no oversize mesh is built or solved."""
+    calls = []
+    small = mesh.icosphere(0)
+
+    def builder(name):
+        return lambda n: calls.append((name, n)) or small
+
+    monkeypatch.setattr(mesh, "icosphere", builder("icosphere"))
+    monkeypatch.setattr(mesh, "clifford_torus_mesh", builder("clifford"))
+    monkeypatch.setattr(mesh, "mesh_spectrum",
+                        lambda m, count: calls.append(("spectrum", count)) or
+                        Spectrum(entries=((0.0, 1),), cutoff=0.0, exact=False))
+    return calls
+
+
+def test_mesh_size_budget_on_builtins(monkeypatch):
+    calls = _record_mesh_calls(monkeypatch)
+    side = math.isqrt(MAX_MESH_VERTICES)  # the largest Clifford grid inside the budget
+    assert 10 * 4**5 + 2 <= MAX_MESH_VERTICES < 10 * 4**6 + 2
+    for builtin, built in (("icosphere:5", ("icosphere", 5)), (f"clifford:{side}", ("clifford", side))):
+        calls.clear()
+        code, _ = run(["spectrum", "mesh", "--builtin", builtin, "--count", str(MAX_MESH_COUNT)])
+        assert code == EXIT_OK and calls == [built, ("spectrum", MAX_MESH_COUNT)]
+    for argv in (
+        ["--builtin", "icosphere:6"],
+        ["--builtin", f"clifford:{side + 1}"],
+        ["--builtin", "icosphere:1000000000"],
+        ["--builtin", f"clifford:{10**400}"],
+    ):
+        calls.clear()
+        code, out = run(["spectrum", "mesh", *argv])
+        body = json.loads(out)
+        assert code == EXIT_VALIDATION and calls == []
+        assert body["error"] == "ValidationError"
+        assert "--builtin" in body["message"] and "MAX_MESH_VERTICES" in body["message"]
+
+
+def test_mesh_size_budget_on_off_files(monkeypatch, tmp_path):
+    off = tmp_path / "ico0.off"
+    mesh.save_off(mesh.icosphere(0), off)  # 12 vertices
+    argv = ["spectrum", "mesh", "--off", str(off), "--count", "3"]
+    monkeypatch.setattr(cli, "MAX_MESH_VERTICES", 12)
+    assert run(argv)[0] == EXIT_OK
+    monkeypatch.setattr(cli, "MAX_MESH_VERTICES", 11)
+    code, out = run(argv)
+    body = json.loads(out)
+    assert code == EXIT_VALIDATION and body["error"] == "ValidationError"
+    assert "--off" in body["message"] and "MAX_MESH_VERTICES = 11" in body["message"]
+
+
+def test_overflowing_profile_is_quiet_on_stderr():
+    # the squares overflow to inf: exit 3 with the JSON body, and no numpy warning
+    src = str(Path(cone_spectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "cone_spectra", "lawlor", "profile", "--a", "1,1,1",
+         "--y-max", "1e200", "--count", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_NUMERICAL
+    assert json.loads(done.stdout) == {
+        "error": "NonFiniteResult", "message": "Out of range float values are not JSON compliant",
+    }
+    assert done.stderr == ""
 
 
 NUMBERS = ["-2", "1", "0", "-1", "-1/2", "7/3", "0.25", "-3.75", "1e300", "-1e400", "inf",
@@ -425,6 +498,7 @@ BATCH_FLAGS = {
     "lawlor-verify": (["lawlor", "verify", "--a", "1,1,1", "--samples"], MAX_SAMPLES),
     "g2": (["g2", "check", "--tuples"], MAX_TUPLES),
     "profile": (["lawlor", "profile", "--a", "1,1,1", "--count"], MAX_PROFILE_ROWS),
+    "mesh": (["spectrum", "mesh", "--builtin", "icosphere:1", "--count"], MAX_MESH_COUNT),
 }
 BATCH_VALUES = ["-1", "0", "1", "7", str(MAX_SAMPLES + 1), str(MAX_TUPLES + 1),
                 str(MAX_PROFILE_ROWS + 1), str(10**12)]

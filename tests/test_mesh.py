@@ -1,8 +1,15 @@
 """Cotangent-Laplacian spectra on triangle meshes."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cone_spectra.cli import EXIT_OK, EXIT_VALIDATION, run
 from cone_spectra.errors import InvalidMesh
 from cone_spectra.mesh import (
     TriMesh,
@@ -123,12 +130,14 @@ def test_bad_index_rejected():
 
 
 def test_off_round_trip(tmp_path):
-    mesh = icosphere(1)
-    path = tmp_path / "ico.off"
-    save_off(mesh, path)
-    back = load_off(path)
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.faces, mesh.faces)
+    # save_off writes repr() floats, so load_off reads back the same bits
+    for refinements in (0, 1, 2):
+        mesh = icosphere(refinements)
+        path = tmp_path / f"ico{refinements}.off"
+        save_off(mesh, path)
+        back = load_off(path)
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()
+        assert back.faces.dtype == mesh.faces.dtype and np.array_equal(back.faces, mesh.faces)
 
 
 def test_off_rejects_garbage(tmp_path):
@@ -145,6 +154,8 @@ def test_off_rejects_garbage(tmp_path):
         "non-numeric coordinate": good[:3] + ["1 x 0"] + good[4:],
         "fractional index": good[:9] + ["3 1 2 3.5"],
         "quad face": good[:9] + ["4 1 2 3"],
+        "index past int64": good[:9] + ["3 1 2 99999999999999999999"],
+        "comment only": ["# OFF"],
     }
     for name, lines in bad.items():
         path = tmp_path / f"{name.replace(' ', '_')}.off"
@@ -254,3 +265,231 @@ def test_non_finite_vertex_rejected():
     verts[3, 0] = np.nan
     with pytest.raises(InvalidMesh):
         TriMesh(verts, mesh.faces)
+
+
+# ---------------------------------------------------------------------------
+# one factor set-up, relabelling, and the loop-free builders and checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "mesh, count", [(icosphere(3), 9), (clifford_torus_mesh(24), 13)], ids=["ico3", "clifford24"]
+)
+def test_spectrum_invariant_under_relabelling(mesh, count):
+    # vertex k of the relabelled mesh is vertex perm[k] of the original
+    perm = np.random.default_rng(5).permutation(len(mesh.vertices))
+    relabelled = TriMesh(mesh.vertices[perm], np.argsort(perm)[mesh.faces])
+    base, other = mesh_spectrum(mesh, count), mesh_spectrum(relabelled, count)
+    assert [m for _, m in other.entries] == [m for _, m in base.entries]
+    for (v, _), (w, _) in zip(base.entries, other.entries):
+        assert abs(w - v) <= 1e-10 * max(1.0, abs(v))
+    assert abs(other.cutoff - base.cutoff) <= 1e-10 * max(1.0, base.cutoff)
+
+
+def test_one_factor_setup_serves_arpack_and_certificate(monkeypatch):
+    factored, operators = [], []
+    splu, eigsh = scipy.sparse.linalg.splu, scipy.sparse.linalg.eigsh
+
+    def counted_splu(*args, **kwargs):
+        factored.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    def recorded_eigsh(*args, **kwargs):
+        operators.append(kwargs.get("OPinv"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded_eigsh)
+    mesh_spectrum(icosphere(3), 9)
+    # the shift-invert factor and the inertia certificate, one set-up each
+    assert factored == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+    # eigsh is handed the factor, so it builds none of its own
+    assert operators and all(op is not None for op in operators)
+
+
+def _clifford_loop_reference(n):
+    """The per-vertex, per-square loop build of the Clifford torus sample."""
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    verts = np.zeros((n * n, 6))
+    inv_sqrt3 = 1.0 / math.sqrt(3.0)
+    for i, t1 in enumerate(thetas):
+        for j, t2 in enumerate(thetas):
+            z = inv_sqrt3 * np.array(
+                [np.exp(1j * t1), np.exp(1j * t2), np.exp(-1j * (t1 + t2))]
+            )
+            verts[i * n + j] = np.concatenate([z.real, z.imag])
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            a = i * n + j
+            b = ((i + 1) % n) * n + j
+            c = ((i + 1) % n) * n + (j + 1) % n
+            d = i * n + (j + 1) % n
+            faces.append((a, b, c))
+            faces.append((a, c, d))
+    return verts, np.array(faces, dtype=int)
+
+
+@pytest.mark.parametrize("n", [3, 8, 48])
+def test_clifford_build_matches_loop_reference(n):
+    verts, faces = _clifford_loop_reference(n)
+    mesh = clifford_torus_mesh(n)
+    assert mesh.vertices.dtype == verts.dtype and mesh.vertices.tobytes() == verts.tobytes()
+    assert mesh.faces.dtype == faces.dtype and np.array_equal(mesh.faces, faces)
+
+
+def _reference_rejection(vertices, faces):
+    """The message of the unique/isin structure check, or None for a valid mesh."""
+    v, f = np.asarray(vertices, dtype=float), np.asarray(faces, dtype=int)
+    if not np.all(np.isfinite(v)):
+        return "non-finite vertex coordinate"
+    if f.size and (f.min() < 0 or f.max() >= len(v)):
+        return "face index out of range"
+    if len(f) == 0:
+        return "mesh has no faces"
+    a, b = v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
+    gram = (a * a).sum(1) * (b * b).sum(1) - (a * b).sum(1) ** 2
+    if np.any(0.5 * np.sqrt(np.maximum(gram, 0.0)) <= 1e-14):
+        return "degenerate face (area <= 1e-14)"
+    if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])):
+        return "face with repeated vertex"
+    nv = len(v)
+    tails, heads = f.ravel(), np.roll(f, -1, axis=1).ravel()
+    directed = tails * nv + heads
+    if len(np.unique(directed)) != len(directed):
+        return "non-manifold or inconsistently oriented edge"
+    if not np.all(np.isin(heads * nv + tails, directed)):
+        return "open boundary edge"
+    return None
+
+
+def _rejected_cases():
+    """The meshes of the test_*_rejected cases, then seeded edits of icosphere(1):
+    dropped, duplicated and flipped faces and moved indices."""
+    ico0, ico1 = icosphere(0), icosphere(1)
+    nan_verts = ico1.vertices.copy()
+    nan_verts[3, 0] = np.nan
+    cases = [
+        (ico1.vertices, ico1.faces[:-1]),
+        (np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
+         np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])),
+        (ico0.vertices, np.vstack([ico0.faces, ico0.faces[0]])),
+        (np.eye(3), np.array([[0, 1, 3]])),
+        (nan_verts, ico1.faces),
+        (ico1.vertices, ico1.faces[:0]),
+    ]
+    rng = np.random.default_rng(11)
+    nf, nv = len(ico1.faces), len(ico1.vertices)
+    for _ in range(40):
+        f = ico1.faces.copy()
+        edit = rng.integers(4)
+        row = rng.integers(nf)
+        if edit == 0:
+            f = np.delete(f, rng.choice(nf, rng.integers(1, 4), replace=False), axis=0)
+        elif edit == 1:
+            f = np.vstack([f, f[row][::-1] if rng.integers(2) else f[row]])
+        elif edit == 2:
+            f[row] = f[row][::-1]
+        else:
+            f[row, rng.integers(3)] = rng.integers(nv)
+        cases.append((ico1.vertices, f))
+    return cases
+
+
+def test_structure_check_matches_unique_isin_reference():
+    rejected = 0
+    for vertices, faces in _rejected_cases():
+        want = _reference_rejection(vertices, faces)
+        if want is None:
+            TriMesh(vertices, faces)
+            continue
+        rejected += 1
+        with pytest.raises(InvalidMesh) as info:
+            TriMesh(vertices, faces)
+        assert str(info.value) == want
+    assert rejected >= 40
+
+
+def test_face_area_overflow_rejected():
+    mesh = icosphere(0)
+    with pytest.raises(InvalidMesh, match="overflows"):
+        TriMesh(1e200 * mesh.vertices, mesh.faces)
+
+
+# ---------------------------------------------------------------------------
+# load_off contract: any text is a TriMesh or an InvalidMesh
+# ---------------------------------------------------------------------------
+
+TETRAHEDRON = ["OFF", "4 4 0", "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+               "3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]
+OFF_TOKENS = st.one_of(
+    st.sampled_from(["OFF", "3", "4", "0", "-1", "2.5", "1e3", "3.0", "+2", "nan", "inf",
+                     "1e400", "1e200", "x", "#", "# note", "99999999999999999999", "٣"]),
+    st.integers(-2, 12).map(str),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _off_texts(draw):
+    """Tetrahedron files with edited lines, tetrahedra at fuzzed coordinates,
+    and arbitrary text."""
+    kind = draw(st.sampled_from(["edited", "edited", "coordinates", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=80))
+    lines = list(TETRAHEDRON)
+    if kind == "coordinates":
+        coordinate = st.floats(-2.0, 2.0) | st.floats()
+        lines[2:6] = [" ".join(repr(draw(coordinate)) for _ in range(3)) for _ in range(4)]
+    else:
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(lines)))
+            edit = draw(st.sampled_from(["token", "insert", "delete", "comment", "blank"]))
+            if edit == "insert" or at == len(lines):
+                lines.insert(at, " ".join(draw(st.lists(OFF_TOKENS, max_size=4))))
+            elif edit == "token":
+                tokens = lines[at].split() or [""]
+                tokens[draw(st.integers(0, len(tokens) - 1))] = draw(OFF_TOKENS)
+                lines[at] = " ".join(tokens)
+            elif edit == "delete":
+                del lines[at]
+            elif edit == "comment":
+                lines[at] += " #" + draw(st.text(max_size=8))
+            else:
+                lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n", " \n"])).join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_off_texts())
+def test_load_off_contract(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("off") / "mesh.off"
+    path.write_text(text, encoding="utf-8")
+    try:
+        mesh = load_off(path)
+    except InvalidMesh:
+        return
+    assert isinstance(mesh, TriMesh)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_off_texts(), st.integers(1, 5))
+def test_fuzzed_off_through_cli(tmp_path_factory, text, count):
+    path = tmp_path_factory.mktemp("off") / "mesh.off"
+    path.write_text(text, encoding="utf-8")
+    code, out = run(["spectrum", "mesh", "--off", str(path), "--count", str(count)])
+    assert code in (EXIT_OK, EXIT_VALIDATION), (text, out)
+    json.loads(out, parse_constant=_reject_constant)
+
+
+def test_off_comments_anywhere(tmp_path):
+    lines = ["# a tetrahedron", "OFF # header", "4 4 0", "", "0 0 0 # origin"] + TETRAHEDRON[3:]
+    lines[-1] += "#last"
+    path = tmp_path / "commented.off"
+    path.write_text("\n".join(lines) + "\n# trailing")
+    mesh = load_off(path)
+    assert mesh.vertices.shape == (4, 3) and mesh.faces.tolist()[-1] == [1, 2, 3]
