@@ -272,6 +272,12 @@ def _cmd_indicial(args) -> dict:
                 for e in j.entries
             ],
         }
+        unpaired = [u for j in js for u in j.unpaired]
+        if unpaired:
+            result["jacobi"]["unpaired"] = [
+                {"lambda": lam, "dimension": dim, "partner": partner}
+                for lam, dim, partner in unpaired
+            ]
     return result
 
 

@@ -361,6 +361,9 @@ class JacobiEigenvalue:
 class JacobiSpectrum:
     entries: tuple[JacobiEigenvalue, ...]
     convention: str = JACOBI_CONVENTION
+    # (rate, dimension, partner rate) of window roots whose partner -1 - rate
+    # lies outside the kernel data, so their Jacobi multiplicity is unknown
+    unpaired: tuple[tuple[float, int, float], ...] = ()
 
 
 def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
@@ -369,17 +372,27 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
     The rate pairs (lambda, -1-lambda) collide on the same eigenvalue; the
     collision is resolved exactly via root identity keys and multiplicities
     are reported at the representative rate >= -1/2 (see JACOBI_CONVENTION).
+    A root whose partner lies outside the table's rate coverage goes into
+    ``unpaired`` instead of ``entries``.
     """
     table = cone.kernel_table
+    cov_lo, cov_hi = table.rate_coverage()
     reps = []
     for r in indicial_roots(cone, window).roots:
         key = r.key if r.value >= -0.5 else _key_jacobi_partner(r.key)
-        reps.append((_key_value(key), None if key[0] == "V" else key, (key, r.value)))
+        reps.append((_key_value(key), None if key[0] == "V" else key, (key, r)))
     entries = []
+    unpaired = []
     for group in _merge_rates(reps):
         rep = group[0][0]
         rep_val = _key_value(rep)
         keys = (rep,) if abs(rep_val + 0.5) < 1e-15 else (_key_jacobi_partner(rep), rep)
+        if not all(cov_lo <= _key_value(k) <= cov_hi for k in keys):
+            unpaired += [
+                (r.value, r.total_dimension, _key_value(_key_jacobi_partner(r.key)))
+                for _, r in group
+            ]
+            continue
         entries.append(
             JacobiEigenvalue(
                 eigenvalue=rep_val * rep_val + rep_val - 2.0,
@@ -387,13 +400,13 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
                 contributing_rates=tuple(
                     _key_value(k)
                     for k in keys
-                    if any(abs(v - _key_value(k)) <= MERGE_TOL for _, v in group)
+                    if any(abs(r.value - _key_value(k)) <= MERGE_TOL for _, r in group)
                 ),
                 representative=rep_val,
             )
         )
     entries.sort(key=lambda e: e.eigenvalue)
-    return JacobiSpectrum(entries=tuple(entries))
+    return JacobiSpectrum(entries=tuple(entries), unpaired=tuple(sorted(unpaired)))
 
 
 def morse_index(cone: SLConeSpec) -> int:

@@ -283,40 +283,43 @@ def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
 # built-in meshes
 # ---------------------------------------------------------------------------
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row over its length, bit for bit as ``row / np.linalg.norm(row)``
+    (einsum and ``norm(axis=1)`` round differently; the loop-build test checks this)."""
+    return v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+
+
 def icosphere(refinements: int) -> TriMesh:
     """Unit sphere obtained by subdividing the icosahedron ``refinements`` times."""
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
     t = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = [
+    verts = _unit_rows(np.array([
         (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
         (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
         (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
-    ]
-    faces = [
+    ]))
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
+    ])
     for _ in range(refinements):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    return TriMesh(np.array(verts), np.array(faces, dtype=int))
+        nv = len(verts)
+        ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # edges ab, bc, ca of each face
+        _, first, inverse = np.unique(
+            ends.min(axis=1) * nv + ends.max(axis=1), return_index=True, return_inverse=True
+        )
+        # each edge's midpoint vertex, numbered in the order the faces first meet the edges
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ab, bc, ca = (nv + rank[inverse]).reshape(-1, 3).T
+        edges = ends[np.sort(first)]
+        verts = np.concatenate([verts, _unit_rows(verts[edges[:, 0]] + verts[edges[:, 1]])])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return TriMesh(verts, faces)
 
 
 def clifford_torus_mesh(n: int = 64) -> TriMesh:

@@ -20,7 +20,7 @@ from .errors import NonPositiveDefinite, ValidationError
 
 Number = int | float | Fraction
 
-# work budget of torus_spectrum: 1e5 points take about 2 s with Fraction metrics
+# work budget of torus_spectrum: 1e5 lattice points take about 30 ms on a 2-core host
 MAX_LATTICE_POINTS = 100_000
 # work budget of sphere_spectrum: the indicial roots of 1e4 degrees take about 1 s
 MAX_SPHERE_DEGREE = 10_000
@@ -153,9 +153,11 @@ def torus_spectrum(metric: TorusMetric, cutoff: float) -> Spectrum:
     """Flat-torus spectrum: eigenvalue q(m,n) = g^{ab} k_a k_b over integer (m, n).
 
     Enumerates the lattice inside the exact bounding box of the ellipse
-    q <= cutoff, so the result is complete below the cutoff.  Eigenvalues are
-    exact integers whenever the inverse metric is rational and all enumerated
-    q-values are integral.
+    q <= cutoff, so the result is complete below the cutoff.  A rational
+    inverse metric a, b, c is put over its common denominator d, so each
+    point is counted on Python ints by d q = A m^2 + (B m + C n) n <= floor(d cutoff);
+    each distinct count key becomes an exact integer eigenvalue when every key
+    is a multiple of d, else a float.  Float metrics are enumerated in floats.
     """
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
@@ -168,20 +170,32 @@ def torus_spectrum(metric: TorusMetric, cutoff: float) -> Spectrum:
             f"cutoff {float(cutoff):g} needs more than {MAX_LATTICE_POINTS} lattice points"
         )
     a, b, c = metric.inverse()  # q(m,n) = a m^2 + 2 b m n + c n^2
-    exact_in = metric.is_exact()
-    cut = Fraction(cutoff) if exact_in else float(cutoff)
+    ms, ns = range(-m_max, m_max + 1), range(-n_max, n_max + 1)
     counts: dict = {}
-    for m in range(-m_max, m_max + 1):
-        for n in range(-n_max, n_max + 1):
-            q = a * m * m + 2 * b * m * n + c * n * n
-            if q <= cut:
-                counts[q] = counts.get(q, 0) + 1
-    exact_out = exact_in and all(Fraction(q).denominator == 1 for q in counts)
-    if exact_out:
-        entries = tuple(sorted((int(q), mult) for q, mult in counts.items()))
+    if metric.is_exact():
+        d = math.lcm(a.denominator, b.denominator, c.denominator)
+        A, B, C = int(a * d), int(2 * b * d), int(c * d)
+        top = math.floor(Fraction(cutoff) * d)  # key <= top  <=>  q <= cutoff
+        for m in ms:
+            am, bm = A * m * m, B * m
+            for n in ns:
+                key = am + (bm + C * n) * n
+                if key <= top:
+                    counts[key] = counts.get(key, 0) + 1
+        if all(key % d == 0 for key in counts):
+            entries = tuple(sorted((key // d, mult) for key, mult in counts.items()))
+            return Spectrum(entries=entries, cutoff=float(cutoff), exact=True)
+        # int / int rounds correctly, to float(Fraction(key, d))
+        pairs = [(key / d, mult) for key, mult in counts.items()]
     else:
-        entries = _merge_close(sorted((float(q), mult) for q, mult in counts.items()))
-    return Spectrum(entries=entries, cutoff=float(cutoff), exact=exact_out)
+        cut = float(cutoff)
+        for m in ms:
+            for n in ns:
+                q = a * m * m + 2 * b * m * n + c * n * n
+                if q <= cut:
+                    counts[q] = counts.get(q, 0) + 1
+        pairs = list(counts.items())
+    return Spectrum(entries=_merge_close(sorted(pairs)), cutoff=float(cutoff), exact=False)
 
 
 def _merge_close(pairs) -> tuple[tuple[float, int], ...]:

@@ -42,6 +42,19 @@ def test_indicial_example():
     assert "Harvey-Lawson" in report["provenance"]
 
 
+def test_indicial_jacobi_partner_outside_table():
+    # the partner 3 of the root -4 needs eigenvalue 20, past the plane's cutoff 12
+    args = ["indicial", "--cone", "plane", "--window=-4:2"]
+    code, out = run([*args, "--jacobi"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["jacobi"]["unpaired"] == [{"lambda": -4.0, "dimension": 12, "partner": 3.0}]
+    assert all(-4.0 not in e["contributing_rates"] for e in result["jacobi"]["entries"])
+    code, plain = run(args)
+    assert code == EXIT_OK
+    assert result["roots"] == json.loads(plain)["result"]["roots"]
+
+
 def test_stability_example():
     code, out = run(["stability", "--cone", "hl", "--sym-dim", "2"])
     assert code == EXIT_OK

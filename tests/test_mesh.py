@@ -60,6 +60,49 @@ def _relative_errors(values, target):
     return np.array(errs)
 
 
+def _loop_icosphere(refinements):
+    """Face-by-face subdivision with a per-edge dict: the reference build."""
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = [
+        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
+        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
+        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
+    ]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
+    for _ in range(refinements):
+        midpoint = {}
+
+        def mid(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in midpoint:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(verts), np.array(faces, dtype=int)
+
+
+@pytest.mark.parametrize("refinements", range(6))
+def test_icosphere_matches_loop_build(refinements):
+    mesh = icosphere(refinements)
+    verts, faces = _loop_icosphere(refinements)
+    assert mesh.vertices.dtype == verts.dtype and mesh.faces.dtype == faces.dtype
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.faces, faces)
+
+
 def test_icosphere_counts():
     mesh = icosphere(2)
     assert len(mesh.vertices) == 162

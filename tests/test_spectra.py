@@ -7,15 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cone_spectra.errors import NonPositiveDefinite, ValidationError
 from cone_spectra.presets import torus_cone_spec
 from cone_spectra.spectra import (
+    MAX_LATTICE_POINTS,
     MAX_SPHERE_DEGREE,
     RELATIVE_TOL,
     LinkTopology,
     Spectrum,
     TorusMetric,
+    _merge_close,
     clifford_torus_metric,
     eigenvalue_count_below,
     merge_spectra,
@@ -159,6 +163,81 @@ def test_torus_spectrum_matches_sympy(metric, cutoff):
     else:
         for (ev, _), (want, _) in zip(spectrum.entries, reference):
             assert abs(ev - float(want)) <= 1e-12 * max(1.0, float(want))
+
+
+def _fraction_torus_spectrum(metric, cutoff):
+    """Brute-force reference for exact metrics: q(m, n) in Fractions at every
+    point of torus_spectrum's bounding box, compared with the cutoff as a Fraction."""
+    m_max = math.isqrt(math.floor(float(cutoff) * float(metric.g11))) + 1
+    n_max = math.isqrt(math.floor(float(cutoff) * float(metric.g22))) + 1
+    a, b, c = metric.inverse()
+    cut = Fraction(cutoff)
+    counts = {}
+    for m in range(-m_max, m_max + 1):
+        for n in range(-n_max, n_max + 1):
+            q = a * m * m + 2 * b * m * n + c * n * n
+            if q <= cut:
+                counts[q] = counts.get(q, 0) + 1
+    if all(q.denominator == 1 for q in counts):
+        entries = tuple(sorted((int(q), mult) for q, mult in counts.items()))
+        return Spectrum(entries, float(cutoff), True)
+    entries = _merge_close(sorted((float(q), mult) for q, mult in counts.items()))
+    return Spectrum(entries, float(cutoff), False)
+
+
+_ratio = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def _exact_metrics(draw):
+    if draw(st.booleans()):  # integral inverse form [[A, B], [B, C]]
+        A, B, C = draw(st.integers(1, 6)), draw(st.integers(-4, 4)), draw(st.integers(1, 6))
+        det = A * C - B * B
+        if det <= 0:
+            B, det = 0, A * C
+        return TorusMetric(Fraction(C, det), Fraction(-B, det), Fraction(A, det))
+    g11 = draw(_ratio.filter(lambda x: x > 0))
+    g22 = draw(_ratio.filter(lambda x: x > 0))
+    g12 = draw(_ratio.filter(lambda x: x * x < g11 * g22))
+    return TorusMetric(g11, g12, g22)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exact_metrics(), st.data())
+def test_integer_count_matches_fraction_oracle(metric, data):
+    a, b, c = metric.inverse()
+    m, n = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
+    on_lattice = a * m * m + 2 * b * m * n + c * n * n  # boundary value, must be counted
+    cutoff = data.draw(
+        st.one_of(
+            st.integers(1, 40),
+            st.builds(Fraction, st.integers(1, 400), st.integers(1, 12)),
+            st.floats(0.05, 40.0),
+            st.just(on_lattice).filter(lambda q: q > 0),
+            # below a lattice value by less than a float can tell: not counted
+            st.just(on_lattice - Fraction(1, 10**20)).filter(lambda q: q > 0),
+        )
+    )
+    got, want = torus_spectrum(metric, cutoff), _fraction_torus_spectrum(metric, cutoff)
+    assert got.entries == want.entries
+    assert [type(ev) for ev, _ in got.entries] == [type(ev) for ev, _ in want.entries]
+    assert got.exact == want.exact
+    assert got.to_json() == want.to_json()
+    if on_lattice == cutoff:
+        assert got.entries[-1][0] == (on_lattice if got.exact else float(on_lattice))
+
+
+def test_lattice_budget():
+    # (2 * (isqrt(cutoff) + 1) + 1)^2 points for the identity metric: 315^2 fit, 317^2 do not
+    assert len(torus_spectrum(TorusMetric(1, 0, 1), 157**2 - 1).entries) > 0
+    for metric, cutoff in (
+        (TorusMetric(1, 0, 1), 157**2),
+        (TorusMetric(1.0, 0.0, 1.0), 157**2),
+        (TorusMetric(Fraction(3, 2), Fraction(1, 3), Fraction(5, 4)), Fraction(10**6, 7)),
+        (clifford_torus_metric(), math.inf),
+    ):
+        with pytest.raises(ValidationError, match=str(MAX_LATTICE_POINTS)):
+            torus_spectrum(metric, cutoff)
 
 
 def test_weyl_law():
