@@ -422,11 +422,11 @@ def _cmd_hl(args) -> dict:
             raise ValidationError(f"--r must be a positive finite radius, got {args.r}")
         return {
             "r_probe": args.r,
-            "residual": geometry.hl_xi_relation_residual(args.r, seed=args.seed),
-            "single_branch_deviation": geometry.hl_branch_deviation_magnitude(args.r),
+            "residual": geometry.hl_xi_relation_residual(args.r, seed=args.seed, a=args.a),
+            "single_branch_deviation": geometry.hl_branch_deviation_magnitude(args.r, args.a),
         }
     if args.mode == "decay":
-        branch = max(args.branch, 1)
+        branch = args.branch or 1
         radii, norms = geometry.hl_decay_table(branch=branch, a=args.a)
         fit = geometry.fit_decay(radii, norms)
         return {

@@ -62,10 +62,10 @@ def _check_off_wall(cone: ConeData, rate: float) -> None:
             f"rate {rate} outside the covered rate interval "
             f"[{cov_lo:g}, {cov_hi:g}]"
         )
-    lo, hi = max(rate - 0.5, cov_lo), min(rate + 0.5, cov_hi)
-    for lam, _ in cone.roots_in(Window(lo, hi)):
-        if abs(lam - rate) <= WALL_TOL:
-            raise RateOnWall(f"rate {rate} lies on the indicial root {lam}")
+    # the doubled margin keeps rounding of rate +- WALL_TOL from dropping a root
+    for r in cone.kernel_table.between(rate - 2 * WALL_TOL, rate + 2 * WALL_TOL):
+        if abs(r.value - rate) <= WALL_TOL:
+            raise RateOnWall(f"rate {rate} lies on the indicial root {r.value}")
 
 
 def _end_contribution(end: EndSpec) -> Fraction:
@@ -158,14 +158,18 @@ def chamber(cone: ConeData, rate: float, span: float = 4.0) -> tuple[float, floa
     Clipped to +-span and to the rate interval the cone's kernel data covers,
     so chamber detection never asks for eigenvalues beyond the cutoff.
     """
+    if not span >= 0:
+        raise ValueError(f"span must be nonnegative, got {span}")
     _check_off_wall(cone, rate)
-    cov_lo, cov_hi = cone.rate_coverage()
+    table = cone.kernel_table
+    cov_lo, cov_hi = table.rate_coverage()
     lo, hi = max(rate - span, cov_lo), min(rate + span, cov_hi)
-    for lam, _ in cone.roots_in(Window(lo, hi)):
-        if lam < rate:
-            lo = max(lo, lam)
-        elif lam > rate:
-            hi = min(hi, lam)
+    # off the wall, no root equals rate: the nearest roots bound the chamber
+    below, above = table.between(lo, rate), table.between(rate, hi)
+    if below:
+        lo = max(lo, below[-1].value)
+    if above:
+        hi = min(hi, above[0].value)
     return lo, hi
 
 

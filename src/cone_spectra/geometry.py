@@ -143,6 +143,8 @@ def lawlor_solve(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     kappa = 4.0 * math.pi / (3.0 * A)  # sqrt(a1 a2 a3)
+    if not (math.isfinite(kappa * kappa) and kappa * kappa > 0):
+        raise ValueError(f"A = {A!r} puts a1 a2 a3 = (4 pi / 3A)^2 out of float range")
     t1, t2 = target.theta[0], target.theta[1]
 
     def params(u):
@@ -298,6 +300,14 @@ def _hl_raw(r, theta1, theta2, a: float):
     return w, np.stack([dr, dt1, dt2], axis=-2)
 
 
+def _check_hl(branch: int, a: float) -> None:
+    """Harvey-Lawson branches are 1, 2 and 3, and a is finite and >= 0."""
+    if branch not in (1, 2, 3):
+        raise ValueError(f"branch must be 1, 2 or 3, got {branch}")
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"need a finite a >= 0, got {a}")
+
+
 def hl_embed(r, theta1, theta2, branch: int = 1, a: float = 1.0) -> SurfaceSample:
     """The Harvey-Lawson AC special Lagrangian L^branch_a at (r, theta1,
     theta2), broadcast together: positions (..., 7), tangent frames
@@ -306,11 +316,10 @@ def hl_embed(r, theta1, theta2, branch: int = 1, a: float = 1.0) -> SurfaceSampl
     Branches 2 and 3 are the cyclic coordinate shifts of branch 1; a = 0
     degenerates onto the T^2-cone.  The rescaling law is eps L^k_a = L^k_{eps^2 a}.
     """
-    if branch not in (1, 2, 3):
-        raise ValueError("branch must be 1, 2 or 3")
+    _check_hl(branch, a)
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0) or a < 0:
-        raise ValueError("need r > 0 and a >= 0")
+    if np.any(r <= 0):
+        raise ValueError("need r > 0")
     w, tangents = _hl_raw(r, theta1, theta2, a)
     shift = branch - 1
     cone = np.roll(hl_cone_point(r, theta1, theta2), shift, axis=-1)
@@ -359,6 +368,7 @@ def hl_normal_deviation(branch: int, r, alpha1, alpha2, a: float = 1.0) -> np.nd
     """Deviation of L^branch_a from its matched cone point, projected onto the
     cone's normal space: complex triples (..., 3), broadcast over r and the
     angles."""
+    _check_hl(branch, a)
     dev = _hl_matched_branch_point(branch, r, alpha1, alpha2, a) - hl_cone_point(
         r, alpha1, alpha2
     )
@@ -381,6 +391,7 @@ def hl_xi_relation_residual(
 
 def hl_branch_deviation_magnitude(r_probe: float, a: float = 1.0) -> float:
     """|Phi_k(r, .) - cone point| for one branch (= sqrt(r^2 + a) - r)."""
+    _check_hl(1, a)
     dev = _hl_matched_branch_point(1, r_probe, 0.3, 1.1, a) - hl_cone_point(
         r_probe, 0.3, 1.1
     )

@@ -8,9 +8,10 @@ delta has the exact form (p + s * sqrt(1 + 4 delta)) / 2 with p in {-1, -3},
 so cross-branch merging is decided by exact integer square-root tests; float
 spectra fall back to a 1e-9 tolerance.
 
-Kernel data has one type, :class:`KernelTable`, built once per cone over the
-rates its spectrum covers; every indicial, stability and Fredholm query is a
-slice of it.  :func:`d_lambda` is the independent pointwise oracle.
+Kernel data has one type, :class:`KernelTable`, built once per kernel source
+(a cone's spectrum, a user d-table, or the union of a cone's components) over
+the rates it covers; every indicial, stability and Fredholm query is a slice
+of it.  :func:`d_lambda` is the independent pointwise oracle.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class SLConeSpec:
     def kernel_table(self) -> KernelTable:
         """Every indicial root on the rates the spectrum determines, built once."""
         exact = self.spectrum.exact
+        cov_lo, cov_hi = _rate_coverage(self.spectrum.cutoff)
         found = []
-        for delta, _ in self.spectrum.entries:
+        for delta, m in self.spectrum.entries:
             dval = float(delta)
-            m = self.multiplicity(delta)
             disc = 1.0 + 4.0 * dval
             for p, branch in ((-1, F_BRANCH), (-3, H_BRANCH)):
                 for s in (+1, -1):
@@ -83,15 +84,15 @@ class SLConeSpec:
                     if abs(lam + 1.0) < 1e-12:
                         continue  # lambda = -1 carries only harmonic 1-forms
                     key = _root_key(p, s, delta) if exact else ("V", lam)
-                    found.append(_root(key, m, (BranchContribution(branch, dval, m),)))
-        if self.topology.b1 > 0:
+                    value = _key_value(key)
+                    if cov_lo <= value <= cov_hi:
+                        branches = (BranchContribution(branch, dval, m),)
+                        found.append(IndicialRoot(value, branches, m, _key_exact(key), key))
+        if self.topology.b1 > 0 and cov_lo <= -1.0 <= cov_hi:
             key = ("Q", Fraction(-1)) if exact else ("V", -1.0)
             harmonic = BranchContribution(HARMONIC_ONE_FORM, 0.0, self.topology.b1)
             found.append(_root(key, self.topology.b1, (harmonic,)))
-        coverage = Window(*_rate_coverage(self.spectrum.cutoff))
-        return KernelTable(
-            coverage, merge_roots(r for r in found if coverage.contains(r.value, r.exact))
-        )
+        return KernelTable(Window(cov_lo, cov_hi), merge_roots(found))
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,28 @@ class KernelTable:
     window: Window
     roots: tuple[IndicialRoot, ...]
 
+    @classmethod
+    def from_rows(cls, coverage: Window, rows: Iterable[tuple[Rate, int]]) -> KernelTable:
+        """(rate, dimension) rows as a table on ``coverage``, duplicate rates summed."""
+        return cls(
+            coverage,
+            merge_roots(
+                _root(("Q", Fraction(lam)) if _is_exact(lam) else ("V", float(lam)), d)
+                for lam, d in rows
+            ),
+        )
+
+    @classmethod
+    def union(cls, tables: list[KernelTable]) -> KernelTable:
+        """The tables' roots merged on the rates they all cover."""
+        if len(tables) == 1:
+            return tables[0]
+        lo = max(t.rate_coverage()[0] for t in tables)
+        hi = min(t.rate_coverage()[1] for t in tables)
+        if lo > hi:
+            raise CutoffExceeded("the components' kernel data share no covered rate")
+        return cls(Window(lo, hi), merge_roots(r for t in tables for r in t.between(lo, hi)))
+
     @cached_property
     def _coverage(self) -> tuple[float, float]:
         return float(self.window.lo), float(self.window.hi)
@@ -224,14 +247,15 @@ class KernelTable:
                 f"[{lo:g}, {hi:g}]"
             )
 
-    def _slice(self, lo: float, hi: float) -> tuple[IndicialRoot, ...]:
+    def between(self, lo: float, hi: float) -> tuple[IndicialRoot, ...]:
+        """The roots with lo <= value <= hi, found by bisection."""
         roots = self.roots
         return roots[bisect_left(roots, lo, key=_value) : bisect_right(roots, hi, key=_value)]
 
     def _inside(self, window: Window):
         lo, hi = float(window.lo), float(window.hi)
         self._check_covered(lo, hi)
-        return (r for r in self._slice(lo, hi) if window.contains(r.value, r.exact))
+        return (r for r in self.between(lo, hi) if window.contains(r.value, r.exact))
 
     def restrict(self, window: Window) -> KernelTable:
         """The roots inside ``window``, as a table complete on it."""
@@ -246,7 +270,7 @@ class KernelTable:
     def d_at(self, lam: Rate) -> int:
         value, exact = float(lam), Fraction(lam) if _is_exact(lam) else None
         self._check_covered(value, value)
-        near = self._slice(value - MERGE_TOL, value + MERGE_TOL)
+        near = self.between(value - MERGE_TOL, value + MERGE_TOL)
         return sum(r.total_dimension for r in near if _same_rate(r.value, r.exact, value, exact))
 
     def total_dimension(self) -> int:

@@ -14,7 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Sequence
 
 from .errors import NonPositiveDefinite, ValidationError
 
@@ -223,22 +222,3 @@ def sphere_spectrum(cutoff: float) -> Spectrum:
     entries = tuple((ell * (ell + 1), 2 * ell + 1) for ell in range(top + 1))
     return Spectrum(entries=entries, cutoff=float(cutoff), exact=True)
 
-
-def eigenvalue_count_below(spectrum: Spectrum, bound: float) -> int:
-    """Number of eigenvalues (with multiplicity) strictly below ``bound``."""
-    return sum(m for ev, m in spectrum.entries if float(ev) < bound)
-
-
-def merge_spectra(parts: Sequence[Spectrum]) -> Spectrum:
-    """Spectrum of a disjoint union of links (multiplicities add)."""
-    if not parts:
-        raise ValueError("need at least one spectrum")
-    cutoff = min(p.cutoff for p in parts)
-    exact = all(p.exact for p in parts)
-    counts: dict = {}
-    for p in parts:
-        for ev, m in p.entries:
-            if float(ev) <= cutoff:
-                counts[ev] = counts.get(ev, 0) + m
-    entries = tuple(sorted(counts.items(), key=lambda t: float(t[0])))
-    return Spectrum(entries=entries, cutoff=cutoff, exact=exact)

@@ -21,20 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from .errors import (
-    CutoffExceeded,
-    MissingStratumData,
-    MissingSymmetryData,
-    NonPositiveArea,
-)
-from .indicial import (
-    KernelTable,
-    Rate,
-    SLConeSpec,
-    Window,
-    _root,
-    merge_roots,
-)
+from .errors import MissingStratumData, MissingSymmetryData, NonPositiveArea
+from .indicial import KernelTable, Rate, SLConeSpec, Window
 from .spectra import LinkTopology, _is_exact
 
 DIM_G2 = 14
@@ -60,11 +48,7 @@ class DLambdaTable:
     @cached_property
     def kernel_table(self) -> KernelTable:
         """The rows as a kernel table on ``coverage``, duplicate rates summed."""
-        roots = (
-            _root(("Q", Fraction(lam)) if _is_exact(lam) else ("V", float(lam)), d)
-            for lam, d in self.rows
-        )
-        return KernelTable(self.coverage, merge_roots(roots))
+        return KernelTable.from_rows(self.coverage, self.rows)
 
 
 KernelSource = Union[SLConeSpec, DLambdaTable]
@@ -112,18 +96,7 @@ class ConeData:
 
     @cached_property
     def kernel_table(self) -> KernelTable:
-        tables = [c.kernel_table for c in self.components]
-        if len(tables) == 1:
-            return tables[0]
-        lo = max(t.rate_coverage()[0] for t in tables)
-        hi = min(t.rate_coverage()[1] for t in tables)
-        if lo > hi:
-            raise CutoffExceeded("the components' kernel data share no covered rate")
-        window = Window(lo, hi)
-        return KernelTable(
-            window,
-            merge_roots(r for t in tables for r in t.roots if window.contains(r.value, r.exact)),
-        )
+        return KernelTable.union([c.kernel_table for c in self.components])
 
     def rate_coverage(self) -> tuple[float, float]:
         return self.kernel_table.rate_coverage()

@@ -132,9 +132,12 @@ def test_exit_codes(tmp_path):
         code, out = run(argv)
         assert code == EXIT_VALIDATION
         assert json.loads(out)["error"] == "ValidationError"
-    # negative refinements check nothing
+    # negative refinements check nothing; HL branches are 1, 2, 3 and a is >= 0
     for argv in (
         ["spectrum", "mesh", "--builtin", "icosphere:-1"],
+        ["hl", "decay", "--branch", "4"],
+        ["hl", "decay", "--branch", "-2"],
+        ["hl", "decay", "--a", "-1"],
     ):
         code, out = run(argv)
         assert code == EXIT_VALIDATION
@@ -147,6 +150,12 @@ def test_exit_codes(tmp_path):
     for tol in ("-1", "0", "nan"):
         code, out = run(["lawlor", "solve", "--theta", "0.9,1.1,1.1415926535897931",
                          "--tol", tol])
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "ValueError"
+    # a scale whose a1 a2 a3 = (4 pi / 3A)^2 underflows to 0 or overflows
+    for scale in ("inf", "1e300", "1e-300"):
+        code, out = run(["lawlor", "solve", "--theta", "0.9,1.1,1.1415926535897931",
+                         "--scale", scale])
         assert code == EXIT_VALIDATION
         assert json.loads(out)["error"] == "ValueError"
     # malformed OFF files: truncated in the vertex or the face block, or a
@@ -325,6 +334,10 @@ def test_hl_subcommands():
     result = json.loads(out)["result"]
     assert result["residual"] < 1e-3
     assert abs(result["single_branch_deviation"] - 0.01) < 2e-4
+    code, out = run(["hl", "xi-relation", "--r", "50", "--a", "4"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert abs(result["single_branch_deviation"] - (math.sqrt(2504) - 50)) < 1e-12
     code, out = run(["hl", "verify", "--branch", "1", "--samples", "40"])
     assert code == EXIT_OK
     assert json.loads(out)["result"]["branch_1"]["max_im_omega"] < 1e-6
@@ -577,14 +590,29 @@ CONFIG_ENTRIES = st.builds(
 ) | st.sampled_from(["# comment", "", "no value", "=", " = 3"])
 
 
+# numeric model flags with values outside their domains
+MODEL_ARGV = st.one_of(
+    st.builds(lambda b: ["hl", "decay", "--branch", str(b)],
+              st.sampled_from([-2, 0, 3, 4, 10**12])),
+    st.builds(lambda argv, a: [*argv, "--a", a],
+              st.sampled_from([["hl", "decay"], ["hl", "xi-relation", "--r", "50"]]),
+              st.sampled_from(["-1", "0", "0.25", "1e300", "inf", "nan"])),
+    st.builds(lambda scale: ["lawlor", "solve", "--theta", "0.9,1.1,1.1415926535897931",
+                             "--scale", scale],
+              st.sampled_from(["-1", "0", "1e-10", "1", "1e300", "inf", "nan"])),
+)
+
+
 @st.composite
 def _case(draw):
     """(argv, files): the files, written to a fresh directory, replace {dir}."""
-    kind = draw(st.sampled_from(["exact", "exact", "batch", "table", "config"]))
+    kind = draw(st.sampled_from(["exact", "exact", "batch", "table", "config", "model"]))
     if kind == "exact":
         return draw(_argv()), {}
     if kind == "batch":
         return draw(_batch_argv()), {}
+    if kind == "model":
+        return draw(MODEL_ARGV), {}
     if kind == "table":
         argv = draw(st.sampled_from([
             ["stability", "--cone", TABLE_CONE],

@@ -1,5 +1,7 @@
 """Weighted Fueter index arithmetic: end sums, wall crossing, virtual dims."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,9 @@ def test_index_constant_on_chamber():
     op = _ac(HL, 0.5)
     lo, hi = chamber(HL, 0.5)
     assert (lo, hi) == (0.0, 1.0)
+    for span in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            chamber(HL, 0.5, span)
     rng = np.random.default_rng(23)
     values = {
         index(with_rates(op, float(rng.uniform(lo + 1e-6, hi - 1e-6))))

@@ -21,8 +21,6 @@ from cone_spectra.spectra import (
     TorusMetric,
     _merge_close,
     clifford_torus_metric,
-    eigenvalue_count_below,
-    merge_spectra,
     sphere_spectrum,
     torus_spectrum,
 )
@@ -250,7 +248,7 @@ def test_weyl_law():
     for m in metrics:
         for bound in (50.0, 90.0):
             sp = torus_spectrum(m, bound)
-            count = eigenvalue_count_below(sp, bound)
+            count = sum(mult for ev, mult in sp.entries if float(ev) < bound)
             weyl = m.area() / (4 * math.pi) * bound
             assert abs(count - weyl) < 0.25 * weyl
 
@@ -329,11 +327,6 @@ def test_spectrum_validation():
 def test_spectrum_json():
     rows = json.loads(sphere_spectrum(6).to_json())
     assert rows[1] == {"eigenvalue": 2.0, "multiplicity": 3}
-
-
-def test_merge_spectra_two_spheres():
-    merged = merge_spectra([sphere_spectrum(6), sphere_spectrum(6)])
-    assert merged.entries == ((0, 2), (2, 6), (6, 10))
 
 
 def test_topology_validation():

@@ -12,8 +12,18 @@ from cone_spectra.errors import (
     MissingStratumData,
     MissingSymmetryData,
     NonPositiveArea,
+    RateOnWall,
 )
-from cone_spectra.fredholm import AC, EndSpec, OperatorSpec, chamber, index, wall_crossing, with_rates
+from cone_spectra.fredholm import (
+    AC,
+    WALL_TOL,
+    EndSpec,
+    OperatorSpec,
+    chamber,
+    index,
+    wall_crossing,
+    with_rates,
+)
 from cone_spectra.indicial import (
     SLConeSpec,
     Window,
@@ -281,6 +291,60 @@ def test_root_table_matches_kernel_sources(name):
         a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
         window = Window(a, b, include_lo=rng.random() < 0.5, include_hi=rng.random() < 0.5)
         assert cone.d_sum(window) == sum(_oracle_sum(c, window) for c in cone.components)
+
+
+def _scanned_chamber(values, coverage, rate, span):
+    """The chamber around ``rate`` from a scan of every root, or the error
+    class an end at ``rate`` raises."""
+    if not coverage[0] <= rate <= coverage[1]:
+        return CutoffExceeded
+    if any(abs(v - rate) <= WALL_TOL for v in values):
+        return RateOnWall
+    lo = max([rate - span, coverage[0]] + [v for v in values if v < rate])
+    hi = min([rate + span, coverage[1]] + [v for v in values if v > rate])
+    return lo, hi
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONES))
+def test_wall_and_chamber_lookups_match_a_scan(name):
+    cone = DIFFERENTIAL_CONES[name]
+    values = [r.value for r in cone.kernel_table.roots]
+    cov_lo, cov_hi = cone.rate_coverage()
+    rng = random.Random(f"lookups-{name}")
+    rates = [rng.uniform(cov_lo, cov_hi) for _ in range(40)]
+    # 1e-10 and 9e-10 from a root are on its wall, 2e-9 is off it
+    rates += [v + d for v in values for d in (-2e-9, -9e-10, -1e-10, 1e-10, 9e-10, 2e-9)]
+    # chambers that end at the coverage, below the first root and above the last
+    first = min(v for v in values if v > cov_lo)
+    last = max(v for v in values if v < cov_hi)
+    rates += [(cov_lo + first) / 2, (last + cov_hi) / 2, cov_lo, cov_hi]
+    rates += [cov_lo - 1e-3, cov_hi + 1e-3]
+    clipped_by = set()
+    for rate in rates:
+        for span in (4.0, 0.05):
+            expected = _scanned_chamber(values, (cov_lo, cov_hi), rate, span)
+            if not isinstance(expected, tuple):
+                with pytest.raises(expected):
+                    EndSpec(cone, rate)
+                continue
+            EndSpec(cone, rate)
+            lo, hi = chamber(cone, rate, span)
+            assert (lo, hi) == expected, (rate, span)
+            ends = {lo, hi}
+            if ends & set(values):
+                clipped_by.add("root")
+            if ends & {rate - span, rate + span}:
+                clipped_by.add("span")
+            if ends & {cov_lo, cov_hi}:
+                clipped_by.add("coverage")
+    assert clipped_by == {"root", "span", "coverage"}
+
+
+def test_components_without_common_coverage():
+    below = ConeComponent(DLambdaTable(((-2.5, 1),), Window(-3, -2)))
+    above = ConeComponent(DLambdaTable(((0.5, 1),), Window(0, 1)))
+    with pytest.raises(CutoffExceeded):
+        ConeData((below, above)).kernel_table
 
 
 def test_index_sweep_builds_roots_once(monkeypatch):
