@@ -359,6 +359,8 @@ def _cmd_lawlor(args) -> dict:
         import numpy as np
 
         _check_batch_size("--count", args.count, MAX_PROFILE_ROWS, "MAX_PROFILE_ROWS")
+        if not (math.isfinite(args.y_min) and math.isfinite(args.y_max)):
+            raise ValidationError(f"need finite --y-min, --y-max; got {args.y_min}, {args.y_max}")
         params = geometry.LawlorParams(_parse_triple(args.a))
         ys = np.linspace(args.y_min, args.y_max, args.count)
         rows = geometry.lawlor_profile(params, ys)
@@ -378,6 +380,8 @@ def _cmd_lawlor(args) -> dict:
             "n_samples": report.n_samples,
         }
     if args.mode == "decay":
+        if not 0 < args.r_min < args.r_max < math.inf:
+            raise ValidationError(f"need 0 < --r-min < --r-max < inf: {args.r_min}, {args.r_max}")
         params = geometry.LawlorParams(_parse_triple(args.a))
         radii, norms = geometry.lawlor_decay_table(
             params,
@@ -418,13 +422,16 @@ def _cmd_hl(args) -> dict:
         out["link"] = {"max_omega": link.max_omega}
         return out
     if args.mode == "xi-relation":
+        import numpy as np
+
         if not (math.isfinite(args.r) and args.r > 0):
             raise ValidationError(f"--r must be a positive finite radius, got {args.r}")
-        return {
-            "r_probe": args.r,
-            "residual": geometry.hl_xi_relation_residual(args.r, seed=args.seed, a=args.a),
-            "single_branch_deviation": geometry.hl_branch_deviation_magnitude(args.r, args.a),
-        }
+        with np.errstate(all="ignore"):  # r * r may leave float range: reported if non-finite
+            return {
+                "r_probe": args.r,
+                "residual": geometry.hl_xi_relation_residual(args.r, seed=args.seed, a=args.a),
+                "single_branch_deviation": geometry.hl_branch_deviation_magnitude(args.r, args.a),
+            }
     if args.mode == "decay":
         branch = args.branch or 1
         radii, norms = geometry.hl_decay_table(branch=branch, a=args.a)
@@ -620,29 +627,23 @@ def _config_tokens(parser, args, argv) -> list[str]:
     return tokens
 
 
+# a result's table field and its columns: CSV writes one row per element
+CSV_COLUMNS = {
+    "entries": ("eigenvalue", "multiplicity"),
+    "roots": ("lambda", "dimension"),
+    "rows": ("y", "theta1", "theta2", "theta3", "z1", "z2", "z3"),
+    "table": ("r", "deviation"),
+}
+
+
 def _csv_output(command: str, result: dict) -> str:
+    field = next((f for f in CSV_COLUMNS if f in result), None)
+    if field is None:
+        raise ValidationError(f"csv output is not defined for '{command}'")
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if command == "spectrum":
-        writer.writerow(["eigenvalue", "multiplicity"])
-        for e in result["entries"]:
-            writer.writerow([e["eigenvalue"], e["multiplicity"]])
-    elif command == "indicial":
-        writer.writerow(["lambda", "dimension"])
-        for e in result["roots"]:
-            writer.writerow([e["lambda"], e["dimension"]])
-    elif command == "lawlor" and "rows" in result:
-        writer.writerow(["y", "theta1", "theta2", "theta3", "z1", "z2", "z3"])
-        for row in result["rows"]:
-            writer.writerow(
-                [row[k] for k in ("y", "theta1", "theta2", "theta3", "z1", "z2", "z3")]
-            )
-    elif command in ("lawlor", "hl") and "table" in result:
-        writer.writerow(["r", "deviation"])
-        for row in result["table"]:
-            writer.writerow([row["r"], row["deviation"]])
-    else:
-        raise ValidationError(f"csv output is not defined for '{command}'")
+    writer.writerow(CSV_COLUMNS[field])
+    writer.writerows([row[c] for c in CSV_COLUMNS[field]] for row in result[field])
     return buf.getvalue()
 
 

@@ -29,7 +29,6 @@ from .stability import ConeData, s_ind
 
 AC = "ac"
 CS = "cs"
-WALL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,10 +61,9 @@ def _check_off_wall(cone: ConeData, rate: float) -> None:
             f"rate {rate} outside the covered rate interval "
             f"[{cov_lo:g}, {cov_hi:g}]"
         )
-    # the doubled margin keeps rounding of rate +- WALL_TOL from dropping a root
-    for r in cone.kernel_table.between(rate - 2 * WALL_TOL, rate + 2 * WALL_TOL):
-        if abs(r.value - rate) <= WALL_TOL:
-            raise RateOnWall(f"rate {rate} lies on the indicial root {r.value}")
+    on_wall = cone.kernel_table.at(rate)
+    if on_wall:
+        raise RateOnWall(f"rate {rate} lies on the indicial root {on_wall[0].value}")
 
 
 def _end_contribution(end: EndSpec) -> Fraction:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
 
 import numpy as np
 
@@ -137,30 +136,6 @@ def psi4(u: Vec7, v: Vec7, w: Vec7, z: Vec7) -> float | np.ndarray:
 # the G2 identity  iota_u phi ^ iota_v phi ^ phi = 6 g(u,v) vol
 # ---------------------------------------------------------------------------
 
-@cache
-def _perm7() -> tuple[np.ndarray, np.ndarray]:
-    perms, signs = _permutations(7)
-    perms.setflags(write=False)
-    signs.setflags(write=False)
-    return perms, signs
-
-
-@cache
-def _wedge_tensor() -> np.ndarray:
-    """W with (a ^ b ^ phi)(e_1, ..., e_7) = a_ij W_ijkl b_kl for 2-forms a, b.
-
-    W_ijkl sums sign(p) PHI[p_4, p_5, p_6] over the permutations p of
-    (0, ..., 6) that start with (i, j, k, l); it is returned as a (49, 49)
-    matrix.  (W equals 6 PSI, since psi = *phi.)
-    """
-    p, signs = _perm7()
-    w = np.zeros((7, 7, 7, 7))
-    np.add.at(w, tuple(p[:, :4].T), signs * PHI[p[:, 4], p[:, 5], p[:, 6]])
-    w = w.reshape(49, 49)
-    w.setflags(write=False)
-    return w
-
-
 def g2_identity_residual(u: Vec7, v: Vec7) -> float | np.ndarray:
     """Coefficient of iota_u phi ^ iota_v phi ^ phi - 6 g(u,v) vol.
 
@@ -169,8 +144,10 @@ def g2_identity_residual(u: Vec7, v: Vec7) -> float | np.ndarray:
     """
     a = _contract(PHI, u)  # 2-form iota_u phi, flattened
     b = _contract(PHI, v)
-    # wedge of a 2-, 2- and 3-form evaluated on (e_1,...,e_7)
-    wedge = (np.einsum("...i,ij->...j", a, _wedge_tensor()) * b).sum(axis=-1)
+    # (a ^ b ^ phi)(e_1, ..., e_7) = a_ij W_ijkl b_kl, where W_ijkl, the sum of
+    # sign(p) PHI[p_4, p_5, p_6] over the permutations p starting with
+    # (i, j, k, l), is 6 PSI since psi = *phi
+    wedge = (np.einsum("...i,ij->...j", a, 6.0 * PSI.reshape(49, 49)) * b).sum(axis=-1)
     coeff = wedge / (2.0 * 2.0 * 6.0)
     return _value(coeff - 6.0 * _dot(u, v))
 

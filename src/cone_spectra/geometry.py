@@ -96,9 +96,10 @@ def lawlor_tails(y, a: LawlorParams) -> np.ndarray:
     else:
         q = -(e2 + math.sqrt(disc)) / 2.0  # no cancellation: e2 > 0
         s1, s2 = q / e3, e1 / q
-    with np.errstate(over="ignore"):  # a huge y gives inf, which callers report
+    # a huge y, or an a near the ends of float range, gives inf or nan, which callers report
+    with np.errstate(over="ignore", invalid="ignore"):
         Y = np.asarray(y, dtype=float)[..., None] ** 2
-    return carlson_rj(Y, Y - s1, Y - s2, Y + 1.0 / np.array(a.a)) / (3.0 * math.sqrt(e3))
+        return carlson_rj(Y, Y - s1, Y - s2, Y + 1.0 / np.array(a.a)) / (3.0 * math.sqrt(e3))
 
 
 def lawlor_angles(a: LawlorParams) -> LawlorAngles:
@@ -501,10 +502,16 @@ def fit_decay(radii, norms) -> DecayFit:
     norms = np.asarray(norms, dtype=float)
     if len(radii) < 8:
         raise ValueError("decay fits need at least 8 radii")
+    if not (np.isfinite(radii).all() and np.isfinite(norms).all()):
+        raise FitUnstable("non-finite radius or deviation; nothing to fit")
     if np.any(norms <= 0.0):
         raise FitUnstable("deviation vanished; nothing to fit")
     x, y = np.log(radii), np.log(norms)
-    slope, intercept = np.polyfit(x, y, 1)
+    # full=True returns the rank where polyfit would warn; rank 1 is no slope
+    fit = np.polyfit(x, y, 1, full=True) if np.ptp(x) > 0 else None
+    if fit is None or fit[2] < 2:
+        raise FitUnstable(f"radii {radii.min():g} to {radii.max():g} span no positive log range")
+    slope, intercept = fit[0]
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     if resid > 0.1:
         raise FitUnstable(f"log-log fit residual {resid:.3g} > 0.1")
@@ -535,15 +542,17 @@ def lawlor_decay_table(
     # the last row, at twice the outer radius, calibrates the leading term
     r = np.append(np.geomspace(r_window[0], r_window[1], n_radii), 2.0 * r_window[1])
     phases = lawlor_tails(r, a)
-    rho = np.sqrt(1.0 / np.array(a.a) + r[:, None] ** 2)
-    x = np.cos(phases) * rho * sigma  # footpoints in the plane, real coordinates
-    w = np.sin(phases) * rho * sigma  # i-direction (normal) coordinates
-    radii = np.linalg.norm(x, axis=1)
-    if subtract_leading:
-        model = x / radii[:, None] ** 3  # the r^-3 (i x) leading term
-        coeff = np.dot(w[-1], model[-1]) / np.dot(model[-1], model[-1])
-        w = w - coeff * model
-    norms = np.linalg.norm(w, axis=1)
+    # a huge r gives inf or nan, which fit_decay reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.sqrt(1.0 / np.array(a.a) + r[:, None] ** 2)
+        x = np.cos(phases) * rho * sigma  # footpoints in the plane, real coordinates
+        w = np.sin(phases) * rho * sigma  # i-direction (normal) coordinates
+        radii = np.linalg.norm(x, axis=1)
+        if subtract_leading:
+            model = x / radii[:, None] ** 3  # the r^-3 (i x) leading term
+            coeff = np.dot(w[-1], model[-1]) / np.dot(model[-1], model[-1])
+            w = w - coeff * model
+        norms = np.linalg.norm(w, axis=1)
     return [float(v) for v in radii[:-1]], [float(v) for v in norms[:-1]]
 
 

@@ -5,8 +5,9 @@ kernel decomposes into an F branch (lambda(lambda+1) an eigenvalue), an H
 branch ((lambda+2)(lambda+1) an eigenvalue) and, exactly at lambda = -1, the
 harmonic 1-forms of the link.  Every root coming from an integer eigenvalue
 delta has the exact form (p + s * sqrt(1 + 4 delta)) / 2 with p in {-1, -3},
-so cross-branch merging is decided by exact integer square-root tests; float
-spectra fall back to a 1e-9 tolerance.
+so cross-branch merging is decided by exact integer square-root tests.  One
+rule, :func:`_same_rate`, decides when two rates coincide: equal exact keys,
+else (a float spectrum or rate) values within MERGE_TOL = 1e-9.
 
 Kernel data has one type, :class:`KernelTable`, built once per kernel source
 (a cone's spectrum, a user d-table, or the union of a cone's components) over
@@ -71,28 +72,27 @@ class SLConeSpec:
 
     @cached_property
     def kernel_table(self) -> KernelTable:
-        """Every indicial root on the rates the spectrum determines, built once."""
+        """Every indicial root on the rates the spectrum determines, built once.
+        The first entry is eigenvalue 0 by decree (as in ``__post_init__``), and
+        its two roots at -1 are skipped: -1 carries only harmonic 1-forms."""
         exact = self.spectrum.exact
         cov_lo, cov_hi = _rate_coverage(self.spectrum.cutoff)
-        found = []
-        for delta, m in self.spectrum.entries:
+        parts = []
+        for i, (delta, m) in enumerate(self.spectrum.entries):
+            delta = delta if i else 0
             dval = float(delta)
-            disc = 1.0 + 4.0 * dval
+            root = math.sqrt(1.0 + 4.0 * dval)
             for p, branch in ((-1, F_BRANCH), (-3, H_BRANCH)):
                 for s in (+1, -1):
-                    lam = (p + s * math.sqrt(disc)) / 2.0
-                    if abs(lam + 1.0) < 1e-12:
-                        continue  # lambda = -1 carries only harmonic 1-forms
-                    key = _root_key(p, s, delta) if exact else ("V", lam)
-                    value = _key_value(key)
-                    if cov_lo <= value <= cov_hi:
-                        branches = (BranchContribution(branch, dval, m),)
-                        found.append(IndicialRoot(value, branches, m, _key_exact(key), key))
+                    if not i and p + s == -2:
+                        continue  # eigenvalue 0's two roots at -1
+                    key = _root_key(p, s, delta) if exact else ("V", (p + s * root) / 2.0)
+                    if cov_lo <= _key_value(key) <= cov_hi:
+                        parts.append((key, m, (BranchContribution(branch, dval, m),)))
         if self.topology.b1 > 0 and cov_lo <= -1.0 <= cov_hi:
-            key = ("Q", Fraction(-1)) if exact else ("V", -1.0)
             harmonic = BranchContribution(HARMONIC_ONE_FORM, 0.0, self.topology.b1)
-            found.append(_root(key, self.topology.b1, (harmonic,)))
-        return KernelTable(Window(cov_lo, cov_hi), merge_roots(found))
+            parts.append((_rate_key(-1 if exact else -1.0), self.topology.b1, (harmonic,)))
+        return KernelTable(Window(cov_lo, cov_hi), merge_roots(parts))
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,11 @@ def _root_key(p: int, s: int, delta) -> tuple:
     return ("I", p, s, disc)
 
 
+def _rate_key(rate: Rate) -> tuple:
+    """The key of a rate given as a number: exact for an int or Fraction."""
+    return ("Q", Fraction(rate)) if _is_exact(rate) else ("V", float(rate))
+
+
 def _key_value(key) -> float:
     if key[0] == "V":
         return key[1]
@@ -150,10 +155,6 @@ def _key_value(key) -> float:
         return float(key[1])
     _, p, s, disc = key
     return (p + s * math.sqrt(disc)) / 2.0
-
-
-def _key_exact(key) -> Fraction | None:
-    return key[1] if key[0] == "Q" else None
 
 
 def _key_jacobi_partner(key) -> tuple:
@@ -194,10 +195,6 @@ class IndicialRoot:
         }
 
 
-def _root(key: tuple, dimension: int, branches: tuple = ()) -> IndicialRoot:
-    return IndicialRoot(_key_value(key), branches, dimension, _key_exact(key), key)
-
-
 _value = attrgetter("value")
 
 
@@ -212,13 +209,7 @@ class KernelTable:
     @classmethod
     def from_rows(cls, coverage: Window, rows: Iterable[tuple[Rate, int]]) -> KernelTable:
         """(rate, dimension) rows as a table on ``coverage``, duplicate rates summed."""
-        return cls(
-            coverage,
-            merge_roots(
-                _root(("Q", Fraction(lam)) if _is_exact(lam) else ("V", float(lam)), d)
-                for lam, d in rows
-            ),
-        )
+        return cls(coverage, merge_roots((_rate_key(lam), d, ()) for lam, d in rows))
 
     @classmethod
     def union(cls, tables: list[KernelTable]) -> KernelTable:
@@ -229,7 +220,9 @@ class KernelTable:
         hi = min(t.rate_coverage()[1] for t in tables)
         if lo > hi:
             raise CutoffExceeded("the components' kernel data share no covered rate")
-        return cls(Window(lo, hi), merge_roots(r for t in tables for r in t.between(lo, hi)))
+        roots = [r for t in tables for r in t.between(lo, hi)]
+        parts = [(r.key, r.total_dimension, r.branch_contributions) for r in roots]
+        return cls(Window(lo, hi), merge_roots(parts))
 
     @cached_property
     def _coverage(self) -> tuple[float, float]:
@@ -241,7 +234,7 @@ class KernelTable:
 
     def _check_covered(self, lo: float, hi: float) -> None:
         cov_lo, cov_hi = self._coverage
-        if lo < cov_lo or hi > cov_hi:
+        if not (cov_lo <= lo and hi <= cov_hi):  # a NaN rate is not covered
             raise CutoffExceeded(
                 f"kernel data only covers [{cov_lo:g}, {cov_hi:g}], asked for "
                 f"[{lo:g}, {hi:g}]"
@@ -252,10 +245,21 @@ class KernelTable:
         roots = self.roots
         return roots[bisect_left(roots, lo, key=_value) : bisect_right(roots, hi, key=_value)]
 
+    def at(self, rate: Rate) -> tuple[IndicialRoot, ...]:
+        """The roots at ``rate`` (see _same_rate), from a +-2 MERGE_TOL slice
+        so that rounding of the slice bounds drops none."""
+        key = _rate_key(rate)
+        value = _key_value(key)
+        self._check_covered(value, value)
+        near = self.between(value - 2 * MERGE_TOL, value + 2 * MERGE_TOL)
+        return tuple(r for r in near if _same_rate(r.value, r.key, value, key))
+
     def _inside(self, window: Window):
         lo, hi = float(window.lo), float(window.hi)
         self._check_covered(lo, hi)
-        return (r for r in self.between(lo, hi) if window.contains(r.value, r.exact))
+        roots = self.between(lo, hi)
+        # only a root on a bound's float value can lie on either side of it
+        return (r for r in roots if lo < r.value < hi or window.contains(r.value, r.exact))
 
     def restrict(self, window: Window) -> KernelTable:
         """The roots inside ``window``, as a table complete on it."""
@@ -268,10 +272,7 @@ class KernelTable:
         return sum(r.total_dimension for r in self._inside(window))
 
     def d_at(self, lam: Rate) -> int:
-        value, exact = float(lam), Fraction(lam) if _is_exact(lam) else None
-        self._check_covered(value, value)
-        near = self.between(value - MERGE_TOL, value + MERGE_TOL)
-        return sum(r.total_dimension for r in near if _same_rate(r.value, r.exact, value, exact))
+        return sum(r.total_dimension for r in self.at(lam))
 
     def total_dimension(self) -> int:
         return sum(r.total_dimension for r in self.roots)
@@ -290,18 +291,19 @@ def _rate_coverage(cutoff: float) -> tuple[float, float]:
     return ((-1.0 - root) / 2.0, (-3.0 + root) / 2.0)
 
 
-def _same_rate(value: float, exact, other_value: float, other_exact) -> bool:
-    """Equal exact identities, or (either missing) values within MERGE_TOL."""
-    if exact is not None and other_exact is not None:
-        return exact == other_exact
+def _same_rate(value: float, key: tuple, other_value: float, other_key: tuple) -> bool:
+    """The one rule for when two rates coincide: equal keys when both are
+    exact, else (either a float "V" key) values within MERGE_TOL."""
+    if key[0] != "V" and other_key[0] != "V":
+        return key == other_key
     return abs(value - other_value) <= MERGE_TOL
 
 
-def _merge_rates(entries) -> list[list]:
-    """Group (rate, exact identity or None, item) entries by rate in one sorted pass.
+def _merge_rates(entries: list[tuple]) -> list[list[tuple]]:
+    """Group (value, key, ...) entries by rate (see _same_rate) in one sorted pass.
 
-    Returns the items of each rate, rates in increasing order, items in input
-    order (so the first item is the earliest entry of its rate).
+    Returns the entries of each rate, rates in increasing order, entries in
+    input order (so the first is the earliest entry of its rate).
     """
     order = sorted(range(len(entries)), key=lambda i: entries[i][0])
     groups: list[list[int]] = []
@@ -310,19 +312,21 @@ def _merge_rates(entries) -> list[list]:
             groups[-1].append(i)
         else:
             groups.append([i])
-    return [[entries[i][2] for i in sorted(group)] for group in groups]
+    return [[entries[i] for i in sorted(group)] for group in groups]
 
 
-def merge_roots(roots: Iterable[IndicialRoot]) -> tuple[IndicialRoot, ...]:
-    """One root per rate (equal exact keys, else within MERGE_TOL), in
-    increasing rate, none of dimension 0: the F/H branches of a spectrum,
-    duplicate table rows and several components all merge here."""
+def merge_roots(parts: Iterable[tuple]) -> tuple[IndicialRoot, ...]:
+    """The roots of (key, dimension, branches) parts, one per rate (see
+    _same_rate), in increasing rate, none of dimension 0: the F/H branches of
+    a spectrum, duplicate table rows and several components all merge here."""
     merged = []
-    for group in _merge_rates([(r.value, None if r.key[0] == "V" else r.key, r) for r in roots]):
-        first, dim = group[0], sum(r.total_dimension for r in group)
+    for group in _merge_rates([(_key_value(part[0]), *part) for part in parts]):
+        value, key = group[0][:2]
+        dim = sum(g[2] for g in group)
         if dim > 0:
-            branches = tuple(c for r in group for c in r.branch_contributions)
-            merged.append(IndicialRoot(first.value, branches, dim, first.exact, first.key))
+            branches = tuple(c for g in group for c in g[3])
+            exact = key[1] if key[0] == "Q" else None
+            merged.append(IndicialRoot(value, branches, dim, exact, key))
     return tuple(merged)
 
 
@@ -367,8 +371,9 @@ def table_symmetry(table: KernelTable) -> bool:
 
 def symmetry_check(cone: SLConeSpec, window: Window) -> bool:
     """Verify d_lambda = d_(-2-lambda) for every root in a window symmetric about -1."""
-    mid = (float(window.lo) + float(window.hi)) / 2.0
-    if abs(mid + 1.0) > 1e-12 or window.include_lo != window.include_hi:
+    mirror = -2 - window.lo  # exact when lo is
+    same = _same_rate(float(window.hi), _rate_key(window.hi), float(mirror), _rate_key(mirror))
+    if not same or window.include_lo != window.include_hi:
         raise ValueError("window must be symmetric about -1")
     return table_symmetry(indicial_roots(cone, window))
 
@@ -404,27 +409,29 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
     reps = []
     for r in indicial_roots(cone, window).roots:
         key = r.key if r.value >= -0.5 else _key_jacobi_partner(r.key)
-        reps.append((_key_value(key), None if key[0] == "V" else key, (key, r)))
+        reps.append((_key_value(key), key, r))
     entries = []
     unpaired = []
     for group in _merge_rates(reps):
-        rep = group[0][0]
-        rep_val = _key_value(rep)
-        keys = (rep,) if abs(rep_val + 0.5) < 1e-15 else (_key_jacobi_partner(rep), rep)
-        if not all(cov_lo <= _key_value(k) <= cov_hi for k in keys):
+        rep_val, rep = group[0][:2]
+        partner = _key_jacobi_partner(rep)
+        rates = [(_key_value(partner), partner), (rep_val, rep)]
+        if _same_rate(*rates[0], *rates[1]):  # rep = -1/2 is its own partner
+            del rates[0]
+        if not all(cov_lo <= v <= cov_hi for v, _ in rates):
             unpaired += [
                 (r.value, r.total_dimension, _key_value(_key_jacobi_partner(r.key)))
-                for _, r in group
+                for *_, r in group
             ]
             continue
         entries.append(
             JacobiEigenvalue(
                 eigenvalue=rep_val * rep_val + rep_val - 2.0,
-                multiplicity=sum(table.d_at(k[1] if k[0] == "Q" else _key_value(k)) for k in keys),
+                multiplicity=sum(table.d_at(k[1] if k[0] == "Q" else v) for v, k in rates),
                 contributing_rates=tuple(
-                    _key_value(k)
-                    for k in keys
-                    if any(abs(r.value - _key_value(k)) <= MERGE_TOL for _, r in group)
+                    v
+                    for v, k in rates
+                    if any(_same_rate(r.value, r.key, v, k) for *_, r in group)
                 ),
                 representative=rep_val,
             )

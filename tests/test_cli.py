@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -464,6 +465,19 @@ def test_mesh_size_budget_on_off_files(monkeypatch, tmp_path):
     assert "--off" in body["message"] and "MAX_MESH_VERTICES = 11" in body["message"]
 
 
+def test_jacobi_counts_a_self_partnered_float_root_once():
+    # the float root -1/2 + 1.25e-12 is its own Jacobi partner (within MERGE_TOL):
+    # one root of dimension 2 gives multiplicity 2, not 4
+    code, out = run(["indicial", "--cone", "torus:400000000000/300000000001,0,1",
+                     "--window", "(-1:0)", "--jacobi", "--cutoff", "6"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert {"lambda": -0.4999999999987501, "dimension": 2} in result["roots"]
+    (entry,) = [e for e in result["jacobi"]["entries"] if e["eigenvalue"] == -2.25]
+    assert entry["multiplicity"] == 2
+    assert entry["contributing_rates"] == [-0.4999999999987501]
+
+
 def test_overflowing_profile_is_quiet_on_stderr():
     # the squares overflow to inf: exit 3 with the JSON body, and no numpy warning
     src = str(Path(cone_spectra.__file__).resolve().parents[1])
@@ -590,6 +604,35 @@ CONFIG_ENTRIES = st.builds(
 ) | st.sampled_from(["# comment", "", "no value", "=", " = 3"])
 
 
+# numeric flags at the edge of float range, and decay radii deep inside the
+# Lawlor neck (all footpoint radii ~ 1/sqrt(a)), with the exit code of each
+EDGE_ARGV = {
+    ("hl", "xi-relation", "--r", "1e200"): EXIT_NUMERICAL,
+    ("lawlor", "profile", "--a", "1,1,1", "--y-min", "nan"): EXIT_VALIDATION,
+    ("lawlor", "decay", "--a", "1,2,3", "--r-min", "-1"): EXIT_VALIDATION,
+    ("lawlor", "decay", "--a", "1,2,3", "--r-max", "inf"): EXIT_VALIDATION,
+    ("lawlor", "decay", "--a", "1,2,3", "--r-min", "1e200", "--r-max", "1e201"): EXIT_NUMERICAL,
+    ("lawlor", "decay", "--a", "1,2,3", "--r-min", "1e103", "--r-max", "1e104",
+     "--subtract"): EXIT_NUMERICAL,
+    ("lawlor", "angles", "--a", "1e-300,1,1"): EXIT_VALIDATION,
+    ("lawlor", "angles", "--a", "1e300,1e300,1e300"): EXIT_VALIDATION,
+    ("lawlor", "decay", "--a", "1,2,3", "--r-min", "1e-300", "--r-max", "1e-299"): EXIT_NUMERICAL,
+    ("lawlor", "decay", "--a", "1,2,3", "--r-min", "1e-16", "--r-max", "1e-15"): EXIT_NUMERICAL,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EDGE_ARGV))
+def test_numeric_flags_at_float_range_edges(argv):
+    # each ends in its exit code with a JSON body, and without any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(list(argv))
+    assert code == EDGE_ARGV[argv], out
+    body = json.loads(out)
+    if code == EXIT_NUMERICAL and argv[1] == "decay":
+        assert body["error"] == "FitUnstable"
+
+
 # numeric model flags with values outside their domains
 MODEL_ARGV = st.one_of(
     st.builds(lambda b: ["hl", "decay", "--branch", str(b)],
@@ -600,6 +643,7 @@ MODEL_ARGV = st.one_of(
     st.builds(lambda scale: ["lawlor", "solve", "--theta", "0.9,1.1,1.1415926535897931",
                              "--scale", scale],
               st.sampled_from(["-1", "0", "1e-10", "1", "1e300", "inf", "nan"])),
+    st.sampled_from(sorted(EDGE_ARGV)).map(list),
 )
 
 
@@ -611,8 +655,8 @@ def _case(draw):
         return draw(_argv()), {}
     if kind == "batch":
         return draw(_batch_argv()), {}
-    if kind == "model":
-        return draw(MODEL_ARGV), {}
+    if kind == "model":  # no warning of any kind may escape these
+        return draw(MODEL_ARGV), {}, "strict"
     if kind == "table":
         argv = draw(st.sampled_from([
             ["stability", "--cone", TABLE_CONE],
@@ -633,11 +677,14 @@ def _reject_constant(name):
 @given(_case())
 def test_cli_contract_property(tmp_path_factory, case):
     # every input ends in a documented exit code with strictly valid JSON
-    argv, files = case
+    argv, files, *strict = case
     work = tmp_path_factory.mktemp("contract")
     for name, text in files.items():
         (work / name).write_text(text, encoding="utf-8")
     argv = [tok.replace("{dir}", str(work)) for tok in argv]
-    code, out = run(argv)
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error")
+        code, out = run(argv)
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_USAGE), (argv, files, out)
     json.loads(out, parse_constant=_reject_constant)

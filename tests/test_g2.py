@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ def _phi_oracle():
         for pos in itertools.permutations(range(3)):
             phi[base[pos[0]], base[pos[1]], base[pos[2]]] = s * _levi_civita_sign(pos)
     return phi
+
+
+@cache
+def _perm7():
+    """The permutations of range(7) as rows, with their signs, from itertools."""
+    perms = np.array(list(itertools.permutations(range(7))), dtype=np.intp)
+    return perms, np.array([_levi_civita_sign(p) for p in perms], dtype=np.float64)
 
 
 def _psi_oracle(phi):
@@ -119,9 +127,8 @@ def test_tables_match_loop_builds():
         psi[i, j, k, :] = g2.associator(E[i], E[j], E[k])
     assert np.array_equal(g2.PSI, psi)
     assert np.array_equal(g2.PHI, _phi_oracle())
-    perms = np.array(list(itertools.permutations(range(7))), dtype=np.intp)
-    signs = np.array([_levi_civita_sign(p) for p in perms], dtype=np.float64)
-    table, table_signs = g2._perm7()
+    perms, signs = _perm7()
+    table, table_signs = g2._permutations(7)
     assert np.array_equal(table, perms)
     assert np.array_equal(table_signs, signs)
 
@@ -233,15 +240,18 @@ def test_holomorphic_volume_against_complex_determinant():
 
 def test_wedge_tensor_is_six_psi():
     # sum of sign(p) PHI[p4, p5, p6] over the permutations starting (i, j, k, l)
-    # is 6 psi_ijkl, since psi = *phi
-    assert np.array_equal(g2._wedge_tensor().reshape(7, 7, 7, 7), 6.0 * g2.PSI)
+    # is 6 psi_ijkl, since psi = *phi: the table g2_identity_residual contracts
+    p, signs = _perm7()
+    w = np.zeros((7, 7, 7, 7))
+    np.add.at(w, tuple(p[:, :4].T), signs * g2.PHI[p[:, 4], p[:, 5], p[:, 6]])
+    assert np.array_equal(w, 6.0 * g2.PSI)
 
 
 def _identity_residual_by_gather(u, v):
     """The residual from the 5,040-row permutation gather (the reference)."""
     a = np.einsum("ijk,i->jk", g2.PHI, u)
     b = np.einsum("ijk,i->jk", g2.PHI, v)
-    p, signs = g2._perm7()
+    p, signs = _perm7()
     terms = a[p[:, 0], p[:, 1]] * b[p[:, 2], p[:, 3]] * g2.PHI[p[:, 4], p[:, 5], p[:, 6]]
     return float(np.dot(signs, terms)) / 24.0 - 6.0 * float(np.dot(u, v))
 

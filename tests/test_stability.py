@@ -16,7 +16,6 @@ from cone_spectra.errors import (
 )
 from cone_spectra.fredholm import (
     AC,
-    WALL_TOL,
     EndSpec,
     OperatorSpec,
     chamber,
@@ -25,6 +24,7 @@ from cone_spectra.fredholm import (
     with_rates,
 )
 from cone_spectra.indicial import (
+    MERGE_TOL,
     SLConeSpec,
     Window,
     d_lambda,
@@ -34,7 +34,7 @@ from cone_spectra.indicial import (
     symmetry_check,
 )
 from cone_spectra.presets import hl_cone, plane_cone, plane_pair_cone, torus_cone
-from cone_spectra.spectra import LinkTopology, TorusMetric
+from cone_spectra.spectra import LinkTopology, Spectrum, TorusMetric
 from cone_spectra.stability import (
     ConeComponent,
     ConeData,
@@ -221,7 +221,8 @@ def _oracle_sum(component, window):
     source = component.kernel_source
     if isinstance(source, SLConeSpec):
         candidates = {Fraction(-1)}
-        for delta, _ in source.spectrum.entries:
+        for i, (delta, _) in enumerate(source.spectrum.entries):
+            delta = delta if i else 0  # the first entry is eigenvalue 0 by decree
             disc = 1 + 4 * delta
             root = math.isqrt(disc) if isinstance(delta, int) else None
             for p in (-1, -3):
@@ -267,6 +268,11 @@ DIFFERENTIAL_CONES = {
     "table": ConeData((ConeComponent(TABLE),)),
     "hl+table": ConeData((HL.components[0], ConeComponent(TABLE))),
 }
+# float links whose zero eigenvalue carries noise, as a mesh spectrum's does
+for _zero in (1e-10, 1e-7):
+    DIFFERENTIAL_CONES[f"noisy-zero-{_zero:g}"] = ConeData((ConeComponent(SLConeSpec(
+        Spectrum(((_zero, 1), (2.0, 6)), 6.0, False), LinkTopology(1, 2, (1,))
+    )),))
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONES))
@@ -298,7 +304,7 @@ def _scanned_chamber(values, coverage, rate, span):
     class an end at ``rate`` raises."""
     if not coverage[0] <= rate <= coverage[1]:
         return CutoffExceeded
-    if any(abs(v - rate) <= WALL_TOL for v in values):
+    if any(abs(v - rate) <= MERGE_TOL for v in values):
         return RateOnWall
     lo = max([rate - span, coverage[0]] + [v for v in values if v < rate])
     hi = min([rate + span, coverage[1]] + [v for v in values if v > rate])
@@ -338,6 +344,31 @@ def test_wall_and_chamber_lookups_match_a_scan(name):
             if ends & {cov_lo, cov_hi}:
                 clipped_by.add("coverage")
     assert clipped_by == {"root", "span", "coverage"}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONES))
+def test_window_sums_match_a_contains_scan(name):
+    table = DIFFERENTIAL_CONES[name].kernel_table
+    cov_lo, cov_hi = table.rate_coverage()
+    rng = random.Random(f"windows-{name}")
+    # endpoints on roots (as floats and as exact rates), exact rationals and floats
+    ends = [r.value for r in table.roots] + [r.exact for r in table.roots if r.exact is not None]
+    ends += [Fraction(rng.randint(-30, 30), rng.choice((2, 3, 4, 7))) for _ in range(30)]
+    ends += [rng.uniform(cov_lo, cov_hi) for _ in range(30)]
+    ends = [e for e in ends if cov_lo <= e <= cov_hi]
+    for _ in range(300):
+        lo, hi = sorted(rng.sample(ends, 2), key=float)
+        window = Window(lo, hi, include_lo=rng.random() < 0.5, include_hi=rng.random() < 0.5)
+        inside = [r for r in table.roots if window.contains(r.value, r.exact)]
+        assert table.roots_in(window) == [(r.value, r.total_dimension) for r in inside], window
+        assert table.d_sum(window) == sum(r.total_dimension for r in inside), window
+
+
+def test_nan_rate_is_not_covered():
+    with pytest.raises(CutoffExceeded):
+        HL.d_at(float("nan"))
+    with pytest.raises(CutoffExceeded):
+        HL.kernel_table.at(float("nan"))
 
 
 def test_components_without_common_coverage():
