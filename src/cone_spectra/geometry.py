@@ -35,7 +35,7 @@ import numpy as np
 
 from . import g2
 from .errors import DegenerateAngles, FitUnstable, NoConvergence, QuadratureFailure
-from .quadrature import carlson_rj
+from .quadrature import carlson_rj_sq
 
 SUM_TOL = 1e-9
 
@@ -81,25 +81,26 @@ def lawlor_P(x, a: LawlorParams):
     return out if out.shape else float(out)
 
 
-def lawlor_tails(y, a: LawlorParams) -> np.ndarray:
+def lawlor_tails(y, a: LawlorParams | np.ndarray) -> np.ndarray:
     """Tail angles a_k Integral_y^inf dx / ((1 + a_k x^2) sqrt(P(x))) for y >= 0.
 
     With s = x^2 and s_1, s_2 the roots of e3 s^2 + e2 s + e1 (both negative,
     or a conjugate pair), the tail is R_J(Y, Y - s_1, Y - s_2, Y + 1/a_k) /
-    (3 sqrt(e3)) with Y = y^2.  Vectorised: the result has shape y.shape + (3,).
+    (3 sqrt(e3)) with Y = y^2.  ``a`` is a LawlorParams or parameter rows
+    (..., 3), broadcast against y[..., None]; one neck gives y.shape + (3,).
     """
-    e1, e2, e3 = a.elementary_symmetric()
-    disc = e2 * e2 - 4.0 * e1 * e3
-    if disc < 0.0:
-        s1 = complex(-e2, math.sqrt(-disc)) / (2.0 * e3)
-        s2 = s1.conjugate()
-    else:
-        q = -(e2 + math.sqrt(disc)) / 2.0  # no cancellation: e2 > 0
-        s1, s2 = q / e3, e1 / q
-    # a huge y, or an a near the ends of float range, gives inf or nan, which callers report
-    with np.errstate(over="ignore", invalid="ignore"):
+    a = np.array(a.a if isinstance(a, LawlorParams) else a)
+    a1, a2, a3 = a[..., :1], a[..., 1:2], a[..., 2:]
+    with np.errstate(all="ignore"):  # a huge y or an extreme a gives inf or nan: callers report it
         Y = np.asarray(y, dtype=float)[..., None] ** 2
-        return carlson_rj(Y, Y - s1, Y - s2, Y + 1.0 / np.array(a.a)) / (3.0 * math.sqrt(e3))
+        e1, e2, e3 = a1 + a2 + a3, a1 * a2 + a1 * a3 + a2 * a3, a1 * a2 * a3
+        # R_J has degree -3/2: k = 4^-j (exact) near 1/sqrt(largest * smallest argument)
+        u, v = e2 / e3, e1 / e3
+        big, small = Y + u + 1.0 / a, Y + np.minimum(e1 / e2, 1.0 / a)
+        j = (np.frexp(big)[1] + np.frexp(small)[1]) // 4
+        x, k = np.ldexp(Y, -2 * j), np.ldexp(1.0, -2 * j)
+        rj = carlson_rj_sq(x, 2.0 * x + u * k, x * (x + u * k) + v * k * k, x + k / a)
+        return np.ldexp(rj, -3 * j) / (3.0 * np.sqrt(e3))
 
 
 def lawlor_angles(a: LawlorParams) -> LawlorAngles:
@@ -115,8 +116,9 @@ def lawlor_theta_at(y, a: LawlorParams) -> np.ndarray:
     """theta_k(y), shape y.shape + (3,): tail(|y|) for y <= 0, the total
     angle minus tail(y) for y > 0 (the integrand is even)."""
     y = np.asarray(y, dtype=float)
-    tails = lawlor_tails(np.abs(y), a)
-    return np.where(y[..., None] > 0.0, 2.0 * lawlor_tails(0.0, a) - tails, tails)
+    tails = lawlor_tails(np.append(np.abs(y), 0.0), a)  # tail(0) is half the total angle
+    total, tails = 2.0 * tails[-1], tails[:-1].reshape(y.shape + (3,))
+    return np.where(y[..., None] > 0.0, total - tails, tails)
 
 
 def lawlor_theta_prime(y, a: LawlorParams) -> np.ndarray:
@@ -137,7 +139,8 @@ def lawlor_solve(
     Damped Newton iteration on (log a_1, log a_2) with a finite-difference
     Jacobian, stopped once both angle residuals are below ``tol``; a_3 is
     eliminated through sqrt(a_1 a_2 a_3) = 4 pi / (3 A), so the A-relation
-    holds exactly by construction.
+    holds exactly by construction.  A trial point and its four-point stencil
+    are one R_J call, so an accepted step costs one call.
     """
     if not A > 0:
         raise ValueError("A must be positive")
@@ -146,28 +149,24 @@ def lawlor_solve(
     kappa = 4.0 * math.pi / (3.0 * A)  # sqrt(a1 a2 a3)
     if not (math.isfinite(kappa * kappa) and kappa * kappa > 0):
         raise ValueError(f"A = {A!r} puts a1 a2 a3 = (4 pi / 3A)^2 out of float range")
-    t1, t2 = target.theta[0], target.theta[1]
 
     def params(u):
         a1, a2 = math.exp(u[0]), math.exp(u[1])
         return LawlorParams((a1, a2, kappa * kappa / (a1 * a2)))
 
-    def residual(u):
-        theta = 2.0 * lawlor_tails(0.0, params(u))
-        return np.array([theta[0] - t1, theta[1] - t2])
+    step_h = 1e-5
+    stencil = np.array([[0.0, 0.0], [step_h, 0.0], [-step_h, 0.0], [0.0, step_h], [0.0, -step_h]])
+
+    def evaluate(u):  # the residual at u and its central-difference Jacobian
+        rows = np.array([params(v).a for v in u + stencil])
+        res = 2.0 * lawlor_tails(0.0, rows)[:, :2] - target.theta[:2]
+        return res[0], np.column_stack([res[1] - res[2], res[3] - res[4]]) / (2.0 * step_h)
 
     u = np.log([kappa ** (2.0 / 3.0)] * 2)
-    res = residual(u)
-    step_h = 1e-5
+    res, jac = evaluate(u)
     for _ in range(max_iter):
         if float(np.max(np.abs(res))) < tol:
             return params(u)
-        jac = np.empty((2, 2))
-        for j in range(2):
-            up, um = u.copy(), u.copy()
-            up[j] += step_h
-            um[j] -= step_h
-            jac[:, j] = (residual(up) - residual(um)) / (2.0 * step_h)
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -178,9 +177,9 @@ def lawlor_solve(
         scale = 1.0
         for _ in range(30):
             u_new = u + scale * delta
-            res_new = residual(u_new)
+            res_new, jac_new = evaluate(u_new)
             if np.linalg.norm(res_new) < np.linalg.norm(res):
-                u, res = u_new, res_new
+                u, res, jac = u_new, res_new, jac_new
                 break
             scale *= 0.5
         else:
@@ -228,14 +227,16 @@ def lawlor_embed(y, sigma, a: LawlorParams) -> SurfaceSample:
         raise ValueError("sigma must be a unit 3-vector")
     yy = y[..., None]
     rho = np.sqrt(1.0 / np.array(a.a) + yy * yy)
-    turn = np.exp(1j * lawlor_theta_at(y, a))
+    # theta(+inf) is the total angle, so one R_J call serves the turn and the foot
+    theta = lawlor_theta_at(np.append(y, np.inf), a)
+    turn = np.exp(1j * theta[:-1].reshape(y.shape + (3,)))
     z = turn * rho
     dz = turn * (1j * lawlor_theta_prime(y, a) * rho + yy / rho)
     tau1, tau2 = _orthocomplement(sigma)
     point = z * sigma
     frames = g2.from_c3(np.stack([dz * sigma, z * tau1, z * tau2], axis=-2))
     # the foot on Pi_0 below the waist, on Pi_theta above it
-    phases = np.exp(1j * (2.0 * lawlor_tails(0.0, a)))
+    phases = np.exp(1j * theta[-1])
     foot = np.where(yy <= 0, point.real, phases * (np.conj(phases) * point).real)
     return SurfaceSample(g2.from_c3(point), frames, g2.from_c3(foot))
 

@@ -331,7 +331,7 @@ def merge_roots(parts: Iterable[tuple]) -> tuple[IndicialRoot, ...]:
 
 
 def d_lambda(cone: SLConeSpec, lam: Rate) -> int:
-    """dim V_lambda: b1 at lambda = -1, else mult(l(l+1)) + mult((l+2)(l+1))."""
+    """dim V_lambda: b1 at -1 (floats within MERGE_TOL), else mult(l(l+1)) + mult((l+2)(l+1))."""
     exact = _is_exact(lam)
     if exact:
         lam = Fraction(lam)
@@ -340,7 +340,7 @@ def d_lambda(cone: SLConeSpec, lam: Rate) -> int:
         targets = [lam * (lam + 1), (lam + 2) * (lam + 1)]
     else:
         lam = float(lam)
-        if lam == -1.0:
+        if abs(lam + 1.0) <= MERGE_TOL:  # the tables' rule for a float rate
             return cone.topology.b1
         targets = [lam * (lam + 1.0), (lam + 2.0) * (lam + 1.0)]
     total = 0

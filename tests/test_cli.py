@@ -616,6 +616,10 @@ EDGE_ARGV = {
      "--subtract"): EXIT_NUMERICAL,
     ("lawlor", "angles", "--a", "1e-300,1,1"): EXIT_VALIDATION,
     ("lawlor", "angles", "--a", "1e300,1e300,1e300"): EXIT_VALIDATION,
+    # e3 = a1 a2 a3 underflows to 0 or overflows to inf: nan angles, in bounded time
+    ("lawlor", "angles", "--a", "1e-200,1e-200,1e-200"): EXIT_VALIDATION,
+    ("lawlor", "angles", "--a", "1e120,1e120,1e120"): EXIT_VALIDATION,
+    ("lawlor", "verify", "--a", "1e120,1e120,1e120", "--samples", "20"): EXIT_NUMERICAL,
     ("lawlor", "decay", "--a", "1,2,3", "--r-min", "1e-300", "--r-max", "1e-299"): EXIT_NUMERICAL,
     ("lawlor", "decay", "--a", "1,2,3", "--r-min", "1e-16", "--r-max", "1e-15"): EXIT_NUMERICAL,
 }

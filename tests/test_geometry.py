@@ -124,15 +124,21 @@ def test_lawlor_solve_respects_scale_constraint():
     assert abs(solved.conformal_scale() - 1.0) < 1e-12
 
 
-def test_lawlor_solve_honours_tol(monkeypatch):
+def _count_rj_calls(monkeypatch) -> list:
+    """Record one entry per R_J evaluation the geometry layer makes."""
     calls = []
-    tails = geometry.lawlor_tails
+    rj = geometry.carlson_rj_sq
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return tails(*args, **kwargs)
+        return rj(*args)
 
-    monkeypatch.setattr(geometry, "lawlor_tails", counted)
+    monkeypatch.setattr(geometry, "carlson_rj_sq", counted)
+    return calls
+
+
+def test_lawlor_solve_honours_tol(monkeypatch):
+    calls = _count_rj_calls(monkeypatch)
     target = LawlorAngles((0.9, 1.1, math.pi - 2.0))
     solved = {}
     evaluations = {}
@@ -144,6 +150,74 @@ def test_lawlor_solve_honours_tol(monkeypatch):
     theta = lawlor_angles(solved[1e-2]).theta
     assert max(abs(theta[k] - target.theta[k]) for k in range(2)) < 1e-2
     assert solved[1e-2].a != solved[1e-10].a
+
+
+def _one_residual_solve(target, A, tol=1e-10, max_iter=100):
+    """The damped Newton solve with one tails evaluation per residual (the
+    Jacobian's stencil point by point), counting its steps and halvings.
+    Returns (params, steps, halvings), or (NoConvergence, steps, halvings)."""
+    kappa = 4.0 * math.pi / (3.0 * A)
+    t1, t2 = target.theta[0], target.theta[1]
+
+    def params(u):
+        a1, a2 = math.exp(u[0]), math.exp(u[1])
+        return LawlorParams((a1, a2, kappa * kappa / (a1 * a2)))
+
+    def residual(u):
+        theta = 2.0 * geometry.lawlor_tails(0.0, params(u))
+        return np.array([theta[0] - t1, theta[1] - t2])
+
+    u = np.log([kappa ** (2.0 / 3.0)] * 2)
+    res = residual(u)
+    step_h, steps, halvings = 1e-5, 0, 0
+    for _ in range(max_iter):
+        if float(np.max(np.abs(res))) < tol:
+            return params(u), steps, halvings
+        jac = np.empty((2, 2))
+        for j in range(2):
+            up, um = u.copy(), u.copy()
+            up[j] += step_h
+            um[j] -= step_h
+            jac[:, j] = (residual(up) - residual(um)) / (2.0 * step_h)
+        delta = np.linalg.solve(jac, -res)
+        scale = 1.0
+        for _ in range(30):
+            res_new = residual(u + scale * delta)
+            if np.linalg.norm(res_new) < np.linalg.norm(res):
+                u, res = u + scale * delta, res_new
+                steps += 1
+                break
+            scale *= 0.5
+            halvings += 1
+        else:
+            return NoConvergence, steps, halvings
+    return NoConvergence, steps, halvings
+
+
+def _seeded_solve_targets():
+    rng = np.random.default_rng(41)
+    targets = [(LawlorAngles((0.9, 1.1, math.pi - 2.0)), 1.0)]
+    # the closing angle of test_lawlor_solve_degenerate_target
+    targets.append((LawlorAngles((0.02, (math.pi - 0.02) / 2, (math.pi - 0.02) / 2)), 1.0))
+    for _ in range(8):
+        a = LawlorParams(tuple(np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3))))
+        targets.append((lawlor_angles(a), a.conformal_scale()))
+    return targets
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_lawlor_solve_matches_one_residual_solve(monkeypatch, case):
+    target, A = _seeded_solve_targets()[case]
+    expected, steps, halvings = _one_residual_solve(target, A)
+    calls = _count_rj_calls(monkeypatch)
+    if expected is NoConvergence:
+        with pytest.raises(NoConvergence):
+            lawlor_solve(target, A)
+        return
+    solved = lawlor_solve(target, A)
+    # one R_J call at the start and one per trial point, stencil included
+    assert 0 < len(calls) <= steps + halvings + 1
+    assert all(abs(x - y) <= 1e-12 * y for x, y in zip(solved.a, expected.a))
 
 
 def test_lawlor_solve_degenerate_target():

@@ -286,7 +286,9 @@ def test_root_table_matches_kernel_sources(name):
     rng = random.Random(len(name))
     between = [rng.uniform(lo, hi) for _ in range(60)]
     quarters = [Fraction(k, 4) for k in range(math.ceil(4 * lo), math.floor(4 * hi) + 1)]
-    for lam in [r for r, _ in roots] + between + quarters:
+    # float rates on either side of MERGE_TOL around -1, where d is b1 or nothing
+    near_minus_one = [-1.0 - 1e-10, -1.0 + 1e-10, -1.0 - 2e-9, -1.0 + 2e-9]
+    for lam in [r for r, _ in roots] + between + quarters + near_minus_one:
         assert cone.d_at(lam) == sum(_oracle_d(c, lam) for c in cone.components), lam
     for lam, d in roots:
         assert d == cone.d_at(lam) > 0
