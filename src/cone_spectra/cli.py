@@ -315,17 +315,17 @@ def _cmd_index(args) -> dict:
         name, _, rate = spec.rpartition(":")
         if not name:
             raise ValidationError(f"--end '{spec}' must look like PRESET:RATE")
-        ends.append(EndSpec(_resolve_cone_data(name, args.cutoff), float(rate)))
+        ends.append(EndSpec(_resolve_cone_data(name, args.cutoff), _parse_number(rate)))
     op = OperatorSpec(args.kind, tuple(ends))
     result = index_report(op)
     if args.cross:
         parts = args.cross.split(":")
         if len(parts) != 2:
             raise ValidationError("--cross must look like FROM:TO")
-        rate_from, rate_to = float(parts[0]), float(parts[1])
+        rate_from, rate_to = _parse_number(parts[0]), _parse_number(parts[1])
         result["wall_crossing"] = {
-            "from": rate_from,
-            "to": rate_to,
+            "from": float(rate_from),
+            "to": float(rate_to),
             "jump": wall_crossing(op, rate_from, rate_to),
             "crossed_roots": [
                 {"lambda": lam, "dimension": d}
@@ -422,16 +422,13 @@ def _cmd_hl(args) -> dict:
         out["link"] = {"max_omega": link.max_omega}
         return out
     if args.mode == "xi-relation":
-        import numpy as np
-
         if not (math.isfinite(args.r) and args.r > 0):
             raise ValidationError(f"--r must be a positive finite radius, got {args.r}")
-        with np.errstate(all="ignore"):  # r * r may leave float range: reported if non-finite
-            return {
-                "r_probe": args.r,
-                "residual": geometry.hl_xi_relation_residual(args.r, seed=args.seed, a=args.a),
-                "single_branch_deviation": geometry.hl_branch_deviation_magnitude(args.r, args.a),
-            }
+        return {
+            "r_probe": args.r,
+            "residual": geometry.hl_xi_relation_residual(args.r, seed=args.seed, a=args.a),
+            "single_branch_deviation": geometry.hl_branch_deviation_magnitude(args.r, args.a),
+        }
     if args.mode == "decay":
         branch = args.branch or 1
         radii, norms = geometry.hl_decay_table(branch=branch, a=args.a)

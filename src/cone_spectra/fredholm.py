@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .errors import CutoffExceeded, NonIntegerIndex, RateOnWall
-from .indicial import Window
+from .indicial import Rate, Window
 from .stability import ConeData, s_ind
 
 AC = "ac"
@@ -36,7 +36,7 @@ class EndSpec:
     """One conical end: its model cone and the weight rate used there."""
 
     cone: ConeData
-    rate: float
+    rate: Rate
 
     def __post_init__(self):
         _check_off_wall(self.cone, self.rate)
@@ -54,16 +54,16 @@ class OperatorSpec:
             raise ValueError("need at least one end")
 
 
-def _check_off_wall(cone: ConeData, rate: float) -> None:
+def _check_off_wall(cone: ConeData, rate: Rate) -> None:
     cov_lo, cov_hi = cone.rate_coverage()
     if not cov_lo <= rate <= cov_hi:
         raise CutoffExceeded(
-            f"rate {rate} outside the covered rate interval "
+            f"rate {float(rate)} outside the covered rate interval "
             f"[{cov_lo:g}, {cov_hi:g}]"
         )
     on_wall = cone.kernel_table.at(rate)
     if on_wall:
-        raise RateOnWall(f"rate {rate} lies on the indicial root {on_wall[0].value}")
+        raise RateOnWall(f"rate {float(rate)} lies on the indicial root {on_wall[0].value}")
 
 
 def _end_contribution(end: EndSpec) -> Fraction:
@@ -179,7 +179,7 @@ def index_report(op: OperatorSpec) -> dict:
         lo, hi = chamber(e.cone, e.rate)
         ends.append(
             {
-                "rate": e.rate,
+                "rate": float(e.rate),
                 "contribution_ac": str(contrib),
                 "chamber": [lo, hi],
                 "d_minus_one": e.cone.d_at(-1),

@@ -353,27 +353,21 @@ def _hl_cone_tangent_frame(alpha1, alpha2) -> np.ndarray:
     return np.stack(frame, axis=-2)
 
 
-def _hl_matched_branch_point(branch: int, r, alpha1, alpha2, a: float) -> np.ndarray:
-    """Branch point lying over the cone parameters (alpha1, alpha2).
-
-    L^k deviates from the cone in its k-th coordinate only; the branch's own
-    torus angles are the cyclic shift (alpha_k, alpha_{k+1}).
-    """
-    alphas = (alpha1, alpha2, -alpha1 - alpha2)
-    t1 = alphas[branch - 1]
-    t2 = alphas[branch % 3]
-    w, _ = _hl_raw(r, t1, t2, a)
-    return np.roll(w, branch - 1, axis=-1)
+def _hl_offset(r, a: float):
+    """sqrt(r^2 + a) - r as a / (sqrt(r^2 + a) + r): no cancellation, no r^2."""
+    h = np.hypot(r, math.sqrt(a))
+    return (a / h) / (1.0 + r / h)
 
 
 def hl_normal_deviation(branch: int, r, alpha1, alpha2, a: float = 1.0) -> np.ndarray:
     """Deviation of L^branch_a from its matched cone point, projected onto the
     cone's normal space: complex triples (..., 3), broadcast over r and the
-    angles."""
+    angles.  L^k leaves the cone only in its k-th coordinate, by
+    (sqrt(r^2 + a) - r) e^{i alpha_k}."""
     _check_hl(branch, a)
-    dev = _hl_matched_branch_point(branch, r, alpha1, alpha2, a) - hl_cone_point(
-        r, alpha1, alpha2
-    )
+    phases = _torus_phases(alpha1, alpha2)
+    offset = _hl_offset(np.asarray(r, dtype=float), a)[..., None]
+    dev = offset * phases * (np.arange(3) == branch - 1)
     frame = _hl_cone_tangent_frame(alpha1, alpha2)
     return dev - (_real_dot(dev[..., None, :], frame)[..., None] * frame).sum(axis=-2)
 
@@ -394,10 +388,7 @@ def hl_xi_relation_residual(
 def hl_branch_deviation_magnitude(r_probe: float, a: float = 1.0) -> float:
     """|Phi_k(r, .) - cone point| for one branch (= sqrt(r^2 + a) - r)."""
     _check_hl(1, a)
-    dev = _hl_matched_branch_point(1, r_probe, 0.3, 1.1, a) - hl_cone_point(
-        r_probe, 0.3, 1.1
-    )
-    return math.sqrt(_real_dot(dev, dev))
+    return float(_hl_offset(r_probe, a))
 
 
 def _radius_angle_draws(rng, n: int, r_range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

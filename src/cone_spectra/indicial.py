@@ -3,11 +3,14 @@
 For a special Lagrangian cone with link spectrum spec(Delta) the rate-lambda
 kernel decomposes into an F branch (lambda(lambda+1) an eigenvalue), an H
 branch ((lambda+2)(lambda+1) an eigenvalue) and, exactly at lambda = -1, the
-harmonic 1-forms of the link.  Every root coming from an integer eigenvalue
-delta has the exact form (p + s * sqrt(1 + 4 delta)) / 2 with p in {-1, -3},
-so cross-branch merging is decided by exact integer square-root tests.  One
-rule, :func:`_same_rate`, decides when two rates coincide: equal exact keys,
-else (a float spectrum or rate) values within MERGE_TOL = 1e-9.
+harmonic 1-forms of the link.  A root of an exact eigenvalue k/d (lowest
+terms) is (p + s sqrt(n) / d) / 2, p in {-1, -3}, s = +-1, n = d (d + 4k);
+its key is ("Q", Fraction) for a square n, else ("I", p, s, k, d).  Two
+irrational roots are equal only when their keys are (s1 sqrt(n1) / d1 -
+s2 sqrt(n2) / d2 in {0, +-2} forces equal radicands and signs), so one
+spectrum's need no merging.  One rule, :func:`_same_rate`, decides when two
+rates coincide: equal exact keys, else (float data, key "V") values within
+MERGE_TOL = 1e-9.
 
 Kernel data has one type, :class:`KernelTable`, built once per kernel source
 (a cone's spectrum, a user d-table, or the union of a cone's components) over
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
@@ -74,25 +77,37 @@ class SLConeSpec:
     def kernel_table(self) -> KernelTable:
         """Every indicial root on the rates the spectrum determines, built once.
         The first entry is eigenvalue 0 by decree (as in ``__post_init__``), and
-        its two roots at -1 are skipped: -1 carries only harmonic 1-forms."""
+        its two roots at -1 are skipped: -1 carries only harmonic 1-forms.
+        Irrational roots are built directly, the rest merged."""
         exact = self.spectrum.exact
         cov_lo, cov_hi = _rate_coverage(self.spectrum.cutoff)
-        parts = []
+        parts, irrational = [], []
         for i, (delta, m) in enumerate(self.spectrum.entries):
             delta = delta if i else 0
             dval = float(delta)
             root = math.sqrt(1.0 + 4.0 * dval)
+            if exact:
+                k, d = delta.numerator, delta.denominator
+                r = math.isqrt(n := d * (d + 4 * k))
             for p, branch in ((-1, F_BRANCH), (-3, H_BRANCH)):
                 for s in (+1, -1):
                     if not i and p + s == -2:
                         continue  # eigenvalue 0's two roots at -1
-                    key = _root_key(p, s, delta) if exact else ("V", (p + s * root) / 2.0)
-                    if cov_lo <= _key_value(key) <= cov_hi:
-                        parts.append((key, m, (BranchContribution(branch, dval, m),)))
+                    value = (p + s * root) / 2.0
+                    if not cov_lo <= value <= cov_hi:
+                        continue
+                    branches = (BranchContribution(branch, dval, m),)
+                    if not exact:
+                        parts.append((value, ("V", value), m, branches))
+                    elif r * r == n:
+                        parts.append((value, ("Q", Fraction(p * d + s * r, 2 * d)), m, branches))
+                    else:
+                        irrational.append(IndicialRoot(value, branches, m, None, ("I", p, s, k, d)))
         if self.topology.b1 > 0 and cov_lo <= -1.0 <= cov_hi:
             harmonic = BranchContribution(HARMONIC_ONE_FORM, 0.0, self.topology.b1)
-            parts.append((_rate_key(-1 if exact else -1.0), self.topology.b1, (harmonic,)))
-        return KernelTable(Window(cov_lo, cov_hi), merge_roots(parts))
+            parts.append((-1.0, _rate_key(-1 if exact else -1.0), self.topology.b1, (harmonic,)))
+        roots = sorted(irrational + list(merge_roots(parts)), key=_value)
+        return KernelTable(Window(cov_lo, cov_hi), tuple(roots))
 
 
 @dataclass(frozen=True)
@@ -109,20 +124,15 @@ class Window:
             raise ValueError("window must have lo <= hi")
 
     def contains(self, value: float, exact: Fraction | None = None) -> bool:
-        for bound, include, cmp_open in (
-            (self.lo, self.include_lo, 1),
-            (self.hi, self.include_hi, -1),
-        ):
-            if exact is not None and _is_exact(bound):
-                diff = exact - bound
-            else:
-                diff = value - float(bound)
-            if diff == 0:
-                if not include:
-                    return False
-            elif (1 if diff > 0 else -1) != cmp_open:
-                return False
-        return True
+        return self._holds(value, ("V", value) if exact is None else ("Q", exact))
+
+    def _holds(self, value: float, key: tuple) -> bool:
+        """Whether the rate with this value and key lies in the window (see _side)."""
+        lo = _side(value, key, self.lo)
+        if lo < 0 or (lo == 0 and not self.include_lo):
+            return False
+        hi = _side(value, key, self.hi)
+        return hi < 0 or (hi == 0 and self.include_hi)
 
     def __str__(self):
         lo_b = "[" if self.include_lo else "("
@@ -134,35 +144,43 @@ class Window:
 # root identity keys
 # ---------------------------------------------------------------------------
 
-def _root_key(p: int, s: int, delta) -> tuple:
-    """Exact identity of the root (p + s*sqrt(1+4*delta))/2 for integer delta."""
-    disc = 1 + 4 * int(delta)
-    r = math.isqrt(disc)
-    if r * r == disc:
-        return ("Q", Fraction(p + s * r, 2))
-    return ("I", p, s, disc)
-
-
 def _rate_key(rate: Rate) -> tuple:
     """The key of a rate given as a number: exact for an int or Fraction."""
     return ("Q", Fraction(rate)) if _is_exact(rate) else ("V", float(rate))
 
 
 def _key_value(key) -> float:
+    """The float of a key's rate (an "I" key's as its root is built)."""
     if key[0] == "V":
         return key[1]
     if key[0] == "Q":
         return float(key[1])
-    _, p, s, disc = key
-    return (p + s * math.sqrt(disc)) / 2.0
+    _, p, s, k, d = key
+    return (p + s * math.sqrt(1.0 + 4.0 * (k / d))) / 2.0
 
 
-def _key_jacobi_partner(key) -> tuple:
-    """Reflection lambda -> -1 - lambda (same Jacobi eigenvalue)."""
+def _reflect(key: tuple, c: int) -> tuple:
+    """The key of c - lambda from the key of lambda: c = -1 gives the Jacobi
+    partner (the same Jacobi eigenvalue), c = -2 the d-symmetry mirror."""
     if key[0] != "I":
-        return (key[0], -1 - key[1])
-    _, p, s, disc = key
-    return ("I", -2 - p, -s, disc)
+        return (key[0], c - key[1])
+    _, p, s, k, d = key
+    return ("I", 2 * c - p, -s, k, d)
+
+
+def _side(value: float, key: tuple, bound: Rate) -> int:
+    """The sign of rate - bound: by the rate's key when it and the bound are
+    exact, else by the rate's float value."""
+    if _is_exact(bound):
+        if key[0] == "Q":
+            return (key[1] > bound) - (key[1] < bound)
+        if key[0] == "I":
+            # (p + s sqrt(n) / d) / 2 - bound has the sign of s sqrt(n) - t; n is no square
+            _, p, s, k, d = key
+            t = (2 * bound - p) * d
+            return s if s * t <= 0 or d * (d + 4 * k) > t * t else -s
+    diff = value - float(bound)
+    return (diff > 0) - (diff < 0)
 
 
 @dataclass(frozen=True)
@@ -184,14 +202,7 @@ class IndicialRoot:
         return {
             "lambda": self.value,
             "dimension": self.total_dimension,
-            "branches": [
-                {
-                    "branch": b.branch,
-                    "source_eigenvalue": b.source_eigenvalue,
-                    "dimension": b.dimension,
-                }
-                for b in self.branch_contributions
-            ],
+            "branches": [asdict(b) for b in self.branch_contributions],
         }
 
 
@@ -209,7 +220,7 @@ class KernelTable:
     @classmethod
     def from_rows(cls, coverage: Window, rows: Iterable[tuple[Rate, int]]) -> KernelTable:
         """(rate, dimension) rows as a table on ``coverage``, duplicate rates summed."""
-        return cls(coverage, merge_roots((_rate_key(lam), d, ()) for lam, d in rows))
+        return cls(coverage, merge_roots((float(lam), _rate_key(lam), d, ()) for lam, d in rows))
 
     @classmethod
     def union(cls, tables: list[KernelTable]) -> KernelTable:
@@ -221,7 +232,7 @@ class KernelTable:
         if lo > hi:
             raise CutoffExceeded("the components' kernel data share no covered rate")
         roots = [r for t in tables for r in t.between(lo, hi)]
-        parts = [(r.key, r.total_dimension, r.branch_contributions) for r in roots]
+        parts = [(r.value, r.key, r.total_dimension, r.branch_contributions) for r in roots]
         return cls(Window(lo, hi), merge_roots(parts))
 
     @cached_property
@@ -245,10 +256,10 @@ class KernelTable:
         roots = self.roots
         return roots[bisect_left(roots, lo, key=_value) : bisect_right(roots, hi, key=_value)]
 
-    def at(self, rate: Rate) -> tuple[IndicialRoot, ...]:
-        """The roots at ``rate`` (see _same_rate), from a +-2 MERGE_TOL slice
-        so that rounding of the slice bounds drops none."""
-        key = _rate_key(rate)
+    def at(self, rate: Rate | tuple) -> tuple[IndicialRoot, ...]:
+        """The roots at ``rate``, a number or a root key (see _same_rate), from
+        a +-2 MERGE_TOL slice so that rounding of the slice bounds drops none."""
+        key = rate if isinstance(rate, tuple) else _rate_key(rate)
         value = _key_value(key)
         self._check_covered(value, value)
         near = self.between(value - 2 * MERGE_TOL, value + 2 * MERGE_TOL)
@@ -257,9 +268,10 @@ class KernelTable:
     def _inside(self, window: Window):
         lo, hi = float(window.lo), float(window.hi)
         self._check_covered(lo, hi)
-        roots = self.between(lo, hi)
-        # only a root on a bound's float value can lie on either side of it
-        return (r for r in roots if lo < r.value < hi or window.contains(r.value, r.exact))
+        band = 2 * MERGE_TOL  # a float may round across a bound this close: the key decides
+        inner_lo, inner_hi = lo + band, hi - band
+        roots = self.between(lo - band, hi + band)
+        return (r for r in roots if inner_lo < r.value < inner_hi or window._holds(r.value, r.key))
 
     def restrict(self, window: Window) -> KernelTable:
         """The roots inside ``window``, as a table complete on it."""
@@ -271,7 +283,7 @@ class KernelTable:
     def d_sum(self, window: Window) -> int:
         return sum(r.total_dimension for r in self._inside(window))
 
-    def d_at(self, lam: Rate) -> int:
+    def d_at(self, lam: Rate | tuple) -> int:
         return sum(r.total_dimension for r in self.at(lam))
 
     def total_dimension(self) -> int:
@@ -302,25 +314,37 @@ def _same_rate(value: float, key: tuple, other_value: float, other_key: tuple) -
 def _merge_rates(entries: list[tuple]) -> list[list[tuple]]:
     """Group (value, key, ...) entries by rate (see _same_rate) in one sorted pass.
 
+    An entry joins the latest group it matches whose first value lies within
+    2 MERGE_TOL below its own (exact rates may share a float), else starts one.
     Returns the entries of each rate, rates in increasing order, entries in
     input order (so the first is the earliest entry of its rate).
     """
     order = sorted(range(len(entries)), key=lambda i: entries[i][0])
     groups: list[list[int]] = []
     for i in order:
-        if groups and _same_rate(*entries[groups[-1][0]][:2], *entries[i][:2]):
-            groups[-1].append(i)
-        else:
+        value, key = entries[i][:2]
+        home = None
+        for group in reversed(groups):
+            first_value, first_key = entries[group[0]][:2]
+            if value - first_value > 2 * MERGE_TOL:
+                break
+            if _same_rate(first_value, first_key, value, key):
+                home = group
+                break
+        if home is None:
             groups.append([i])
+        else:
+            home.append(i)
     return [[entries[i] for i in sorted(group)] for group in groups]
 
 
 def merge_roots(parts: Iterable[tuple]) -> tuple[IndicialRoot, ...]:
-    """The roots of (key, dimension, branches) parts, one per rate (see
+    """The roots of (value, key, dimension, branches) parts, one per rate (see
     _same_rate), in increasing rate, none of dimension 0: the F/H branches of
-    a spectrum, duplicate table rows and several components all merge here."""
+    a float spectrum, the rational roots of an exact one, duplicate table rows
+    and several components all merge here."""
     merged = []
-    for group in _merge_rates([(_key_value(part[0]), *part) for part in parts]):
+    for group in _merge_rates(list(parts)):
         value, key = group[0][:2]
         dim = sum(g[2] for g in group)
         if dim > 0:
@@ -363,10 +387,7 @@ def indicial_roots(cone: SLConeSpec, window: Window) -> KernelTable:
 
 def table_symmetry(table: KernelTable) -> bool:
     """True iff every root's dimension matches its mirror at -2 - lambda."""
-    return all(
-        table.d_at(-2.0 - r.value if r.exact is None else -2 - r.exact) == r.total_dimension
-        for r in table.roots
-    )
+    return all(table.d_at(_reflect(r.key, -2)) == r.total_dimension for r in table.roots)
 
 
 def symmetry_check(cone: SLConeSpec, window: Window) -> bool:
@@ -408,34 +429,28 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
     cov_lo, cov_hi = table.rate_coverage()
     reps = []
     for r in indicial_roots(cone, window).roots:
-        key = r.key if r.value >= -0.5 else _key_jacobi_partner(r.key)
-        reps.append((_key_value(key), key, r))
+        own = _side(r.value, r.key, Fraction(-1, 2)) >= 0
+        key = r.key if own else _reflect(r.key, -1)
+        reps.append((r.value if own else _key_value(key), key, r))
     entries = []
     unpaired = []
     for group in _merge_rates(reps):
         rep_val, rep = group[0][:2]
-        partner = _key_jacobi_partner(rep)
+        partner = _reflect(rep, -1)
         rates = [(_key_value(partner), partner), (rep_val, rep)]
         if _same_rate(*rates[0], *rates[1]):  # rep = -1/2 is its own partner
             del rates[0]
         if not all(cov_lo <= v <= cov_hi for v, _ in rates):
             unpaired += [
-                (r.value, r.total_dimension, _key_value(_key_jacobi_partner(r.key)))
+                (r.value, r.total_dimension, _key_value(_reflect(r.key, -1)))
                 for *_, r in group
             ]
             continue
-        entries.append(
-            JacobiEigenvalue(
-                eigenvalue=rep_val * rep_val + rep_val - 2.0,
-                multiplicity=sum(table.d_at(k[1] if k[0] == "Q" else v) for v, k in rates),
-                contributing_rates=tuple(
-                    v
-                    for v, k in rates
-                    if any(_same_rate(r.value, r.key, v, k) for *_, r in group)
-                ),
-                representative=rep_val,
-            )
-        )
+        found = [(r.value, r.key) for *_, r in group]
+        contributing = tuple(v for v, k in rates if any(_same_rate(*f, v, k) for f in found))
+        multiplicity = sum(table.d_at(k) for _, k in rates)
+        eigenvalue = rep_val * rep_val + rep_val - 2.0
+        entries.append(JacobiEigenvalue(eigenvalue, multiplicity, contributing, rep_val))
     entries.sort(key=lambda e: e.eigenvalue)
     return JacobiSpectrum(entries=tuple(entries), unpaired=tuple(sorted(unpaired)))
 

@@ -35,10 +35,15 @@ def carlson_rj(x, y, z, p):
     x >= 0 and p > 0 are real; y and z are real and non-negative, or a
     complex-conjugate pair with positive real part (then R_J is real).  At most
     one of x, y, z may be zero; an infinite argument gives 0.  Returns a float array.
+    Arguments are scaled by 4^-m ~ 1 / max|argument| first, so that y + z and
+    y z stay in float range; R_J has degree -3/2, so the value scales by 2^-3m.
     """
+    big = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.maximum(np.abs(z), np.abs(p)))
+    m = np.clip(np.frexp(np.asarray(big, dtype=float))[1] // 2, -500, 500)  # inf, nan: 0
+    x, y, z, p = (np.multiply(v, np.ldexp(1.0, -2 * m)) for v in (x, y, z, p))
     with np.errstate(invalid="ignore"):  # an infinite complex y or z: inf + nan j
         s, q = np.real(np.add(y, z)), np.real(np.multiply(y, z))
-    return carlson_rj_sq(np.real(x), s, q, np.real(p))
+    return np.ldexp(carlson_rj_sq(np.real(x), s, q, np.real(p)), -3 * m)
 
 
 def carlson_rj_sq(x, s, q, p):

@@ -1,7 +1,8 @@
 """Laplace-Beltrami spectra of cone links as (eigenvalue, multiplicity) lists.
 
 Analytic spectra (flat tori, round spheres) carry exact integer or rational
-eigenvalues; numeric mesh spectra live in :mod:`cone_spectra.mesh`.  All links
+eigenvalues (every torus metric of ints and Fractions has an exact spectrum);
+numeric mesh spectra live in :mod:`cone_spectra.mesh`.  All links
 are normalized to the unit sphere, so the Clifford-torus parametrization
 carries its 1/sqrt(3) factor and the induced metric is (1/3)[[2,1],[1,2]].
 """
@@ -129,7 +130,7 @@ class TorusMetric:
     def inverse(self):
         """Entries of g^{-1} (exact Fractions when the metric is exact)."""
         d = self.det()
-        if _is_exact(self.g11) and _is_exact(self.g12) and _is_exact(self.g22):
+        if self.is_exact():
             d = Fraction(d)
             return (Fraction(self.g22) / d, -Fraction(self.g12) / d, Fraction(self.g11) / d)
         d = float(d)
@@ -155,8 +156,9 @@ def torus_spectrum(metric: TorusMetric, cutoff: float) -> Spectrum:
     q <= cutoff, so the result is complete below the cutoff.  A rational
     inverse metric a, b, c is put over its common denominator d, so each
     point is counted on Python ints by d q = A m^2 + (B m + C n) n <= floor(d cutoff);
-    each distinct count key becomes an exact integer eigenvalue when every key
-    is a multiple of d, else a float.  Float metrics are enumerated in floats.
+    each distinct count key becomes the exact eigenvalue key // d, or
+    Fraction(key, d) where d does not divide it.  Float metrics are enumerated
+    in floats, and eigenvalues within RELATIVE_TOL merge.
     """
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
@@ -181,20 +183,15 @@ def torus_spectrum(metric: TorusMetric, cutoff: float) -> Spectrum:
                 key = am + (bm + C * n) * n
                 if key <= top:
                     counts[key] = counts.get(key, 0) + 1
-        if all(key % d == 0 for key in counts):
-            entries = tuple(sorted((key // d, mult) for key, mult in counts.items()))
-            return Spectrum(entries=entries, cutoff=float(cutoff), exact=True)
-        # int / int rounds correctly, to float(Fraction(key, d))
-        pairs = [(key / d, mult) for key, mult in counts.items()]
-    else:
-        cut = float(cutoff)
-        for m in ms:
-            for n in ns:
-                q = a * m * m + 2 * b * m * n + c * n * n
-                if q <= cut:
-                    counts[q] = counts.get(q, 0) + 1
-        pairs = list(counts.items())
-    return Spectrum(entries=_merge_close(sorted(pairs)), cutoff=float(cutoff), exact=False)
+        entries = tuple((Fraction(k, d) if k % d else k // d, counts[k]) for k in sorted(counts))
+        return Spectrum(entries=entries, cutoff=float(cutoff), exact=True)
+    cut = float(cutoff)
+    for m in ms:
+        for n in ns:
+            q = a * m * m + 2 * b * m * n + c * n * n
+            if q <= cut:
+                counts[q] = counts.get(q, 0) + 1
+    return Spectrum(entries=_merge_close(sorted(counts.items())), cutoff=float(cutoff), exact=False)
 
 
 def _merge_close(pairs) -> tuple[tuple[float, int], ...]:

@@ -29,7 +29,10 @@ from cone_spectra.cli import (
     parse_window,
     run,
 )
+from cone_spectra.errors import RateOnWall
+from cone_spectra.fredholm import EndSpec
 from cone_spectra.geometry import LawlorParams, lawlor_angles
+from cone_spectra.presets import hl_cone
 from cone_spectra.spectra import Spectrum
 
 
@@ -193,6 +196,25 @@ def test_rate_on_wall_is_validation_error():
     assert run(["index", "--kind", "ac", "--end", "hl:0"])[0] == EXIT_VALIDATION
 
 
+def test_index_rates_are_exact():
+    # rates parse like every other number: p/q and decimal literals stay exact,
+    # and the report prints them as floats
+    code, out = run(["index", "--kind", "ac", "--end", "hl:1/2", "--cross", "1/2:-1/2"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["ends"][0]["rate"] == 0.5 and result["index"] == 8  # 2/2 + d_0
+    crossing = result["wall_crossing"]
+    assert (crossing["from"], crossing["to"], crossing["jump"]) == (0.5, -0.5, -7)
+    # 5e-11 above the root -1: decided exactly, so off the wall (a float rate
+    # this close is on it, by MERGE_TOL)
+    code, out = run(["index", "--kind", "ac", "--end", "hl:-0.99999999995"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["index"] == 1 and result["ends"][0]["chamber"] == [-1.0, 0.0]
+    with pytest.raises(RateOnWall):
+        EndSpec(hl_cone(), -0.99999999995)
+
+
 def test_spectrum_torus_exact_metric():
     code, out = run(["spectrum", "torus", "--metric", "2/3,1/3,2/3", "--cutoff", "7"])
     assert code == EXIT_OK
@@ -339,6 +361,10 @@ def test_hl_subcommands():
     assert code == EXIT_OK
     result = json.loads(out)["result"]
     assert abs(result["single_branch_deviation"] - (math.sqrt(2504) - 50)) < 1e-12
+    # the closed form neither squares r nor cancels: finite and a / (2 r) far out
+    code, out = run(["hl", "xi-relation", "--r", "1e200"])
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["single_branch_deviation"] == pytest.approx(5e-201)
     code, out = run(["hl", "verify", "--branch", "1", "--samples", "40"])
     assert code == EXIT_OK
     assert json.loads(out)["result"]["branch_1"]["max_im_omega"] < 1e-6
@@ -466,8 +492,9 @@ def test_mesh_size_budget_on_off_files(monkeypatch, tmp_path):
 
 
 def test_jacobi_counts_a_self_partnered_float_root_once():
-    # the float root -1/2 + 1.25e-12 is its own Jacobi partner (within MERGE_TOL):
-    # one root of dimension 2 gives multiplicity 2, not 4
+    # the metric is exact, so the root -1/2 + 1.25e-12 is exact too, and its
+    # partner -1/2 - 1.25e-12 is no root: multiplicity 2, not 4 (the float
+    # twin, a root within MERGE_TOL of its own partner, is in test_indicial)
     code, out = run(["indicial", "--cone", "torus:400000000000/300000000001,0,1",
                      "--window", "(-1:0)", "--jacobi", "--cutoff", "6"])
     assert code == EXIT_OK
@@ -607,7 +634,7 @@ CONFIG_ENTRIES = st.builds(
 # numeric flags at the edge of float range, and decay radii deep inside the
 # Lawlor neck (all footpoint radii ~ 1/sqrt(a)), with the exit code of each
 EDGE_ARGV = {
-    ("hl", "xi-relation", "--r", "1e200"): EXIT_NUMERICAL,
+    ("hl", "xi-relation", "--r", "1e200"): EXIT_OK,
     ("lawlor", "profile", "--a", "1,1,1", "--y-min", "nan"): EXIT_VALIDATION,
     ("lawlor", "decay", "--a", "1,2,3", "--r-min", "-1"): EXIT_VALIDATION,
     ("lawlor", "decay", "--a", "1,2,3", "--r-max", "inf"): EXIT_VALIDATION,

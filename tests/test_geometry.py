@@ -579,9 +579,19 @@ def test_hl_deviation_is_normal_and_small():
     assert abs(mag - math.sqrt(2.0 / 3.0) / 100.0) < 1e-5
 
 
+def _hl_matched_branch_point(branch, r, alpha1, alpha2, a):
+    """Branch point lying over the cone parameters (alpha1, alpha2), from the
+    embedding: the branch's own torus angles are the cyclic shift
+    (alpha_k, alpha_{k+1})."""
+    alphas = (alpha1, alpha2, -alpha1 - alpha2)
+    w, _ = geometry._hl_raw(r, alphas[branch - 1], alphas[branch % 3], a)
+    return np.roll(w, branch - 1, axis=-1)
+
+
 def _normal_deviation_per_point(branch, r, a1, a2, a):
-    """hl_normal_deviation at one point, projecting out one tangent at a time."""
-    dev = geometry._hl_matched_branch_point(branch, r, a1, a2, a) - hl_cone_point(r, a1, a2)
+    """hl_normal_deviation at one point, from the branch point minus the cone
+    point, projecting out one tangent at a time."""
+    dev = _hl_matched_branch_point(branch, r, a1, a2, a) - hl_cone_point(r, a1, a2)
     for q in geometry._hl_cone_tangent_frame(a1, a2):
         dev = dev - np.real(np.vdot(q, dev)) * q
     return dev
@@ -589,28 +599,32 @@ def _normal_deviation_per_point(branch, r, a1, a2, a):
 
 @pytest.mark.parametrize("branch, a", [(1, 1.0), (2, 0.5), (3, 2.0)])
 def test_hl_deviation_arrays_match_per_point_loop(branch, a):
+    # the per-point oracle subtracts the cone point from the branch point, so
+    # it carries the rounding of sqrt(r^2 + a): up to an ulp of r
     r = np.geomspace(1.0, 100.0, 7)
     a1, a2 = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, size=(2, 7))
     devs = hl_normal_deviation(branch, r, a1, a2, a)
     assert devs.shape == (7, 3)
     for dev, point in zip(devs, zip(r, a1, a2)):
-        assert np.abs(dev - _normal_deviation_per_point(branch, *point, a)).max() <= 1e-14
+        oracle = _normal_deviation_per_point(branch, *point, a)
+        assert np.abs(dev - oracle).max() <= 1e-14 + math.ulp(point[0])
 
     radii, norms = hl_decay_table(branch, a, r_window=(5.0, 300.0), n_radii=9)
     assert radii == np.geomspace(5.0, 300.0, 9).tolist()
     for r, norm in zip(radii, norms):
         dev = _normal_deviation_per_point(branch, r, 0.7, 1.3, a)
-        assert abs(norm - np.linalg.norm(dev)) <= 1e-14
+        assert abs(norm - np.linalg.norm(dev)) <= 1e-14 + math.ulp(r)
 
     for r in (2.0, 50.0):
-        # one size=2 draw per point, as the loop took them
+        # one size=2 draw per point, as the loop took them; the exact residual
+        # is 0, so the loop's is its rounding, and the closed form's no larger
         rng = np.random.default_rng(4)
         worst = 0.0
         for _ in range(6):
             a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
             total = sum(_normal_deviation_per_point(k, r, a1, a2, a) for k in (1, 2, 3))
             worst = max(worst, float(np.linalg.norm(total)))
-        assert abs(hl_xi_relation_residual(r, 6, 4, a) - worst) <= 1e-14
+        assert hl_xi_relation_residual(r, 6, 4, a) <= worst + 1e-14
 
 
 def test_hl_xi_relation():
@@ -621,10 +635,23 @@ def test_hl_xi_relation():
     assert abs(hl_branch_deviation_magnitude(50.0) - 1.0 / 100.0) < 2e-4
 
 
+@pytest.mark.parametrize("a", [1.0, 0.25, 3.0])
+def test_hl_deviations_match_mpmath(a):
+    # 50-digit oracle of sqrt(r^2 + a) - r, the deviation in coordinate k, and
+    # of its normal part sqrt(2/3) of it; the closed form keeps 1e-14 relative
+    # out to r = 1e12, where the difference of floats had no digit left
+    mpmath.mp.dps = 50
+    for r in np.geomspace(1.0, 1e12, 25):
+        want = mpmath.sqrt(mpmath.mpf(r) ** 2 + a) - r
+        got = hl_branch_deviation_magnitude(float(r), a)
+        assert abs(got - want) <= 1e-14 * want, r
+        dev = hl_normal_deviation(2, r, 0.4, 2.1, a)
+        normal = float(mpmath.sqrt(mpmath.mpf(2) / 3) * want)
+        assert abs(np.linalg.norm(dev) - normal) <= 1e-14 * normal, r
+
+
 def test_hl_full_deviation_sums_to_radial():
     # the unprojected deviations sum to a multiple of the cone direction
-    from cone_spectra.geometry import _hl_matched_branch_point
-
     r, a1, a2 = 30.0, 0.9, 2.2
     q = hl_cone_point(r, a1, a2)
     total = sum(

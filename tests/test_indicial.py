@@ -1,6 +1,9 @@
 """Kernel dimensions, indicial roots, Jacobi spectra and Morse indices."""
 
+import functools
 import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +23,10 @@ from cone_spectra.indicial import (
     symmetry_check,
     table_symmetry,
 )
-from cone_spectra.presets import hl_cone_spec, plane_cone_spec
+from cone_spectra.cli import run
+from cone_spectra.presets import hl_cone_spec, plane_cone_spec, torus_cone, torus_cone_spec
 from cone_spectra.spectra import LinkTopology, Spectrum, TorusMetric, torus_spectrum
+from cone_spectra.stability import s_ind_minus
 
 HL = hl_cone_spec()
 PLANE = plane_cone_spec()
@@ -230,3 +235,192 @@ def test_float_spectrum_path():
 def test_mult_zero_comes_from_topology():
     with pytest.raises(ValueError):
         SLConeSpec(Spectrum(((0, 2), (2, 6)), 8.0, True), LinkTopology(1, 2, (1,)))
+
+
+# ---------------------------------------------------------------------------
+# exact roots of rational spectra, against integer comparisons
+# ---------------------------------------------------------------------------
+
+def _sign_sum(a, b, u):
+    """The sign of a + b sqrt(u), for rationals a, b and u >= 0."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or u == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    return sa * ((a * a > b * b * u) - (a * a < b * b * u))
+
+
+def _compare(x, y):
+    """sign(x - y) for rates x = (p + s sqrt(D)) / 2 given as (p, s, D)."""
+    (p1, s1, d1), (p2, s2, d2) = x, y
+    # 2 (x - y) = P + Q with P = a + b sqrt(d1) and Q = c sqrt(d2)
+    a, b, c = Fraction(p1 - p2), s1, -s2
+    sp, sq = _sign_sum(a, b, d1), _sign_sum(0, c, d2)
+    if sq == 0 or sp == sq:
+        return sp
+    if sp == 0:
+        return sq
+    # opposite signs: sign(P + Q) = sign(P) sign(P^2 - Q^2)
+    return sp * _sign_sum(a * a + b * b * d1 - c * c * d2, 2 * a * b, d1)
+
+
+def _rational(q):
+    return (2 * Fraction(q), 0, Fraction(0))
+
+
+def _oracle_roots(metric, cutoff, b1=2):
+    """(rate, dimension) of every distinct root, in exact increasing order:
+    the spectrum by Fraction enumeration, roots merged by exact comparison."""
+    a, b, c = metric.inverse()
+    m_box = math.isqrt(math.floor(cutoff * metric.g11)) + 1
+    n_box = math.isqrt(math.floor(cutoff * metric.g22)) + 1
+    mult = {}
+    for m in range(-m_box, m_box + 1):
+        for n in range(-n_box, n_box + 1):
+            q = a * m * m + 2 * b * m * n + c * n * n
+            if q <= cutoff:
+                mult[q] = mult.get(q, 0) + 1
+    roots = [(_rational(-1), b1)]
+    for delta, dim in mult.items():
+        disc = 1 + 4 * delta
+        for p in (-1, -3):
+            for s in (1, -1):
+                if delta == 0 and p + s == -2:
+                    continue  # eigenvalue 0's roots at -1: only harmonic forms live there
+                roots.append(((p, s, disc), dim))
+    roots.sort(key=functools.cmp_to_key(lambda x, y: _compare(x[0], y[0])))
+    merged = []
+    for rate, dim in roots:
+        if merged and _compare(merged[-1][0], rate) == 0:
+            merged[-1][1] += dim
+        else:
+            merged.append([rate, dim])
+    return merged
+
+
+def _oracle_sum(roots, window):
+    lo, hi = _rational(window.lo), _rational(window.hi)
+
+    def inside(rate):
+        # floats decide only roots 1e-6 clear of both bounds, far beyond their rounding
+        value = _float(rate)
+        if float(window.lo) + 1e-6 < value < float(window.hi) - 1e-6:
+            return True
+        if not float(window.lo) - 1e-6 < value < float(window.hi) + 1e-6:
+            return False
+        side_lo, side_hi = _compare(rate, lo), _compare(rate, hi)
+        return (side_lo > 0 or (side_lo == 0 and window.include_lo)) and (
+            side_hi < 0 or (side_hi == 0 and window.include_hi)
+        )
+
+    return sum(dim for rate, dim in roots if inside(rate))
+
+
+def _float(rate):
+    p, s, disc = rate
+    return (p + s * math.sqrt(disc)) / 2
+
+
+def _clusters(pairs):
+    """(value, dimension) pairs as runs of values within 1e-9, with sorted dimensions."""
+    out = []
+    for value, dim in sorted(pairs):
+        if out and value - out[-1][0] <= 1e-9:
+            out[-1][1].append(dim)
+        else:
+            out.append((value, [dim]))
+    return [(value, sorted(dims)) for value, dims in out]
+
+
+_rng = random.Random(16)
+EXACT_METRICS = [TorusMetric(1, Fraction(1, 10**k), 1) for k in range(1, 22)]
+while len(EXACT_METRICS) < 21 + 10:
+    _g11, _g22 = Fraction(_rng.randint(1, 9), _rng.randint(1, 7)), Fraction(_rng.randint(1, 9), _rng.randint(1, 7))
+    _g12 = Fraction(_rng.randint(-6, 6), _rng.randint(1, 7))
+    if _g12 * _g12 < _g11 * _g22:
+        EXACT_METRICS.append(TorusMetric(_g11, _g12, _g22))
+
+
+@pytest.mark.parametrize("metric", EXACT_METRICS, ids=str)
+def test_rational_roots_match_exact_oracle(metric):
+    cutoff = 12
+    cone = torus_cone(metric, cutoff)
+    spec = cone.components[0].kernel_source
+    table = spec.kernel_table
+    assert spec.spectrum.exact
+    roots = _oracle_roots(metric, cutoff)
+    # the d-table of the stability report: no two distinct roots merged
+    d_window = Window(-3, 1)
+    oracle_table = [(_float(rate), dim) for rate, dim in roots if _oracle_sum([(rate, 1)], d_window)]
+    got, want = _clusters(table.roots_in(d_window)), _clusters(oracle_table)
+    assert [dims for _, dims in got] == [dims for _, dims in want]
+    assert [value for value, _ in got] == pytest.approx([value for value, _ in want], abs=1e-12)
+    d_minus_one = _oracle_sum(roots, Window(-1, -1))
+    assert d_minus_one == 2
+    unit = Window(-1, 1, include_lo=False, include_hi=False)
+    assert s_ind_minus(cone) == Fraction(d_minus_one, 2) + _oracle_sum(roots, unit) - 7
+    assert symmetry_check(spec, d_window)
+    # window ends exactly on the float of each root (an ulp to either side
+    # of it) and on the rationals between near-coincident roots
+    rng = random.Random(str(metric))
+    cov_lo, cov_hi = table.rate_coverage()
+    ends = [Fraction(_float(rate)) for rate, _ in roots if cov_lo <= _float(rate) <= cov_hi]
+    ends += [Fraction(k, 2) for k in range(-6, 3)]
+    for end in ends:
+        assert table.d_at(end) == _oracle_sum(roots, Window(end, end))
+    for _ in range(60):
+        lo, hi = sorted(rng.sample(ends, 2))
+        window = Window(lo, hi, include_lo=rng.random() < 0.5, include_hi=rng.random() < 0.5)
+        assert table.d_sum(window) == _oracle_sum(roots, window), window
+
+
+def test_near_coincident_roots_stay_apart_through_the_cli():
+    # g12 = 10^-k splits eigenvalue 2 into 2/(1 + 10^-k) and 2/(1 - 10^-k): their
+    # F roots lie on either side of 1, so only one is in the d-table on [-3, 1]
+    for k in (9, 12, 16, 17, 21):
+        code, out = run(["stability", "--cone", f"torus:1,1/{10**k},1"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["s_ind_minus"] == "21", k
+        near_one = [row for row in result["d_table"] if abs(row["lambda"] - 1) < 1e-6]
+        assert [row["dimension"] for row in near_one] == [2], k
+    # at 10^-17 both F roots near 1 print as the same float
+    spec = torus_cone_spec(TorusMetric(1, Fraction(1, 10**17), 1), 12)
+    near_one = [r for r in spec.kernel_table.roots if abs(r.value - 1) < 1e-6]
+    assert [r.value for r in near_one] == [1.0, 1.0]
+    assert len({r.key for r in near_one}) == 2
+
+
+def test_exact_spectra_give_no_float_keys():
+    cones = [HL, PLANE] + [torus_cone_spec(m, 24) for m in EXACT_METRICS[::4]]
+    for cone in cones:
+        assert cone.spectrum.exact
+        assert all(r.key[0] in ("Q", "I") for r in cone.kernel_table.roots)
+
+
+@pytest.mark.parametrize("g12", [Fraction(1, 3), Fraction(1, 10**17)], ids=str)
+def test_union_merges_identical_irrational_roots(g12):
+    single = torus_cone_spec(TorusMetric(Fraction(3, 2), g12, Fraction(5, 4)), 24)
+    union = KernelTable.union([single.kernel_table, single.kernel_table])
+    assert any(r.key[0] == "I" for r in single.kernel_table.roots)
+    assert [(r.value, r.key) for r in union.roots] == [
+        (r.value, r.key) for r in single.kernel_table.roots
+    ]
+    assert [r.total_dimension for r in union.roots] == [
+        2 * r.total_dimension for r in single.kernel_table.roots
+    ]
+
+
+def test_float_metric_self_partnered_jacobi_root():
+    # a float root within MERGE_TOL of -1/2 is its own Jacobi partner: one root
+    # of dimension 2 gives multiplicity 2, not 4
+    spectrum = torus_spectrum(TorusMetric(400000000000 / 300000000001, 0.0, 1.0), 6)
+    cone = SLConeSpec(spectrum, LinkTopology(1, 2, (1,)))
+    assert not spectrum.exact
+    js = jacobi_spectrum(cone, Window(-1, 0, include_lo=False, include_hi=False))
+    (entry,) = [e for e in js.entries if abs(e.eigenvalue + 2.25) < 1e-9]
+    (root,) = [r for r in cone.kernel_table.roots if abs(r.value + 0.5) < 1e-9]
+    assert root.key[0] == "V" and root.total_dimension == 2
+    assert entry.multiplicity == 2
+    assert entry.contributing_rates == (root.value,)

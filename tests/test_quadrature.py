@@ -57,6 +57,22 @@ def test_carlson_rj_matches_scipy():
     assert np.all(np.abs(values - reference) <= 1e-14 * np.abs(reference))
 
 
+def test_carlson_rj_at_huge_arguments():
+    # y z and the duplication sums would overflow without the power-of-4
+    # scaling; R_J has degree -3/2, so the scaled value comes back exactly
+    cases = [(1.0, 1e200, 1e200, 1.0), (1.0, 1e160, 1.0, 1.0), (1e300, 2e300, 3e300, 4e300),
+             (2.0, 3e150 + 1e150j, 3e150 - 1e150j, 5e100)]
+    with mpmath.workdps(50):
+        for args in cases:
+            ref = float(mpmath.re(mpmath.elliprj(*(mpmath.mpmathify(v) for v in args))))
+            assert abs(carlson_rj(*args) - ref) <= 1e-14 * abs(ref), args
+    assert carlson_rj(1.0, 1e200, 1e200, 1.0) == pytest.approx(3.0e-200, rel=1e-14)
+    assert carlson_rj(1.0, 1e160, 1.0, 1.0) == pytest.approx(1.5e-80, rel=1e-14)
+    # scaling by a power of 4 is exact: moderate arguments give the same bits
+    args = (0.3, 1.7, 2.9, 0.8)
+    assert carlson_rj(*(4.0**40 * v for v in args)) == carlson_rj(*args) * 2.0**-120
+
+
 def test_carlson_rj_broadcasts_and_is_real():
     value = carlson_rj(0.0, [1.0, 2.0], np.array([[2.0], [3.0]]), 4.0)
     assert value.shape == (2, 2) and value.dtype == float

@@ -19,7 +19,6 @@ from cone_spectra.spectra import (
     LinkTopology,
     Spectrum,
     TorusMetric,
-    _merge_close,
     clifford_torus_metric,
     sphere_spectrum,
     torus_spectrum,
@@ -153,14 +152,13 @@ def _sympy_torus_spectrum(g11, g12, g22, cutoff):
 def test_torus_spectrum_matches_sympy(metric, cutoff):
     spectrum = torus_spectrum(TorusMetric(*metric), cutoff)
     reference = _sympy_torus_spectrum(*metric, cutoff)
-    # exact output exactly when every eigenvalue below the cutoff is an integer
-    assert spectrum.exact == all(ev.denominator == 1 for ev, _ in reference)
-    assert [m for _, m in spectrum.entries] == [m for _, m in reference]
-    if spectrum.exact:
-        assert list(spectrum.entries) == reference
-    else:
-        for (ev, _), (want, _) in zip(spectrum.entries, reference):
-            assert abs(ev - float(want)) <= 1e-12 * max(1.0, float(want))
+    # every exact metric has an exact spectrum: an int where the eigenvalue is
+    # one, else a Fraction
+    assert spectrum.exact
+    assert list(spectrum.entries) == reference
+    assert [type(ev) for ev, _ in spectrum.entries] == [
+        int if ev.denominator == 1 else Fraction for ev, _ in reference
+    ]
 
 
 def _fraction_torus_spectrum(metric, cutoff):
@@ -176,11 +174,10 @@ def _fraction_torus_spectrum(metric, cutoff):
             q = a * m * m + 2 * b * m * n + c * n * n
             if q <= cut:
                 counts[q] = counts.get(q, 0) + 1
-    if all(q.denominator == 1 for q in counts):
-        entries = tuple(sorted((int(q), mult) for q, mult in counts.items()))
-        return Spectrum(entries, float(cutoff), True)
-    entries = _merge_close(sorted((float(q), mult) for q, mult in counts.items()))
-    return Spectrum(entries, float(cutoff), False)
+    entries = tuple(
+        (int(q) if q.denominator == 1 else q, counts[q]) for q in sorted(counts)
+    )
+    return Spectrum(entries, float(cutoff), True)
 
 
 _ratio = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
@@ -219,10 +216,10 @@ def test_integer_count_matches_fraction_oracle(metric, data):
     got, want = torus_spectrum(metric, cutoff), _fraction_torus_spectrum(metric, cutoff)
     assert got.entries == want.entries
     assert [type(ev) for ev, _ in got.entries] == [type(ev) for ev, _ in want.entries]
-    assert got.exact == want.exact
+    assert got.exact and want.exact
     assert got.to_json() == want.to_json()
     if on_lattice == cutoff:
-        assert got.entries[-1][0] == (on_lattice if got.exact else float(on_lattice))
+        assert got.entries[-1][0] == on_lattice
 
 
 def test_lattice_budget():

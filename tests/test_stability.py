@@ -265,6 +265,8 @@ DIFFERENTIAL_CONES = {
     "plane-pair": PAIR,
     "torus-integral": torus_cone(TorusMetric(Fraction(12, 23), Fraction(-2, 23), Fraction(8, 23)), 24),
     "torus-rational": torus_cone(TorusMetric(Fraction(3, 2), Fraction(1, 3), Fraction(5, 4)), 24),
+    # its float twin: float eigenvalues, "V" keys and MERGE_TOL
+    "torus-rational-float": torus_cone(TorusMetric(1.5, 1 / 3, 1.25), 24),
     "table": ConeData((ConeComponent(TABLE),)),
     "hl+table": ConeData((HL.components[0], ConeComponent(TABLE))),
 }
@@ -278,8 +280,11 @@ for _zero in (1e-10, 1e-7):
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONES))
 def test_root_table_matches_kernel_sources(name):
     cone = DIFFERENTIAL_CONES[name]
-    if name == "torus-rational":
-        assert not cone.components[0].kernel_source.spectrum.exact
+    if name.startswith("torus-rational"):
+        exact = name == "torus-rational"
+        assert cone.components[0].kernel_source.spectrum.exact == exact
+        kinds = {r.key[0] for r in cone.kernel_table.roots}
+        assert kinds == ({"Q", "I"} if exact else {"V"})
     lo, hi = cone.rate_coverage()
     roots = cone.roots_in(Window(lo, hi))
     assert roots and [lam for lam, _ in roots] == sorted({lam for lam, _ in roots})
