@@ -50,7 +50,8 @@ MAX_SAMPLES = 50_000  # hl verify, lawlor verify --samples
 MAX_TUPLES = 25_000  # g2 check --tuples
 MAX_PROFILE_ROWS = 50_000  # lawlor profile --count
 # spectrum mesh: vertices of a builtin (from its parameter) or an OFF file, and
-# --count; the largest call takes ~11 s and < 200 MB
+# --count; the largest call (clifford:141, count 100) takes ~12 s and peaks at
+# 165 MB, the Lanczos basis of its k = 202 request
 MAX_MESH_VERTICES = 20_000
 MAX_MESH_COUNT = 100
 

@@ -7,12 +7,12 @@ symmetric one A.  A is permuted once by reverse Cuthill-McKee, and every
 factorization of a shifted A is one symmetric set-up: SuperLU with diagonal
 pivots (an L D L^T factor) on the minimum-degree order of A + A^T.  ARPACK
 finds the lowest eigenvalues in shift-invert mode about a small negative
-shift, through one such factor that all its rounds reuse.  An inertia count
-(Sylvester's law) from another certifies that no copy of a multiple
-eigenvalue was missed.  No n x n dense matrix is formed unless the request
-reaches the top of the spectrum.  Only intrinsic data (triangle edge
-lengths) enter, so vertices may live in any ambient R^d with d >= 3; the
-flat Clifford-torus sample needs d = 6.
+shift, through one such factor, kept until a request finds a gap.  It is
+released before an inertia count (Sylvester's law) from a factor at the gap
+certifies that no copy of a multiple eigenvalue was missed.  No n x n dense
+matrix is formed unless the request reaches the top of the spectrum.  Only
+intrinsic data (triangle edge lengths) enter, so vertices may live in any
+ambient R^d with d >= 3; the flat Clifford-torus sample needs d = 6.
 
 scipy is imported inside the functions that use it, so importing the package
 does not load it.
@@ -219,8 +219,11 @@ def _lowest_eigenvalues(A, count: int, sigma: float) -> np.ndarray:
     can return a member of the next cluster in place of one copy of a
     multiple eigenvalue.  So the answer is certified: at the first gap at or
     above the last eigenvalue wanted, an inertia count must find no
-    eigenvalue that ARPACK missed.  Until it does, the request is doubled;
-    every request reuses the one factor of A - sigma I.
+    eigenvalue that ARPACK missed.  Until it does, the request is doubled.
+    The factor of A - sigma I serves every request up to the one whose gap
+    is checked, and is released before the certificate factors A - tau I, so
+    one factor is alive at a time (a failed certificate factors A - sigma I
+    again).
     """
     import scipy.sparse.csgraph
     import scipy.sparse.linalg
@@ -230,11 +233,13 @@ def _lowest_eigenvalues(A, count: int, sigma: float) -> np.ndarray:
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     order = scipy.sparse.csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
     A, v0 = A[order][:, order], v0[order]
-    OPinv = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=_factor(A, sigma).solve, dtype=A.dtype
-    )
+    OPinv = None
     k = count + 1
     while k < n:
+        if OPinv is None:
+            OPinv = scipy.sparse.linalg.LinearOperator(
+                (n, n), matvec=_factor(A, sigma).solve, dtype=A.dtype
+            )
         try:
             vals = scipy.sparse.linalg.eigsh(
                 A, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv,
@@ -247,6 +252,7 @@ def _lowest_eigenvalues(A, count: int, sigma: float) -> np.ndarray:
         gaps = np.flatnonzero(np.diff(upper) > INERTIA_GAP * (upper[1:] - sigma))
         if gaps.size:
             below = count + int(gaps[0])  # vals[:below] lie below the gap
+            OPinv = None  # frees the sigma factor before the certificate's is built
             if _count_below(A, 0.5 * (vals[below - 1] + vals[below])) == below:
                 return vals[:count]
         k = min(2 * k, n - 1) if k < n - 1 else n

@@ -581,22 +581,29 @@ def test_batch_size_zero_is_rejected(name):
 
 
 def test_largest_batch_stays_under_memory_budget():
-    # the MAX_SAMPLES bound promises < 200 MB peak RSS; a fresh process
-    # reports its own high-water mark
+    # the MAX_SAMPLES and mesh bounds promise < 200 MB peak RSS.  A fresh
+    # process reads its own high-water mark from VmHWM: its ru_maxrss would
+    # also hold the RSS this test process had when it started the child
     child = (
-        "import resource, sys\n"
+        "import sys\n"
         "from cone_spectra.cli import run\n"
         "code, _ = run(sys.argv[1:])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(code, hwm)\n"
     )
     src = str(Path(cone_spectra.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = ["lawlor", "verify", "--a", "1,1,1", "--samples", str(MAX_SAMPLES)]
-    done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                          capture_output=True, text=True, check=True)
-    code, max_rss_kb = map(int, done.stdout.split())
-    assert code == EXIT_OK
-    assert max_rss_kb / 1024 < 200.0
+    for argv in (
+        ["lawlor", "verify", "--a", "1,1,1", "--samples", str(MAX_SAMPLES)],
+        # the largest icosphere inside MAX_MESH_VERTICES
+        ["spectrum", "mesh", "--builtin", "icosphere:5", "--count", str(MAX_MESH_COUNT)],
+    ):
+        done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, max_rss_kb = map(int, done.stdout.split())
+        assert code == EXIT_OK
+        assert max_rss_kb / 1024 < 200.0, argv
 
 
 @st.composite

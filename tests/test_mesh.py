@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cone_spectra.mesh as mesh_module
 from cone_spectra.cli import EXIT_OK, EXIT_VALIDATION, run
-from cone_spectra.errors import InvalidMesh
+from cone_spectra.errors import InvalidMesh, NoConvergence
 from cone_spectra.mesh import (
+    INERTIA_GAP,
     TriMesh,
     _count_below,
+    _factor,
     clifford_torus_mesh,
     cotangent_laplacian,
     icosphere,
@@ -347,6 +351,103 @@ def test_one_factor_setup_serves_arpack_and_certificate(monkeypatch):
     assert factored == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
     # eigsh is handed the factor, so it builds none of its own
     assert operators and all(op is not None for op in operators)
+
+
+class _TrackedFactor:
+    """A factor from ``mesh._factor`` that a WeakSet can see alive or gone."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, rhs):
+        return self._lu.solve(rhs)
+
+    @property
+    def U(self):
+        return self._lu.U
+
+
+@pytest.mark.parametrize(
+    "mesh, count", [(icosphere(3), 9), (clifford_torus_mesh(48), 25)], ids=["ico3", "clifford48"]
+)
+def test_one_factor_alive_at_a_time(monkeypatch, mesh, count):
+    # icosphere 3 @ 9 makes one request; Clifford 48 @ 25 requests k = 26,
+    # which finds no gap, and then k = 52 on the same factor of A - sigma I
+    live, alive_at_setup = weakref.WeakSet(), []
+
+    def tracked(A, shift):
+        alive_at_setup.append(len(live))
+        factor = _TrackedFactor(_factor(A, shift))
+        live.add(factor)
+        return factor
+
+    monkeypatch.setattr(mesh_module, "_factor", tracked)
+    mesh_spectrum(mesh, count)
+    # the shift-invert factor, then the certificate's, never both at once
+    assert alive_at_setup == [0, 0]
+
+
+def _lowest_eigenvalues_reference(A, count, sigma):
+    """_lowest_eigenvalues with one factor of A - sigma I that outlives the
+    certificate: the loop whose outputs the released-factor loop must keep."""
+    import scipy.sparse.csgraph
+
+    n = A.shape[0]
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    order = scipy.sparse.csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+    A, v0 = A[order][:, order], v0[order]
+    OPinv = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=_factor(A, sigma).solve, dtype=A.dtype
+    )
+    k = count + 1
+    while k < n:
+        try:
+            vals = scipy.sparse.linalg.eigsh(
+                A, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv,
+                return_eigenvectors=False,
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise NoConvergence(f"eigensolver did not converge: {exc}") from None
+        vals = np.sort(vals)
+        upper = vals[count - 1 :]
+        gaps = np.flatnonzero(np.diff(upper) > INERTIA_GAP * (upper[1:] - sigma))
+        if gaps.size:
+            below = count + int(gaps[0])
+            if _count_below(A, 0.5 * (vals[below - 1] + vals[below])) == below:
+                return vals[:count]
+        k = min(2 * k, n - 1) if k < n - 1 else n
+    return np.linalg.eigvalsh(A.toarray())[:count]
+
+
+# the six numeric-sweep meshes, and a count that ends inside a cluster.
+# Bit-identity, not a tolerance: on these exactly symmetric meshes ARPACK's
+# number of shift-invert solves moves with 1-ulp changes of A (icosphere 4 @ 9
+# takes 81 solves, and 80-95 when one symmetric pair of entries moves by an
+# ulp; Clifford 48 @ 13 takes 112, and 104-112), so any change to the
+# arithmetic would move both the eigenvalues and the time a solve takes
+REFERENCE_CASES = [("icosphere", 2, 9), ("icosphere", 3, 9), ("icosphere", 4, 9),
+                   ("clifford", 24, 13), ("clifford", 32, 13), ("clifford", 48, 13),
+                   ("clifford", 48, 25)]
+
+
+@pytest.mark.parametrize("kind, size, count", REFERENCE_CASES,
+                         ids=[f"{k}{s}-{c}" for k, s, c in REFERENCE_CASES])
+def test_lowest_eigenvalues_bit_identical_to_reference(monkeypatch, tmp_path, kind, size, count):
+    if kind == "icosphere":
+        save_off(icosphere(size), tmp_path / "sphere.off")
+        mesh = load_off(tmp_path / "sphere.off")
+    else:
+        mesh = clifford_torus_mesh(size)
+    lowest, results = mesh_module._lowest_eigenvalues, []
+
+    def both(A, count, sigma):
+        results.append((lowest(A, count, sigma), _lowest_eigenvalues_reference(A, count, sigma)))
+        return results[-1][0]
+
+    monkeypatch.setattr(mesh_module, "_lowest_eigenvalues", both)
+    mesh_spectrum(mesh, count)
+    [(vals, reference)] = results
+    assert np.array_equal(vals, reference)
 
 
 def _clifford_loop_reference(n):
