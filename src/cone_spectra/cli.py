@@ -114,6 +114,14 @@ def _parse_triple(text: str | None) -> tuple:
     return tuple(float(p) for p in parts)
 
 
+def _table_dimension(value) -> int:
+    """A d-table dimension: a JSON integer, or a float of integral value."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValidationError(f"d-table dimension {value!r} is not an integer")
+    return int(value)
+
+
 def _load_table_cone(path: str) -> ConeData:
     """A cone from a user d-table JSON: {"rows": [{"lambda", "dimension"}, ...],
     "coverage": [lo, hi]} (non-SL cones enter only this way)."""
@@ -124,7 +132,7 @@ def _load_table_cone(path: str) -> ConeData:
         data = json.load(fh)
     try:
         rows = tuple(
-            (_parse_number(str(row["lambda"])), int(row["dimension"]))
+            (_parse_number(str(row["lambda"])), _table_dimension(row["dimension"]))
             for row in data["rows"]
         )
         lo, hi = data["coverage"]
@@ -246,8 +254,8 @@ def _cmd_indicial(args) -> dict:
     tables = [indicial_roots(s, window) for s in specs]
     result: dict = {
         "window": str(window),
-        "roots": [{"lambda": lam, "dimension": d} for lam, d in cone.roots_in(window)],
-        "per_component": [json.loads(t.to_json()) for t in tables],
+        "roots": [{"lambda": lam, "dimension": d} for lam, d in cone.kernel_table.roots_in(window)],
+        "per_component": [[r.to_dict() for r in t.roots] for t in tables],
     }
     if args.symmetry:
         # the d-symmetry check needs a window symmetric about -1: take the hull
@@ -336,6 +344,19 @@ def _cmd_index(args) -> dict:
     return result
 
 
+def _decay_report(radii: list[float], norms: list[float]) -> dict:
+    """The log-log decay fit of a (radius, deviation) table, with the table."""
+    from .geometry import fit_decay
+
+    fit = fit_decay(radii, norms)
+    return {
+        "fitted_exponent": fit.fitted_exponent,
+        "r_range": list(fit.r_range),
+        "residual_of_fit": fit.residual_of_fit,
+        "table": [{"r": r, "deviation": d} for r, d in zip(radii, norms)],
+    }
+
+
 def _cmd_lawlor(args) -> dict:
     from . import geometry
 
@@ -390,14 +411,7 @@ def _cmd_lawlor(args) -> dict:
             subtract_leading=args.subtract,
             seed=args.seed,
         )
-        fit = geometry.fit_decay(radii, norms)
-        return {
-            "a": list(params.a),
-            "fitted_exponent": fit.fitted_exponent,
-            "r_range": list(fit.r_range),
-            "residual_of_fit": fit.residual_of_fit,
-            "table": [{"r": r, "deviation": d} for r, d in zip(radii, norms)],
-        }
+        return {"a": list(params.a), **_decay_report(radii, norms)}
     raise ValidationError(f"unknown lawlor mode '{args.mode}'")
 
 
@@ -433,14 +447,7 @@ def _cmd_hl(args) -> dict:
     if args.mode == "decay":
         branch = args.branch or 1
         radii, norms = geometry.hl_decay_table(branch=branch, a=args.a)
-        fit = geometry.fit_decay(radii, norms)
-        return {
-            "branch": branch,
-            "fitted_exponent": fit.fitted_exponent,
-            "r_range": list(fit.r_range),
-            "residual_of_fit": fit.residual_of_fit,
-            "table": [{"r": r, "deviation": d} for r, d in zip(radii, norms)],
-        }
+        return {"branch": branch, **_decay_report(radii, norms)}
     raise ValidationError(f"unknown hl mode '{args.mode}'")
 
 
@@ -638,10 +645,12 @@ def _csv_output(command: str, result: dict) -> str:
     field = next((f for f in CSV_COLUMNS if f in result), None)
     if field is None:
         raise ValidationError(f"csv output is not defined for '{command}'")
+    rows = [[row[c] for c in CSV_COLUMNS[field]] for row in result[field]]
+    json.dumps(rows, allow_nan=False)  # the JSON report's ValueError on inf or nan
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS[field])
-    writer.writerows([row[c] for c in CSV_COLUMNS[field]] for row in result[field])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -702,32 +711,29 @@ def run(argv) -> tuple[int, str]:
         return EXIT_VALIDATION, json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}
         )
-    if args.output_format == "csv":
-        try:
-            return EXIT_OK, _csv_output(args.command, result)
-        except ValidationError as exc:
-            return EXIT_VALIDATION, json.dumps(
-                {"error": "ValidationError", "message": str(exc)}
-            )
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k != "config" and v is not None
-    }
-    report = {
-        "tool": "cone-spectra",
-        "version": __version__,
-        "command": args.command,
-        "config": config,
-        "result": result,
-    }
-    if args.command in ("indicial", "stability", "index") and getattr(args, "cone", None):
-        report["provenance"] = _provenance(args.cone)
-    if args.command == "index" and getattr(args, "end", None):
-        report["provenance"] = [
-            _provenance(e.rpartition(":")[0]) for e in args.end
-        ]
     try:
+        if args.output_format == "csv":
+            return EXIT_OK, _csv_output(args.command, result)
+        config = {
+            k: v for k, v in sorted(vars(args).items()) if k != "config" and v is not None
+        }
+        report = {
+            "tool": "cone-spectra",
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "result": result,
+        }
+        if args.command in ("indicial", "stability", "index") and getattr(args, "cone", None):
+            report["provenance"] = _provenance(args.cone)
+        if args.command == "index" and getattr(args, "end", None):
+            report["provenance"] = [
+                _provenance(e.rpartition(":")[0]) for e in args.end
+            ]
         return EXIT_OK, json.dumps(report, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # inf or nan in the result: not JSON
+    except ValidationError as exc:  # csv output is undefined for this command
+        return EXIT_VALIDATION, json.dumps({"error": "ValidationError", "message": str(exc)})
+    except ValueError as exc:  # inf or nan in the result, in either format: not a number
         return EXIT_NUMERICAL, json.dumps({"error": "NonFiniteResult", "message": str(exc)})
 
 

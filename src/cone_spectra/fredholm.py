@@ -30,6 +30,8 @@ from .stability import ConeData, s_ind
 AC = "ac"
 CS = "cs"
 
+CHAMBER_SPAN = 4.0
+
 
 @dataclass(frozen=True)
 class EndSpec:
@@ -55,24 +57,26 @@ class OperatorSpec:
 
 
 def _check_off_wall(cone: ConeData, rate: Rate) -> None:
-    cov_lo, cov_hi = cone.rate_coverage()
+    table = cone.kernel_table
+    cov_lo, cov_hi = table.rate_coverage()
     if not cov_lo <= rate <= cov_hi:
         raise CutoffExceeded(
             f"rate {float(rate)} outside the covered rate interval "
             f"[{cov_lo:g}, {cov_hi:g}]"
         )
-    on_wall = cone.kernel_table.at(rate)
+    on_wall = table.at(rate)
     if on_wall:
         raise RateOnWall(f"rate {float(rate)} lies on the indicial root {on_wall[0].value}")
 
 
 def _end_contribution(end: EndSpec) -> Fraction:
-    half = Fraction(end.cone.d_at(-1), 2)
+    table = end.cone.kernel_table
+    half = Fraction(table.d_at(-1), 2)
     if end.rate >= -1.0:
         between = Window(-1, end.rate, include_lo=False, include_hi=False)
-        return half + end.cone.d_sum(between)
+        return half + table.d_sum(between)
     between = Window(end.rate, -1, include_lo=False, include_hi=False)
-    return -(half + end.cone.d_sum(between))
+    return -(half + table.d_sum(between))
 
 
 def _as_integer(total: Fraction) -> int:
@@ -90,32 +94,27 @@ def index(op: OperatorSpec) -> int:
     return value if op.kind == AC else -value
 
 
-def crossed_roots(
-    op: OperatorSpec, rate_from: float, rate_to: float, end: int | None = None
-) -> list[tuple[float, int]]:
-    """Indicial roots strictly between the two (off-wall) rates."""
-    ends = op.ends if end is None else (op.ends[end],)
-    for e in ends:
+def crossed_roots(op: OperatorSpec, rate_from: float, rate_to: float) -> list[tuple[float, int]]:
+    """Indicial roots of every end strictly between the two (off-wall) rates."""
+    for e in op.ends:
         _check_off_wall(e.cone, rate_from)
         _check_off_wall(e.cone, rate_to)
     lo, hi = min(rate_from, rate_to), max(rate_from, rate_to)
     window = Window(lo, hi, include_lo=False, include_hi=False)
     out: list[tuple[float, int]] = []
-    for e in ends:
-        out.extend(e.cone.roots_in(window))
+    for e in op.ends:
+        out.extend(e.cone.kernel_table.roots_in(window))
     return sorted(out)
 
 
-def wall_crossing(
-    op: OperatorSpec, rate_from: float, rate_to: float, end: int | None = None
-) -> int:
+def wall_crossing(op: OperatorSpec, rate_from: float, rate_to: float) -> int:
     """Index jump when moving rates from ``rate_from`` to ``rate_to``.
 
     Computed as the signed sum of d_lambda over the crossed roots; equals
-    index(at rate_to) - index(at rate_from).  Applies to the single end
-    ``end`` when given, otherwise to every end simultaneously.
+    index(at rate_to) - index(at rate_from).  Every end moves its rate
+    together.
     """
-    crossed = sum(d for _, d in crossed_roots(op, rate_from, rate_to, end))
+    crossed = sum(d for _, d in crossed_roots(op, rate_from, rate_to))
     direction = 1 if rate_to > rate_from else -1
     sign = direction if op.kind == AC else -direction
     return sign * crossed
@@ -150,18 +149,16 @@ def ac_sl_kernel_dim(b1_of_L: int, b0_of_link: int) -> int:
     return b1_of_L + b0_of_link - 1
 
 
-def chamber(cone: ConeData, rate: float, span: float = 4.0) -> tuple[float, float]:
+def chamber(cone: ConeData, rate: float) -> tuple[float, float]:
     """The open interval of off-wall rates around ``rate``.
 
-    Clipped to +-span and to the rate interval the cone's kernel data covers,
-    so chamber detection never asks for eigenvalues beyond the cutoff.
+    Clipped to rate +- CHAMBER_SPAN and to the rates the cone's kernel data
+    covers, so chamber detection never asks for eigenvalues beyond the cutoff.
     """
-    if not span >= 0:
-        raise ValueError(f"span must be nonnegative, got {span}")
     _check_off_wall(cone, rate)
     table = cone.kernel_table
     cov_lo, cov_hi = table.rate_coverage()
-    lo, hi = max(rate - span, cov_lo), min(rate + span, cov_hi)
+    lo, hi = max(rate - CHAMBER_SPAN, cov_lo), min(rate + CHAMBER_SPAN, cov_hi)
     # off the wall, no root equals rate: the nearest roots bound the chamber
     below, above = table.between(lo, rate), table.between(rate, hi)
     if below:
@@ -182,7 +179,7 @@ def index_report(op: OperatorSpec) -> dict:
                 "rate": float(e.rate),
                 "contribution_ac": str(contrib),
                 "chamber": [lo, hi],
-                "d_minus_one": e.cone.d_at(-1),
+                "d_minus_one": e.cone.kernel_table.d_at(-1),
             }
         )
     return {"kind": op.kind, "index": index(op), "ends": ends}

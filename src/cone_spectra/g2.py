@@ -159,9 +159,10 @@ def g2_identity_residual(u: Vec7, v: Vec7) -> float | np.ndarray:
 RANK_TOL = 1e-10
 
 
-def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Modified Gram-Schmidt on the rows of a (k, 7) frame or a (..., k, 7)
-    stack of frames; raises DegenerateFrame if any frame is below rank k."""
+    stack of frames; raises DegenerateFrame if any frame is below rank k
+    (a remainder norm under RANK_TOL)."""
     out = np.array(vectors, dtype=float)
     k = out.shape[-2]
     for i in range(k):
@@ -172,8 +173,8 @@ def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> np.ndarray:
                 q = out[..., j, :]
                 w = w - _dot(q, w)[..., None] * q
         n = np.sqrt(_dot(w, w))
-        if np.any(n < rank_tol):
-            raise DegenerateFrame(f"frame has rank < {k} (tol {rank_tol})")
+        if np.any(n < RANK_TOL):
+            raise DegenerateFrame(f"frame has rank < {k} (tol {RANK_TOL})")
         out[..., i, :] = w / n[..., None]
     return out
 

@@ -38,6 +38,7 @@ from .errors import DegenerateAngles, FitUnstable, NoConvergence, QuadratureFail
 from .quadrature import carlson_rj_sq
 
 SUM_TOL = 1e-9
+NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,7 @@ def lawlor_theta_prime(y, a: LawlorParams) -> np.ndarray:
     return arr / ((1.0 + arr * y * y) * np.sqrt(lawlor_P(y, a)))
 
 
-def lawlor_solve(
-    target: LawlorAngles,
-    A: float,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> LawlorParams:
+def lawlor_solve(target: LawlorAngles, A: float, tol: float = 1e-10) -> LawlorParams:
     """Invert the angle map at fixed conformal scale A.
 
     Damped Newton iteration on (log a_1, log a_2) with a finite-difference
@@ -164,7 +160,7 @@ def lawlor_solve(
 
     u = np.log([kappa ** (2.0 / 3.0)] * 2)
     res, jac = evaluate(u)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if float(np.max(np.abs(res))) < tol:
             return params(u)
         try:
@@ -188,7 +184,7 @@ def lawlor_solve(
                 float(np.max(np.abs(res))),
             )
     raise NoConvergence(
-        f"no convergence after {max_iter} iterations",
+        f"no convergence after {NEWTON_MAX_ITER} iterations",
         float(np.max(np.abs(res))),
     )
 
@@ -261,10 +257,12 @@ def lawlor_profile(a: LawlorParams, ys) -> list[dict]:
     ]
 
 
-def lawlor_sampler(a: LawlorParams, y_max: float = 8.0):
+def lawlor_sampler(a: LawlorParams):
+    """Points of the neck at y drawn asinh-uniformly in [-8, 8], with unit sigma."""
+
     def sample(n: int, seed: int) -> SurfaceSample:
         rng = np.random.default_rng(seed)
-        big = math.asinh(y_max)
+        big = math.asinh(8.0)
         ys, sigmas = [], []
         # per sample a uniform then three ziggurat normals, which take a
         # variable number of raw draws: this order has no batched form
@@ -372,15 +370,13 @@ def hl_normal_deviation(branch: int, r, alpha1, alpha2, a: float = 1.0) -> np.nd
     return dev - (_real_dot(dev[..., None, :], frame)[..., None] * frame).sum(axis=-2)
 
 
-def hl_xi_relation_residual(
-    r_probe: float, n_samples: int = 6, seed: int = 0, a: float = 1.0
-) -> float:
-    """Norm of the normal projection of xi_1 + xi_2 + xi_3 at matched points.
+def hl_xi_relation_residual(r_probe: float, seed: int = 0, a: float = 1.0) -> float:
+    """Largest norm of the normal projection of xi_1 + xi_2 + xi_3 at six matched points.
 
     The three per-coordinate deviations sum to a radial vector, so the
     residual sits at rounding level and is bounded by C / r_probe^2.
     """
-    a1, a2 = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n_samples, 2)).T
+    a1, a2 = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(6, 2)).T
     total = sum(hl_normal_deviation(k, r_probe, a1, a2, a) for k in (1, 2, 3))
     return float(np.sqrt(_real_dot(total, total)).max(initial=0.0))
 
@@ -400,19 +396,21 @@ def _radius_angle_draws(rng, n: int, r_range) -> tuple[np.ndarray, np.ndarray, n
     return np.array(list(map(math.exp, draws[:, 0].tolist()))), draws[:, 1], draws[:, 2]
 
 
-def hl_smoothing_sampler(branch: int, a: float = 1.0, r_range=(0.05, 20.0)):
+def hl_smoothing_sampler(branch: int, a: float = 1.0):
+    """Points of L^branch_a with r drawn log-uniformly in [0.05, 20]."""
+
     def sample(n: int, seed: int) -> SurfaceSample:
-        r, theta1, theta2 = _radius_angle_draws(np.random.default_rng(seed), n, r_range)
+        r, theta1, theta2 = _radius_angle_draws(np.random.default_rng(seed), n, (0.05, 20.0))
         return hl_embed(r, theta1, theta2, branch, a)
 
     return sample
 
 
-def hl_cone_sampler(r_range=(0.5, 2.0)):
-    """Points of the T^2-cone with |position| = r drawn log-uniformly in r_range."""
+def hl_cone_sampler():
+    """Points of the T^2-cone with |position| = r drawn log-uniformly in [0.5, 2]."""
 
     def sample(n: int, seed: int) -> SurfaceSample:
-        r, a1, a2 = _radius_angle_draws(np.random.default_rng(seed), n, r_range)
+        r, a1, a2 = _radius_angle_draws(np.random.default_rng(seed), n, (0.5, 2.0))
         positions = g2.from_c3(hl_cone_point(r / math.sqrt(3.0), a1, a2))
         return SurfaceSample(positions, g2.from_c3(_hl_cone_tangent_frame(a1, a2)))
 
@@ -441,10 +439,6 @@ class CalibrationReport:
     max_associator: float
     phase: float
     n_samples: int
-
-    @property
-    def residuals(self) -> tuple[float, float]:
-        return (self.max_omega, self.max_im_omega)
 
 
 def verify_special_lagrangian(sampler, n_samples: int, seed: int) -> CalibrationReport:
@@ -486,7 +480,6 @@ class DecayFit:
     fitted_exponent: float
     r_range: tuple[float, float]
     residual_of_fit: float
-    n_radii: int
 
 
 def fit_decay(radii, norms) -> DecayFit:
@@ -511,7 +504,6 @@ def fit_decay(radii, norms) -> DecayFit:
         fitted_exponent=float(slope),
         r_range=(float(radii.min()), float(radii.max())),
         residual_of_fit=resid,
-        n_radii=len(radii),
     )
 
 

@@ -20,7 +20,6 @@ of it.  :func:`d_lambda` is the independent pointwise oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
@@ -52,7 +51,6 @@ class SLConeSpec:
 
     spectrum: Spectrum
     topology: LinkTopology
-    label: str = ""
 
     def __post_init__(self):
         ev0, mult0 = self.spectrum.entries[0]
@@ -285,12 +283,6 @@ class KernelTable:
 
     def d_at(self, lam: Rate | tuple) -> int:
         return sum(r.total_dimension for r in self.at(lam))
-
-    def total_dimension(self) -> int:
-        return sum(r.total_dimension for r in self.roots)
-
-    def to_json(self) -> str:
-        return json.dumps([r.to_dict() for r in self.roots])
 
 
 def _rate_coverage(cutoff: float) -> tuple[float, float]:

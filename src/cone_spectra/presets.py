@@ -25,7 +25,6 @@ def hl_cone_spec(cutoff: float = DEFAULT_CUTOFF) -> SLConeSpec:
     return SLConeSpec(
         spectrum=torus_spectrum(clifford_torus_metric(), cutoff),
         topology=LinkTopology(b0=1, b1=2, genus_per_component=(1,)),
-        label="harvey-lawson",
     )
 
 
@@ -34,7 +33,6 @@ def plane_cone_spec(cutoff: float = DEFAULT_CUTOFF) -> SLConeSpec:
     return SLConeSpec(
         spectrum=sphere_spectrum(cutoff),
         topology=LinkTopology(b0=1, b1=0, genus_per_component=(0,)),
-        label="sl-plane",
     )
 
 
@@ -43,34 +41,30 @@ def torus_cone_spec(metric: TorusMetric, cutoff: float = DEFAULT_CUTOFF) -> SLCo
     return SLConeSpec(
         spectrum=torus_spectrum(metric, cutoff),
         topology=LinkTopology(b0=1, b1=2, genus_per_component=(1,)),
-        label=f"torus({metric.g11},{metric.g12},{metric.g22})",
     )
 
 
-def hl_cone(cutoff: float = DEFAULT_CUTOFF, symmetry_dim: int | None = HL_SYMMETRY_DIM) -> ConeData:
+def hl_cone(cutoff: float = DEFAULT_CUTOFF) -> ConeData:
     return ConeData(
         components=(
-            ConeComponent(hl_cone_spec(cutoff), symmetry_group_dim=symmetry_dim),
+            ConeComponent(hl_cone_spec(cutoff), symmetry_group_dim=HL_SYMMETRY_DIM),
         )
     )
 
 
-def plane_cone(cutoff: float = DEFAULT_CUTOFF, symmetry_dim: int | None = PLANE_SYMMETRY_DIM) -> ConeData:
+def plane_cone(cutoff: float = DEFAULT_CUTOFF) -> ConeData:
     return ConeData(
         components=(
             ConeComponent(
-                plane_cone_spec(cutoff), symmetry_group_dim=symmetry_dim, is_plane=True
+                plane_cone_spec(cutoff), symmetry_group_dim=PLANE_SYMMETRY_DIM, is_plane=True
             ),
         )
     )
 
 
-def plane_pair_cone(cutoff: float = DEFAULT_CUTOFF, symmetry_dim: int | None = PLANE_SYMMETRY_DIM) -> ConeData:
+def plane_pair_cone(cutoff: float = DEFAULT_CUTOFF) -> ConeData:
     """A transverse pair of SL planes: two totally geodesic S^2 components."""
-    comp = ConeComponent(
-        plane_cone_spec(cutoff), symmetry_group_dim=symmetry_dim, is_plane=True
-    )
-    return ConeData(components=(comp, comp))
+    return ConeData(components=plane_cone(cutoff).components * 2)
 
 
 def torus_cone(metric: TorusMetric, cutoff: float = DEFAULT_CUTOFF) -> ConeData:

@@ -9,7 +9,6 @@ carries its 1/sqrt(3) factor and the induced metric is (1/3)[[2,1],[1,2]].
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -64,9 +63,9 @@ class Spectrum:
             out.extend([float(ev)] * mult)
         return out
 
-    def multiplicity(self, value, tol: float = RELATIVE_TOL) -> int:
+    def multiplicity(self, value) -> int:
         """Multiplicity at ``value`` (0 if absent or negative): exact equality
-        in an exact spectrum, else the lowest eigenvalue within ``tol`` relative."""
+        in an exact spectrum, else the lowest eigenvalue within RELATIVE_TOL."""
         if value < 0:
             return 0
         entries = self.entries
@@ -74,7 +73,7 @@ class Spectrum:
             i = bisect_left(entries, value, key=_eigenvalue)
             return entries[i][1] if i < len(entries) and entries[i][0] == value else 0
         fv = float(value)
-        t = tol * max(1.0, abs(fv))
+        t = RELATIVE_TOL * max(1.0, abs(fv))
         # start a rounding margin below fv - t; past fv, a miss means all later miss
         for i in range(bisect_left(entries, fv - 2.0 * t, key=_eigenvalue), len(entries)):
             fe = float(entries[i][0])
@@ -83,11 +82,6 @@ class Spectrum:
             if fe > fv:
                 break
         return 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"eigenvalue": float(ev), "multiplicity": m} for ev, m in self.entries]
-        )
 
 
 @dataclass(frozen=True)

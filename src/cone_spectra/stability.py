@@ -9,8 +9,8 @@ disconnected) link, the three indices are
 
 where H_j is the G2 symmetry group of the j-th link component and Z_j the
 stratum of its moduli of holomorphic links.  Results are Fractions, never
-floats: index formulas admit no tolerance.  Every d_lambda is read from the
-cone's one KernelTable, its components' tables merged.
+floats: index formulas admit no tolerance.  Every d_lambda is read from
+``cone.kernel_table``, its components' tables merged.
 """
 
 from __future__ import annotations
@@ -75,17 +75,13 @@ class ConeComponent:
         ):
             raise ValueError("stratum_dim must be >= 14 - symmetry_group_dim")
 
-    @property
-    def kernel_table(self) -> KernelTable:
-        return self.kernel_source.kernel_table
-
 
 @dataclass(frozen=True)
 class ConeData:
     """An associative cone as a disjoint union of link components.
 
-    Its kernel table merges the components' tables on the rates they all
-    cover; the d_lambda queries below read it.
+    Its one kernel table merges the components' tables on the rates they all
+    cover; every d_lambda query of the indices reads that table.
     """
 
     components: tuple[ConeComponent, ...]
@@ -96,23 +92,12 @@ class ConeData:
 
     @cached_property
     def kernel_table(self) -> KernelTable:
-        return KernelTable.union([c.kernel_table for c in self.components])
-
-    def rate_coverage(self) -> tuple[float, float]:
-        return self.kernel_table.rate_coverage()
-
-    def d_at(self, lam: Rate) -> int:
-        return self.kernel_table.d_at(lam)
-
-    def d_sum(self, window: Window) -> int:
-        return self.kernel_table.d_sum(window)
-
-    def roots_in(self, window: Window) -> list[tuple[float, int]]:
-        return self.kernel_table.roots_in(window)
+        return KernelTable.union([c.kernel_source.kernel_table for c in self.components])
 
 
 def _base_sum(cone: ConeData, window: Window) -> Fraction:
-    return Fraction(cone.d_at(-1), 2) + cone.d_sum(window) - 7
+    table = cone.kernel_table
+    return Fraction(table.d_at(-1), 2) + table.d_sum(window) - 7
 
 
 def s_ind_minus(cone: ConeData) -> Fraction:
@@ -138,7 +123,7 @@ def s_ind_plus(cone: ConeData) -> Fraction:
 
 def is_rigid(cone: ConeData) -> bool:
     """d_1 = sum_j (14 - dim H_j): all rate-1 deformations come from G2."""
-    return cone.d_at(1) == sum(_orbit_codims(cone))
+    return cone.kernel_table.d_at(1) == sum(_orbit_codims(cone))
 
 
 def s_ind(cone: ConeData) -> Fraction:
@@ -190,14 +175,12 @@ def sl_lower_bound(topology: LinkTopology) -> Fraction:
     return Fraction(topology.b1, 2) + topology.b0 - 1
 
 
-def stability_report(cone: ConeData, window: Window | None = None) -> dict:
-    """JSON-ready report; exact rationals are serialized as "p/q" strings."""
-    window = window or Window(-3, 1)
-
+def stability_report(cone: ConeData) -> dict:
+    """JSON-ready report, its d-table on [-3, 1]; exact rationals are
+    serialized as "p/q" strings."""
+    d_table = cone.kernel_table.roots_in(Window(-3, 1))
     report: dict = {
-        "d_table": [
-            {"lambda": lam, "dimension": d} for lam, d in cone.roots_in(window)
-        ],
+        "d_table": [{"lambda": lam, "dimension": d} for lam, d in d_table],
         "s_ind_minus": str(s_ind_minus(cone)),
     }
     try:

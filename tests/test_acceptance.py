@@ -79,8 +79,8 @@ def test_criterion_01_hl_kernel_table():
 
 
 def test_criterion_02_plane_pair_table():
-    d = {lam: PAIR.d_at(lam) for lam in (-1, 0, 1)}
-    interior = PAIR.roots_in(Window(-1, 1, include_lo=False, include_hi=False))
+    d = {lam: PAIR.kernel_table.d_at(lam) for lam in (-1, 0, 1)}
+    interior = PAIR.kernel_table.roots_in(Window(-1, 1, include_lo=False, include_hi=False))
     ok = d == {-1: 0, 0: 8, 1: 16} and [lam for lam, _ in interior] == [0.0]
     _report(2, "transverse plane pair d(-1)=0, d(0)=8, d(1)=16", ok, str(d))
 
@@ -186,7 +186,7 @@ def test_criterion_09_calibration_residuals():
         geometry.verify_special_lagrangian(geometry.hl_cone_sampler(), 500, 0)
     )
     link = geometry.verify_special_lagrangian(geometry.hl_link_sampler(), 500, 0)
-    worst_cal = max(max(r.residuals) for r in reports)
+    worst_cal = max(max(r.max_omega, r.max_im_omega) for r in reports)
     worst_cal = max(worst_cal, link.max_omega)
     worst_assoc = max(r.max_associator for r in reports)
     ok = worst_cal < 1e-6 and worst_assoc < 1e-6

@@ -256,6 +256,19 @@ def test_profile_csv(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    # |z_k| overflows to inf; a_1 a_2 a_3 overflows, so the angles are nan
+    ["--a", "1,1,1", "--y-min", "-1e200", "--y-max", "1e200", "--count", "3"],
+    ["--a", "1e300,1e300,1e300", "--count", "3"],
+])
+def test_non_finite_result_is_a_numerical_failure_in_either_format(argv, fmt):
+    code, out = run(["--output-format", fmt, "lawlor", "profile", *argv])
+    assert (code, json.loads(out)) == (EXIT_NUMERICAL, {
+        "error": "NonFiniteResult", "message": "Out of range float values are not JSON compliant",
+    })
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\ncutoff = 7\nwindow = -2:1\n")
@@ -335,7 +348,7 @@ def test_user_table_cone(tmp_path):
             {
                 "rows": [
                     {"lambda": -1, "dimension": 2},
-                    {"lambda": 0, "dimension": 7},
+                    {"lambda": 0, "dimension": 7.0},  # an integral float reads as 7
                     {"lambda": 1, "dimension": 12},
                 ],
                 "coverage": [-3, 3],
@@ -349,6 +362,15 @@ def test_user_table_cone(tmp_path):
     code, out = run(["index", "--kind", "ac", "--end", f"table:{table}:-0.5"])
     assert code == EXIT_OK
     assert json.loads(out)["result"]["index"] == 1
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1e400", "1.5", "true", '"7"'])
+def test_table_dimension_must_be_integral(tmp_path, text):
+    # a dimension that is not an integral number is invalid input, not 1 or a traceback
+    table = tmp_path / "cone.json"
+    table.write_text('{"rows": [{"lambda": 0, "dimension": %s}], "coverage": [-3, 3]}' % text)
+    code, out = run(["stability", "--cone", f"table:{table}"])
+    assert (code, json.loads(out)["error"]) == (EXIT_VALIDATION, "ValidationError")
 
 
 def test_hl_subcommands():
@@ -615,7 +637,7 @@ def _batch_argv(draw):
 # user d-tables: well-formed bodies with fuzzed entries, and malformed JSON
 TABLE_VALUES = st.one_of(
     st.sampled_from(NUMBERS), st.integers(-3, 9), st.floats(-4.0, 4.0), st.none(),
-    st.sampled_from([[], {}, True, 10**12]),
+    st.sampled_from([[], {}, True, 10**12, float("inf")]),
 )
 TABLE_BODIES = st.one_of(
     st.builds(

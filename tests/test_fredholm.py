@@ -1,7 +1,5 @@
 """Weighted Fueter index arithmetic: end sums, wall crossing, virtual dims."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -90,9 +88,6 @@ def test_index_constant_on_chamber():
     op = _ac(HL, 0.5)
     lo, hi = chamber(HL, 0.5)
     assert (lo, hi) == (0.0, 1.0)
-    for span in (-1.0, math.nan):
-        with pytest.raises(ValueError):
-            chamber(HL, 0.5, span)
     rng = np.random.default_rng(23)
     values = {
         index(with_rates(op, float(rng.uniform(lo + 1e-6, hi - 1e-6))))
@@ -104,10 +99,10 @@ def test_index_constant_on_chamber():
 def test_jump_across_minus_one_is_d_minus_one():
     # exact chamber detection picks s small enough that -1 is the only root
     for cone in (HL, PLANE, PAIR):
-        lo, hi = chamber(cone, -1.0) if cone.d_at(-1) == 0 else (-2.0, 0.0)
+        lo, hi = chamber(cone, -1.0) if cone.kernel_table.d_at(-1) == 0 else (-2.0, 0.0)
         s = 0.25 * min(-1.0 - lo, hi - (-1.0))
         op = _ac(cone, -1 + s)
-        assert index(op) - index(with_rates(op, -1 - s)) == cone.d_at(-1)
+        assert index(op) - index(with_rates(op, -1 - s)) == cone.kernel_table.d_at(-1)
 
 
 def test_rate_on_wall_rejected():

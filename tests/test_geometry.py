@@ -363,13 +363,13 @@ def test_verify_lawlor():
 def test_verify_hl_smoothings():
     for branch in (1, 2, 3):
         report = verify_special_lagrangian(hl_smoothing_sampler(branch), 200, 5)
-        assert max(report.residuals) < 1e-6
+        assert max(report.max_omega, report.max_im_omega) < 1e-6
         assert report.max_associator < 1e-6
 
 
 def test_verify_hl_cone_and_link():
     cone = verify_special_lagrangian(hl_cone_sampler(), 200, 5)
-    assert max(cone.residuals) < 1e-6
+    assert max(cone.max_omega, cone.max_im_omega) < 1e-6
     link = verify_special_lagrangian(hl_link_sampler(), 200, 5)
     assert link.max_omega < 1e-10
 
@@ -384,7 +384,7 @@ def test_verify_detects_noncalibrated_surface():
         return dataclasses.replace(samples, frame=frame)
 
     report = verify_special_lagrangian(bad_sampler, 50, 5)
-    assert max(report.residuals) > 1e-4
+    assert max(report.max_omega, report.max_im_omega) > 1e-4
 
 
 def test_verify_detects_e1_tilt_via_associator():
@@ -512,7 +512,6 @@ def test_verify_orthonormalizes_once_per_frame_rank(monkeypatch):
 def test_lawlor_decay_rate():
     fit = lawlor_decay_fit(ASYM)
     assert abs(fit.fitted_exponent + 2.0) < 0.1
-    assert fit.n_radii >= 8
 
 
 def test_lawlor_decay_rate_after_subtraction():
@@ -624,7 +623,7 @@ def test_hl_deviation_arrays_match_per_point_loop(branch, a):
             a1, a2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
             total = sum(_normal_deviation_per_point(k, r, a1, a2, a) for k in (1, 2, 3))
             worst = max(worst, float(np.linalg.norm(total)))
-        assert hl_xi_relation_residual(r, 6, 4, a) <= worst + 1e-14
+        assert hl_xi_relation_residual(r, seed=4, a=a) <= worst + 1e-14
 
 
 def test_hl_xi_relation():

@@ -87,14 +87,15 @@ def test_empty_window():
 def test_window_endpoint_semantics():
     closed = indicial_roots(HL, Window(-1, 1))
     open_ = indicial_roots(HL, Window(-1, 1, include_lo=False, include_hi=False))
-    assert closed.total_dimension() - open_.total_dimension() == 2 + 12
+    dims = [sum(r.total_dimension for r in t.roots) for t in (closed, open_)]
+    assert dims[0] - dims[1] == 2 + 12
 
 
 def test_merging_preserves_total_dimension():
     # sum over the window equals the sum of pointwise d_lambda at the roots
     table = indicial_roots(HL, Window(-3, 1))
     total = sum(d_lambda(HL, r.exact if r.exact is not None else r.value) for r in table.roots)
-    assert table.total_dimension() == total
+    assert sum(r.total_dimension for r in table.roots) == total
 
 
 def test_indicial_roots_deterministic():
@@ -213,7 +214,8 @@ def test_negative_target_needs_no_cutoff():
 
 
 def test_kernel_table_json():
-    rows = json.loads(indicial_roots(HL, Window(-2, 1)).to_json())
+    # the rows the CLI embeds as each component's roots
+    rows = [r.to_dict() for r in indicial_roots(HL, Window(-2, 1)).roots]
     assert {"lambda": 0.0, "dimension": 7} == {
         "lambda": rows[2]["lambda"],
         "dimension": rows[2]["dimension"],

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cone_spectra import fredholm
 from cone_spectra.errors import (
     CutoffExceeded,
     MissingStratumData,
@@ -33,7 +34,7 @@ from cone_spectra.indicial import (
     morse_index,
     symmetry_check,
 )
-from cone_spectra.presets import hl_cone, plane_cone, plane_pair_cone, torus_cone
+from cone_spectra.presets import hl_cone, hl_cone_spec, plane_cone, plane_pair_cone, torus_cone
 from cone_spectra.spectra import LinkTopology, Spectrum, TorusMetric
 from cone_spectra.stability import (
     ConeComponent,
@@ -53,6 +54,11 @@ PAIR = plane_pair_cone()
 PLANE = plane_cone()
 
 
+def _hl_with_symmetry(dim):
+    """The HL cone with the G2 symmetry dimension ``dim`` (None: unknown)."""
+    return ConeData((ConeComponent(hl_cone_spec(), symmetry_group_dim=dim),))
+
+
 def test_s_ind_minus_values():
     assert s_ind_minus(HL) == 1  # 2/2 + 7 - 7
     assert s_ind_minus(PAIR) == 1  # 0 + 8 - 7
@@ -65,14 +71,14 @@ def test_s_ind_plus_values():
 
 
 def test_s_ind_plus_full_symmetry_reduces_to_bare_sum():
-    cone = hl_cone(symmetry_dim=14)
+    cone = _hl_with_symmetry(14)
     assert s_ind_plus(cone) == Fraction(2, 2) + 19 - 7
 
 
 def test_rigidity():
     assert is_rigid(HL)  # 12 = 14 - 2
     assert is_rigid(PAIR)  # 16 = 2 * (14 - 6)
-    assert not is_rigid(hl_cone(symmetry_dim=3))  # 12 != 11
+    assert not is_rigid(_hl_with_symmetry(3))  # 12 != 11
 
 
 def test_s_ind_rigid_default():
@@ -82,14 +88,14 @@ def test_s_ind_rigid_default():
 
 
 def test_missing_data_errors():
-    bare = hl_cone(symmetry_dim=None)
+    bare = _hl_with_symmetry(None)
     with pytest.raises(MissingSymmetryData):
         s_ind_plus(bare)
     with pytest.raises(MissingStratumData):
         s_ind(bare)
     # non-rigid without stratum data cannot fall back to the orbit default
     with pytest.raises(MissingStratumData):
-        s_ind(hl_cone(symmetry_dim=3))
+        s_ind(_hl_with_symmetry(3))
 
 
 def test_component_invariants():
@@ -128,23 +134,24 @@ def test_half_integer_indices_reported_exactly():
 
 def test_additivity_over_components():
     single = PAIR.components[0]
-    assert ConeData((single,)).d_at(1) * 2 == PAIR.d_at(1)
+    one, two = ConeData((single,)).kernel_table, PAIR.kernel_table
+    assert one.d_at(1) * 2 == two.d_at(1)
     window = Window(-1, 1, include_lo=False, include_hi=True)
-    assert ConeData((single,)).d_sum(window) * 2 == PAIR.d_sum(window)
+    assert one.d_sum(window) * 2 == two.d_sum(window)
 
 
 def test_table_cutoff_enforced():
     cone = _table_cone([(0, 7)])
     with pytest.raises(CutoffExceeded):
-        cone.d_at(3.5)
+        cone.kernel_table.d_at(3.5)
 
 
 def test_exact_rates_compare_exactly():
     third, tiny = Fraction(1, 3), Fraction(1, 10**20)
-    cone = _table_cone([(third, 3), (third + tiny, 4)])
-    assert cone.d_at(third) == 3 and cone.d_at(third + tiny) == 4
-    assert cone.d_sum(Window(third, 1, include_lo=False)) == 4
-    assert cone.d_sum(Window(0, third)) == 3
+    table = _table_cone([(third, 3), (third + tiny, 4)]).kernel_table
+    assert table.d_at(third) == 3 and table.d_at(third + tiny) == 4
+    assert table.d_sum(Window(third, 1, include_lo=False)) == 4
+    assert table.d_sum(Window(0, third)) == 3
 
 
 def test_null_torsion_bound():
@@ -194,7 +201,7 @@ def test_stability_report_shape():
 
 
 def test_report_without_symmetry_data():
-    report = stability_report(hl_cone(symmetry_dim=None))
+    report = stability_report(_hl_with_symmetry(None))
     assert report["s_ind_plus"] is None
     assert report["rigid"] is None
 
@@ -285,8 +292,9 @@ def test_root_table_matches_kernel_sources(name):
         assert cone.components[0].kernel_source.spectrum.exact == exact
         kinds = {r.key[0] for r in cone.kernel_table.roots}
         assert kinds == ({"Q", "I"} if exact else {"V"})
-    lo, hi = cone.rate_coverage()
-    roots = cone.roots_in(Window(lo, hi))
+    table = cone.kernel_table
+    lo, hi = table.rate_coverage()
+    roots = table.roots_in(Window(lo, hi))
     assert roots and [lam for lam, _ in roots] == sorted({lam for lam, _ in roots})
     rng = random.Random(len(name))
     between = [rng.uniform(lo, hi) for _ in range(60)]
@@ -294,16 +302,16 @@ def test_root_table_matches_kernel_sources(name):
     # float rates on either side of MERGE_TOL around -1, where d is b1 or nothing
     near_minus_one = [-1.0 - 1e-10, -1.0 + 1e-10, -1.0 - 2e-9, -1.0 + 2e-9]
     for lam in [r for r, _ in roots] + between + quarters + near_minus_one:
-        assert cone.d_at(lam) == sum(_oracle_d(c, lam) for c in cone.components), lam
+        assert table.d_at(lam) == sum(_oracle_d(c, lam) for c in cone.components), lam
     for lam, d in roots:
-        assert d == cone.d_at(lam) > 0
+        assert d == table.d_at(lam) > 0
     full = Window(lo, hi)
-    assert cone.d_sum(full) == sum(d for _, d in roots)
-    assert cone.d_sum(full) == sum(_oracle_sum(c, full) for c in cone.components)
+    assert table.d_sum(full) == sum(d for _, d in roots)
+    assert table.d_sum(full) == sum(_oracle_sum(c, full) for c in cone.components)
     for _ in range(20):
         a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
         window = Window(a, b, include_lo=rng.random() < 0.5, include_hi=rng.random() < 0.5)
-        assert cone.d_sum(window) == sum(_oracle_sum(c, window) for c in cone.components)
+        assert table.d_sum(window) == sum(_oracle_sum(c, window) for c in cone.components)
 
 
 def _scanned_chamber(values, coverage, rate, span):
@@ -319,10 +327,10 @@ def _scanned_chamber(values, coverage, rate, span):
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONES))
-def test_wall_and_chamber_lookups_match_a_scan(name):
+def test_wall_and_chamber_lookups_match_a_scan(name, monkeypatch):
     cone = DIFFERENTIAL_CONES[name]
     values = [r.value for r in cone.kernel_table.roots]
-    cov_lo, cov_hi = cone.rate_coverage()
+    cov_lo, cov_hi = cone.kernel_table.rate_coverage()
     rng = random.Random(f"lookups-{name}")
     rates = [rng.uniform(cov_lo, cov_hi) for _ in range(40)]
     # 1e-10 and 9e-10 from a root are on its wall, 2e-9 is off it
@@ -335,13 +343,15 @@ def test_wall_and_chamber_lookups_match_a_scan(name):
     clipped_by = set()
     for rate in rates:
         for span in (4.0, 0.05):
+            # the default span, and one narrow enough that it clips chambers
+            monkeypatch.setattr(fredholm, "CHAMBER_SPAN", span)
             expected = _scanned_chamber(values, (cov_lo, cov_hi), rate, span)
             if not isinstance(expected, tuple):
                 with pytest.raises(expected):
                     EndSpec(cone, rate)
                 continue
             EndSpec(cone, rate)
-            lo, hi = chamber(cone, rate, span)
+            lo, hi = chamber(cone, rate)
             assert (lo, hi) == expected, (rate, span)
             ends = {lo, hi}
             if ends & set(values):
@@ -373,7 +383,7 @@ def test_window_sums_match_a_contains_scan(name):
 
 def test_nan_rate_is_not_covered():
     with pytest.raises(CutoffExceeded):
-        HL.d_at(float("nan"))
+        HL.kernel_table.d_at(float("nan"))
     with pytest.raises(CutoffExceeded):
         HL.kernel_table.at(float("nan"))
 
