@@ -148,12 +148,8 @@ def _resolve_cone_data(name: str, cutoff: float) -> ConeData:
     from . import presets
     from .spectra import TorusMetric
 
-    if name == "hl":
-        return presets.hl_cone(cutoff)
-    if name == "plane":
-        return presets.plane_cone(cutoff)
-    if name == "plane-pair":
-        return presets.plane_pair_cone(cutoff)
+    if name in presets.PRESETS:
+        return presets.PRESETS[name](cutoff)
     if name.startswith("torus:"):
         g11, g12, g22 = (
             _parse_number(p) for p in name.split(":", 1)[1].split(",")
@@ -162,7 +158,7 @@ def _resolve_cone_data(name: str, cutoff: float) -> ConeData:
     if name.startswith("table:"):
         return _load_table_cone(name.split(":", 1)[1])
     raise ValidationError(
-        f"unknown cone preset '{name}' (use hl, plane, plane-pair, "
+        f"unknown cone preset '{name}' (use {', '.join(presets.PRESETS)}, "
         f"torus:<g11,g12,g22>, table:<path.json>)"
     )
 
@@ -401,18 +397,17 @@ def _cmd_lawlor(args) -> dict:
             "phase": report.phase,
             "n_samples": report.n_samples,
         }
-    if args.mode == "decay":
-        if not 0 < args.r_min < args.r_max < math.inf:
-            raise ValidationError(f"need 0 < --r-min < --r-max < inf: {args.r_min}, {args.r_max}")
-        params = geometry.LawlorParams(_parse_triple(args.a))
-        radii, norms = geometry.lawlor_decay_table(
-            params,
-            r_window=(args.r_min, args.r_max),
-            subtract_leading=args.subtract,
-            seed=args.seed,
-        )
-        return {"a": list(params.a), **_decay_report(radii, norms)}
-    raise ValidationError(f"unknown lawlor mode '{args.mode}'")
+    # decay, the last mode argparse admits
+    if not 0 < args.r_min < args.r_max < math.inf:
+        raise ValidationError(f"need 0 < --r-min < --r-max < inf: {args.r_min}, {args.r_max}")
+    params = geometry.LawlorParams(_parse_triple(args.a))
+    radii, norms = geometry.lawlor_decay_table(
+        params,
+        r_window=(args.r_min, args.r_max),
+        subtract_leading=args.subtract,
+        seed=args.seed,
+    )
+    return {"a": list(params.a), **_decay_report(radii, norms)}
 
 
 def _cmd_hl(args) -> dict:
@@ -444,11 +439,10 @@ def _cmd_hl(args) -> dict:
             "residual": geometry.hl_xi_relation_residual(args.r, seed=args.seed, a=args.a),
             "single_branch_deviation": geometry.hl_branch_deviation_magnitude(args.r, args.a),
         }
-    if args.mode == "decay":
-        branch = args.branch or 1
-        radii, norms = geometry.hl_decay_table(branch=branch, a=args.a)
-        return {"branch": branch, **_decay_report(radii, norms)}
-    raise ValidationError(f"unknown hl mode '{args.mode}'")
+    # decay, the last mode argparse admits
+    branch = args.branch or 1
+    radii, norms = geometry.hl_decay_table(branch=branch, a=args.a)
+    return {"branch": branch, **_decay_report(radii, norms)}
 
 
 def _cmd_g2(args) -> dict:
@@ -586,6 +580,17 @@ HANDLERS = {
 }
 
 
+def _options(parser, command: str) -> dict[str, bool]:
+    """Each '--' option flag of subcommand ``command`` -> whether it takes no value."""
+    subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+    return {
+        opt: action.nargs == 0
+        for action in subparsers.choices[command]._actions
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+
+
 def _config_tokens(parser, args, argv) -> list[str]:
     """The config file's entries as '--key=value' tokens for the same parser.
 
@@ -593,14 +598,8 @@ def _config_tokens(parser, args, argv) -> list[str]:
     takes 'true' or 'false'.  Entries for flags that argv sets are dropped,
     so explicit flags win.
     """
-    subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
-    options = {  # option flag -> whether it takes no value
-        opt: action.nargs == 0
-        for action in subparsers.choices[args.command]._actions
-        if action.dest not in ("help", "config")
-        for opt in action.option_strings
-        if opt.startswith("--")
-    }
+    options = _options(parser, args.command)
+    del options["--help"], options["--config"]
     explicit = set()
     for tok in argv:
         if tok.startswith("--"):
@@ -654,20 +653,10 @@ def _csv_output(command: str, result: dict) -> str:
     return buf.getvalue()
 
 
-def _boolean_flags(parser: argparse.ArgumentParser) -> set[str]:
-    """The options that take no value (store_true, --help), in every subcommand."""
-    flags: set[str] = set()
-    for action in parser._actions:
-        if action.nargs == 0:
-            flags.update(action.option_strings)
-        elif isinstance(action.choices, dict):  # the subcommand parsers
-            for sub in action.choices.values():
-                flags |= _boolean_flags(sub)
-    return flags
-
-
-def _join_flag_values(argv, boolean_flags: set[str]) -> list[str]:
-    """Merge '--flag value' into '--flag=value' so values like -2:1 parse."""
+def _join_flag_values(argv, parser) -> list[str]:
+    """Merge '--flag value' into '--flag=value' so values like -2:1 parse;
+    flags that take no value in some subcommand stay apart."""
+    boolean_flags = {f for c in HANDLERS for f, no_value in _options(parser, c).items() if no_value}
     out: list[str] = []
     i = 0
     while i < len(argv):
@@ -691,7 +680,7 @@ def _join_flag_values(argv, boolean_flags: set[str]) -> list[str]:
 def run(argv) -> tuple[int, str]:
     """Parse argv, run the subcommand, return (exit code, output text)."""
     parser = build_parser()
-    argv = _join_flag_values(list(argv), _boolean_flags(parser))
+    argv = _join_flag_values(list(argv), parser)
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -724,9 +713,9 @@ def run(argv) -> tuple[int, str]:
             "config": config,
             "result": result,
         }
-        if args.command in ("indicial", "stability", "index") and getattr(args, "cone", None):
+        if args.command in ("indicial", "stability"):
             report["provenance"] = _provenance(args.cone)
-        if args.command == "index" and getattr(args, "end", None):
+        if args.command == "index":
             report["provenance"] = [
                 _provenance(e.rpartition(":")[0]) for e in args.end
             ]

@@ -50,6 +50,9 @@ class LawlorParams:
         if len(a) != 3 or not all(math.isfinite(x) and x > 0 for x in a):
             raise ValueError("need three positive finite parameters")
         object.__setattr__(self, "a", a)
+        # the angle integrals and the scale A need e1, e2, e3 as floats
+        if not all(0.0 < e < math.inf for e in self.elementary_symmetric()):
+            raise ValueError(f"a = {a}: e1, e2 and e3 must be positive finite floats")
 
     def elementary_symmetric(self) -> tuple[float, float, float]:
         a1, a2, a3 = self.a
@@ -120,6 +123,12 @@ def lawlor_theta_at(y, a: LawlorParams) -> np.ndarray:
     tails = lawlor_tails(np.append(np.abs(y), 0.0), a)  # tail(0) is half the total angle
     total, tails = 2.0 * tails[-1], tails[:-1].reshape(y.shape + (3,))
     return np.where(y[..., None] > 0.0, total - tails, tails)
+
+
+def _neck_radius(y, a: LawlorParams) -> np.ndarray:
+    """|z_k(y)| = sqrt(1/a_k + y^2), shape y.shape + (3,); a huge y gives inf."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(1.0 / np.array(a.a) + np.asarray(y, dtype=float)[..., None] ** 2)
 
 
 def lawlor_theta_prime(y, a: LawlorParams) -> np.ndarray:
@@ -222,7 +231,7 @@ def lawlor_embed(y, sigma, a: LawlorParams) -> SurfaceSample:
     if np.any(np.abs(np.linalg.norm(sigma, axis=-1) - 1.0) > 1e-9):
         raise ValueError("sigma must be a unit 3-vector")
     yy = y[..., None]
-    rho = np.sqrt(1.0 / np.array(a.a) + yy * yy)
+    rho = _neck_radius(y, a)
     # theta(+inf) is the total angle, so one R_J call serves the turn and the foot
     theta = lawlor_theta_at(np.append(y, np.inf), a)
     turn = np.exp(1j * theta[:-1].reshape(y.shape + (3,)))
@@ -241,8 +250,7 @@ def lawlor_profile(a: LawlorParams, ys) -> list[dict]:
     """Profile rows (y, theta_k(y), |z_k(y)|) for CSV export."""
     ys = np.asarray(ys, dtype=float)
     theta = lawlor_theta_at(ys, a)
-    with np.errstate(over="ignore"):  # a huge y gives inf: a non-finite result
-        rho = np.sqrt(1.0 / np.array(a.a) + ys[:, None] ** 2)
+    rho = _neck_radius(ys, a)
     return [
         {
             "y": float(y),
@@ -526,9 +534,9 @@ def lawlor_decay_table(
     # the last row, at twice the outer radius, calibrates the leading term
     r = np.append(np.geomspace(r_window[0], r_window[1], n_radii), 2.0 * r_window[1])
     phases = lawlor_tails(r, a)
+    rho = _neck_radius(r, a)
     # a huge r gives inf or nan, which fit_decay reports
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = np.sqrt(1.0 / np.array(a.a) + r[:, None] ** 2)
         x = np.cos(phases) * rho * sigma  # footpoints in the plane, real coordinates
         w = np.sin(phases) * rho * sigma  # i-direction (normal) coordinates
         radii = np.linalg.norm(x, axis=1)
@@ -540,14 +548,9 @@ def lawlor_decay_table(
     return [float(v) for v in radii[:-1]], [float(v) for v in norms[:-1]]
 
 
-def lawlor_decay_fit(
-    a: LawlorParams,
-    r_window=(8.0, 120.0),
-    n_radii: int = 12,
-    subtract_leading: bool = False,
-    seed: int = 0,
-) -> DecayFit:
-    """Decay rate of the Lawlor end over its asymptotic plane.
+def lawlor_decay_fit(*args, **kwargs) -> DecayFit:
+    """Decay rate of the Lawlor end over its asymptotic plane, fitted to
+    ``lawlor_decay_table(*args, **kwargs)``.
 
     Without subtraction the normal deviation decays like r^-2; after fitting
     and removing the leading r^-3 (i x) term the remainder decays like r^-4
@@ -557,9 +560,7 @@ def lawlor_decay_fit(
     (Im(z1 z2 z3) is a first integral) and the subtracted remainder decays
     like r^-8.
     """
-    return fit_decay(
-        *lawlor_decay_table(a, r_window, n_radii, subtract_leading, seed)
-    )
+    return fit_decay(*lawlor_decay_table(*args, **kwargs))
 
 
 def hl_decay_table(
@@ -574,15 +575,10 @@ def hl_decay_table(
     return radii.tolist(), np.sqrt(_real_dot(dev, dev)).tolist()
 
 
-def hl_decay_fit(
-    branch: int = 1,
-    a: float = 1.0,
-    r_window=(10.0, 200.0),
-    n_radii: int = 12,
-    alphas=(0.7, 1.3),
-) -> DecayFit:
-    """Decay rate (r^-1) of a Harvey-Lawson smoothing over the T^2-cone."""
-    return fit_decay(*hl_decay_table(branch, a, r_window, n_radii, alphas))
+def hl_decay_fit(*args, **kwargs) -> DecayFit:
+    """Decay rate (r^-1) of a Harvey-Lawson smoothing over the T^2-cone,
+    fitted to ``hl_decay_table(*args, **kwargs)``."""
+    return fit_decay(*hl_decay_table(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +599,9 @@ def transverse_plane_pair(theta) -> PlanePair:
     Raises DegenerateAngles when some theta_k touches {0, pi} (the planes
     then share a line and the splitting R^7 = <n> + Pi_0 + Pi_theta fails).
     """
-    if isinstance(theta, LawlorAngles):
-        angles = theta.theta
-    else:
-        angles = tuple(float(t) for t in theta)
-        if abs(sum(angles) - math.pi) > SUM_TOL:
-            raise ValueError("plane angles must sum to pi")
+    angles = tuple(float(t) for t in theta)
+    if abs(sum(angles) - math.pi) > SUM_TOL:
+        raise ValueError("plane angles must sum to pi")
     for t in angles:
         if min(abs(t), abs(t - math.pi)) < 1e-9 or not (0.0 <= t <= math.pi):
             raise DegenerateAngles(f"angle {t} in {{0, pi}}: planes share a line")

@@ -53,9 +53,7 @@ class SLConeSpec:
     topology: LinkTopology
 
     def __post_init__(self):
-        ev0, mult0 = self.spectrum.entries[0]
-        if abs(float(ev0)) > 1e-6:
-            raise ValueError("link spectrum must contain eigenvalue 0")
+        mult0 = self.spectrum.entries[0][1]  # a Spectrum starts at eigenvalue 0
         if mult0 != self.topology.b0:
             raise ValueError(
                 f"multiplicity of eigenvalue 0 ({mult0}) must equal b0 "
@@ -74,7 +72,7 @@ class SLConeSpec:
     @cached_property
     def kernel_table(self) -> KernelTable:
         """Every indicial root on the rates the spectrum determines, built once.
-        The first entry is eigenvalue 0 by decree (as in ``__post_init__``), and
+        The first entry is eigenvalue 0 by decree (``Spectrum`` checks it), and
         its two roots at -1 are skipped: -1 carries only harmonic 1-forms.
         Irrational roots are built directly, the rest merged."""
         exact = self.spectrum.exact

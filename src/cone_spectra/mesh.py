@@ -328,7 +328,7 @@ def icosphere(refinements: int) -> TriMesh:
     return TriMesh(verts, faces)
 
 
-def clifford_torus_mesh(n: int = 64) -> TriMesh:
+def clifford_torus_mesh(n: int) -> TriMesh:
     """Regular n x n grid sample of the unit-norm Clifford torus link in R^6."""
     if n < 3:
         raise ValueError("need n >= 3")

@@ -22,10 +22,7 @@ PLANE_SYMMETRY_DIM = 6  # H = SO(4)
 
 def hl_cone_spec(cutoff: float = DEFAULT_CUTOFF) -> SLConeSpec:
     """The Harvey-Lawson T^2-cone: flat Clifford-torus link, genus 1."""
-    return SLConeSpec(
-        spectrum=torus_spectrum(clifford_torus_metric(), cutoff),
-        topology=LinkTopology(b0=1, b1=2, genus_per_component=(1,)),
-    )
+    return torus_cone_spec(clifford_torus_metric(), cutoff)
 
 
 def plane_cone_spec(cutoff: float = DEFAULT_CUTOFF) -> SLConeSpec:
@@ -70,6 +67,9 @@ def plane_pair_cone(cutoff: float = DEFAULT_CUTOFF) -> ConeData:
 def torus_cone(metric: TorusMetric, cutoff: float = DEFAULT_CUTOFF) -> ConeData:
     return ConeData(components=(ConeComponent(torus_cone_spec(metric, cutoff)),))
 
+
+#: the named presets of the CLI's --cone and --end
+PRESETS = {"hl": hl_cone, "plane": plane_cone, "plane-pair": plane_pair_cone}
 
 PRESET_PROVENANCE = {
     "hl": "Harvey-Lawson T^2-cone, Clifford-torus link, H = U(1)^2",

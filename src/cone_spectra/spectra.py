@@ -49,12 +49,13 @@ class Spectrum:
             if prev is not None and not ev > prev:
                 raise ValueError("eigenvalues must be strictly increasing")
             prev = ev
-        if self.entries:
-            first = self.entries[0][0]
-            if self.exact and first != 0:
-                raise ValueError("exact spectra must start at eigenvalue 0")
-            if not self.exact and abs(float(first)) > 1e-6:
-                raise ValueError("numeric spectra must start near eigenvalue 0")
+        if not self.entries:
+            raise ValueError("a spectrum needs eigenvalue 0")
+        first = self.entries[0][0]
+        if self.exact and first != 0:
+            raise ValueError("exact spectra must start at eigenvalue 0")
+        if not self.exact and abs(float(first)) > 1e-6:
+            raise ValueError("numeric spectra must start near eigenvalue 0")
 
     def eigenvalues(self) -> list[float]:
         """Eigenvalues repeated with multiplicity."""

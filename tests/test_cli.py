@@ -1,5 +1,7 @@
 """CLI adapter checks: exit codes, determinism, config handling, parity."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -81,6 +83,30 @@ def test_cli_matches_library():
     code, out = run(["stability", "--cone", "plane-pair", "--sym-dim", "6"])
     direct = stability.stability_report(presets.plane_pair_cone())
     assert json.loads(out)["result"] == direct
+
+
+def _readme_cli_block() -> list[str]:
+    """The commands of the fenced block under README's '## CLI' heading."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_block())
+def test_readme_cli_block_runs(tmp_path, monkeypatch, line):
+    # the cli-readme benchmark runs these lines; --off link.off reads the working directory
+    monkeypatch.chdir(tmp_path)
+    mesh.save_off(mesh.icosphere(2), tmp_path / "link.off")
+    prog, *argv = line.split()
+    assert prog == "cone-spectra"
+    code, out = run(argv)
+    assert code == EXIT_OK, out
+    if "--output-format" in argv and argv[argv.index("--output-format") + 1] == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+    else:
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["command"] == argv[0] and "result" in report
 
 
 def test_byte_identical_reruns():
@@ -258,15 +284,22 @@ def test_profile_csv(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("argv", [
-    # |z_k| overflows to inf; a_1 a_2 a_3 overflows, so the angles are nan
+    # |z_k| overflows to inf
     ["--a", "1,1,1", "--y-min", "-1e200", "--y-max", "1e200", "--count", "3"],
-    ["--a", "1e300,1e300,1e300", "--count", "3"],
 ])
 def test_non_finite_result_is_a_numerical_failure_in_either_format(argv, fmt):
     code, out = run(["--output-format", fmt, "lawlor", "profile", *argv])
     assert (code, json.loads(out)) == (EXIT_NUMERICAL, {
         "error": "NonFiniteResult", "message": "Out of range float values are not JSON compliant",
     })
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_lawlor_parameters_out_of_float_range_are_a_validation_error(fmt):
+    # a_1 a_2 a_3 overflows: LawlorParams rejects a before any angle or row is computed
+    argv = ["--output-format", fmt, "lawlor", "profile", "--a", "1e300,1e300,1e300", "--count", "3"]
+    code, out = run(argv)
+    assert (code, json.loads(out)["error"]) == (EXIT_VALIDATION, "ValueError")
 
 
 def test_config_file(tmp_path):
@@ -672,10 +705,10 @@ EDGE_ARGV = {
      "--subtract"): EXIT_NUMERICAL,
     ("lawlor", "angles", "--a", "1e-300,1,1"): EXIT_VALIDATION,
     ("lawlor", "angles", "--a", "1e300,1e300,1e300"): EXIT_VALIDATION,
-    # e3 = a1 a2 a3 underflows to 0 or overflows to inf: nan angles, in bounded time
+    # e3 = a1 a2 a3 underflows to 0 or overflows to inf: LawlorParams rejects a
     ("lawlor", "angles", "--a", "1e-200,1e-200,1e-200"): EXIT_VALIDATION,
     ("lawlor", "angles", "--a", "1e120,1e120,1e120"): EXIT_VALIDATION,
-    ("lawlor", "verify", "--a", "1e120,1e120,1e120", "--samples", "20"): EXIT_NUMERICAL,
+    ("lawlor", "verify", "--a", "1e120,1e120,1e120", "--samples", "20"): EXIT_VALIDATION,
     ("lawlor", "decay", "--a", "1,2,3", "--r-min", "1e-300", "--r-max", "1e-299"): EXIT_NUMERICAL,
     ("lawlor", "decay", "--a", "1,2,3", "--r-min", "1e-16", "--r-max", "1e-15"): EXIT_NUMERICAL,
 }

@@ -238,6 +238,10 @@ def test_angle_type_validation():
         LawlorAngles((0.0, math.pi / 2, math.pi / 2))
     with pytest.raises(ValueError):
         LawlorParams((1.0, -1.0, 1.0))
+    # e2 or e3 = a1 a2 a3 overflows to inf or underflows to 0
+    for a in ((1e300, 1e300, 1e300), (1e160, 1e160, 1.0), (1e-200, 1e-200, 1e-200)):
+        with pytest.raises(ValueError):
+            LawlorParams(a)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ against mpmath, scipy and a complex-arithmetic duplication, the tail angles
 against mpmath quadrature."""
 
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -77,6 +78,15 @@ def test_carlson_rj_broadcasts_and_is_real():
     value = carlson_rj(0.0, [1.0, 2.0], np.array([[2.0], [3.0]]), 4.0)
     assert value.shape == (2, 2) and value.dtype == float
     assert value[0, 0] == carlson_rj(0.0, 1.0, 2.0, 4.0)
+
+
+def test_carlson_rj_outside_its_domain_is_nan_in_bounded_time():
+    # two of x, y, z zero: 4^-m underflows in the duplication loop, which then stops
+    start = time.perf_counter()
+    with np.errstate(invalid="ignore"):
+        value = carlson_rj(0.0, 0.0, 1.0, 1.0)
+    assert math.isnan(value)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_carlson_rj_vanishes_at_infinity():

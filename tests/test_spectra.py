@@ -320,6 +320,8 @@ def test_spectrum_validation():
         Spectrum(((0, 1), (2, 3), (2, 1)), 5.0, True)  # not increasing
     with pytest.raises(ValueError):
         Spectrum(((1, 1),), 5.0, True)  # missing eigenvalue 0
+    with pytest.raises(ValueError):
+        Spectrum((), 1.0, True)  # no entries, so no eigenvalue 0
 
 
 def test_spectrum_json():
