@@ -106,12 +106,13 @@ def _check_batch_size(flag: str, value: int, bound: int, name: str) -> None:
 
 
 def _parse_triple(text: str | None) -> tuple:
+    """Exactly three comma-separated numbers, each parsed by _parse_number."""
     if text is None:
-        raise ValidationError("missing a required triple argument (e.g. --a or --theta)")
-    parts = [p for p in text.split(",") if p]
+        raise ValidationError("missing a required triple argument (e.g. --metric, --a or --theta)")
+    parts = text.split(",")
     if len(parts) != 3:
         raise ValidationError(f"'{text}' must hold three comma-separated numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_number(p) for p in parts)
 
 
 def _table_dimension(value) -> int:
@@ -136,7 +137,7 @@ def _load_table_cone(path: str) -> ConeData:
             for row in data["rows"]
         )
         lo, hi = data["coverage"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"malformed d-table {path}: {type(exc).__name__} {exc}"
         ) from None
@@ -151,10 +152,8 @@ def _resolve_cone_data(name: str, cutoff: float) -> ConeData:
     if name in presets.PRESETS:
         return presets.PRESETS[name](cutoff)
     if name.startswith("torus:"):
-        g11, g12, g22 = (
-            _parse_number(p) for p in name.split(":", 1)[1].split(",")
-        )
-        return presets.torus_cone(TorusMetric(g11, g12, g22), cutoff)
+        metric = TorusMetric(*_parse_triple(name.split(":", 1)[1]))
+        return presets.torus_cone(metric, cutoff)
     if name.startswith("table:"):
         return _load_table_cone(name.split(":", 1)[1])
     raise ValidationError(
@@ -203,10 +202,7 @@ def _cmd_spectrum(args) -> dict:
     if args.mode == "torus":
         from .spectra import TorusMetric, torus_spectrum
 
-        if args.metric is None:
-            raise ValidationError("spectrum torus needs --metric g11,g12,g22")
-        g11, g12, g22 = (_parse_number(p) for p in args.metric.split(","))
-        spectrum = torus_spectrum(TorusMetric(g11, g12, g22), args.cutoff)
+        spectrum = torus_spectrum(TorusMetric(*_parse_triple(args.metric)), args.cutoff)
     elif args.mode == "sphere":
         from .spectra import sphere_spectrum
 
@@ -234,6 +230,7 @@ def _cmd_spectrum(args) -> dict:
 
 def _cmd_indicial(args) -> dict:
     from .indicial import (
+        JACOBI_CONVENTION,
         SLConeSpec,
         Window,
         indicial_roots,
@@ -266,7 +263,7 @@ def _cmd_indicial(args) -> dict:
     if args.jacobi:
         js = [jacobi_spectrum(s, window) for s in specs]
         result["jacobi"] = {
-            "convention": js[0].convention,
+            "convention": JACOBI_CONVENTION,
             "entries": [
                 {
                     "eigenvalue": e.eigenvalue,

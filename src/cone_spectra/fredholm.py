@@ -58,7 +58,7 @@ class OperatorSpec:
 
 def _check_off_wall(cone: ConeData, rate: Rate) -> None:
     table = cone.kernel_table
-    cov_lo, cov_hi = table.rate_coverage()
+    cov_lo, cov_hi = table.rate_coverage
     if not cov_lo <= rate <= cov_hi:
         raise CutoffExceeded(
             f"rate {float(rate)} outside the covered rate interval "
@@ -120,15 +120,16 @@ def wall_crossing(op: OperatorSpec, rate_from: float, rate_to: float) -> int:
     return sign * crossed
 
 
-def with_rates(op: OperatorSpec, rates: Sequence[float] | float) -> OperatorSpec:
-    """A copy of ``op`` with new weight rates."""
-    if isinstance(rates, (int, float)):
-        rates = [float(rates)] * len(op.ends)
+def with_rates(op: OperatorSpec, rates: Sequence[Rate] | Rate) -> OperatorSpec:
+    """A copy of ``op`` with new weight rates, each kept as given (an exact
+    rate stays exact); one rate that is not a sequence sets every end."""
+    if not isinstance(rates, Sequence):
+        rates = [rates] * len(op.ends)
     if len(rates) != len(op.ends):
         raise ValueError("need one rate per end")
     return OperatorSpec(
         kind=op.kind,
-        ends=tuple(EndSpec(e.cone, float(r)) for e, r in zip(op.ends, rates)),
+        ends=tuple(EndSpec(e.cone, r) for e, r in zip(op.ends, rates)),
     )
 
 
@@ -157,7 +158,7 @@ def chamber(cone: ConeData, rate: float) -> tuple[float, float]:
     """
     _check_off_wall(cone, rate)
     table = cone.kernel_table
-    cov_lo, cov_hi = table.rate_coverage()
+    cov_lo, cov_hi = table.rate_coverage
     lo, hi = max(rate - CHAMBER_SPAN, cov_lo), min(rate + CHAMBER_SPAN, cov_hi)
     # off the wall, no root equals rate: the nearest roots bound the chamber
     below, above = table.between(lo, rate), table.between(rate, hi)

@@ -596,14 +596,13 @@ class PlanePair:
 def transverse_plane_pair(theta) -> PlanePair:
     """Frames of Pi_0 = R^3 and Pi_theta = diag(e^{i theta_k}) R^3 in R^7.
 
-    Raises DegenerateAngles when some theta_k touches {0, pi} (the planes
-    then share a line and the splitting R^7 = <n> + Pi_0 + Pi_theta fails).
+    The angles obey the rule of ``LawlorAngles``.  Raises DegenerateAngles
+    when some theta_k lies within 1e-9 of {0, pi} (the planes then share a
+    line and the splitting R^7 = <n> + Pi_0 + Pi_theta fails).
     """
-    angles = tuple(float(t) for t in theta)
-    if abs(sum(angles) - math.pi) > SUM_TOL:
-        raise ValueError("plane angles must sum to pi")
+    angles = LawlorAngles(theta).theta
     for t in angles:
-        if min(abs(t), abs(t - math.pi)) < 1e-9 or not (0.0 <= t <= math.pi):
+        if min(t, math.pi - t) < 1e-9:
             raise DegenerateAngles(f"angle {t} in {{0, pi}}: planes share a line")
     frame_zero = np.array([g2.from_c3(col) for col in np.eye(3)])
     frame_theta = np.array(

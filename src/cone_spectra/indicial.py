@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
@@ -60,15 +60,6 @@ class SLConeSpec:
                 f"({self.topology.b0}): harmonic = locally constant functions"
             )
 
-    def multiplicity(self, value) -> int:
-        """Spectrum multiplicity; mult(0) is b0 from topology by decree."""
-        if _is_exact(value):
-            if value == 0:
-                return self.topology.b0
-        elif abs(float(value)) <= 1e-9:
-            return self.topology.b0
-        return self.spectrum.multiplicity(value)
-
     @cached_property
     def kernel_table(self) -> KernelTable:
         """Every indicial root on the rates the spectrum determines, built once.
@@ -98,7 +89,7 @@ class SLConeSpec:
                     elif r * r == n:
                         parts.append((value, ("Q", Fraction(p * d + s * r, 2 * d)), m, branches))
                     else:
-                        irrational.append(IndicialRoot(value, branches, m, None, ("I", p, s, k, d)))
+                        irrational.append(IndicialRoot(value, branches, m, ("I", p, s, k, d)))
         if self.topology.b1 > 0 and cov_lo <= -1.0 <= cov_hi:
             harmonic = BranchContribution(HARMONIC_ONE_FORM, 0.0, self.topology.b1)
             parts.append((-1.0, _rate_key(-1 if exact else -1.0), self.topology.b1, (harmonic,)))
@@ -191,8 +182,7 @@ class IndicialRoot:
     value: float
     branch_contributions: tuple[BranchContribution, ...]
     total_dimension: int
-    exact: Fraction | None = None
-    key: tuple = field(default=(), compare=False)
+    key: tuple
 
     def to_dict(self) -> dict:
         return {
@@ -223,8 +213,8 @@ class KernelTable:
         """The tables' roots merged on the rates they all cover."""
         if len(tables) == 1:
             return tables[0]
-        lo = max(t.rate_coverage()[0] for t in tables)
-        hi = min(t.rate_coverage()[1] for t in tables)
+        lo = max(t.rate_coverage[0] for t in tables)
+        hi = min(t.rate_coverage[1] for t in tables)
         if lo > hi:
             raise CutoffExceeded("the components' kernel data share no covered rate")
         roots = [r for t in tables for r in t.between(lo, hi)]
@@ -232,15 +222,12 @@ class KernelTable:
         return cls(Window(lo, hi), merge_roots(parts))
 
     @cached_property
-    def _coverage(self) -> tuple[float, float]:
-        return float(self.window.lo), float(self.window.hi)
-
     def rate_coverage(self) -> tuple[float, float]:
         """The closed rate interval on which d_lambda data is complete."""
-        return self._coverage
+        return float(self.window.lo), float(self.window.hi)
 
     def _check_covered(self, lo: float, hi: float) -> None:
-        cov_lo, cov_hi = self._coverage
+        cov_lo, cov_hi = self.rate_coverage
         if not (cov_lo <= lo and hi <= cov_hi):  # a NaN rate is not covered
             raise CutoffExceeded(
                 f"kernel data only covers [{cov_lo:g}, {cov_hi:g}], asked for "
@@ -339,13 +326,13 @@ def merge_roots(parts: Iterable[tuple]) -> tuple[IndicialRoot, ...]:
         dim = sum(g[2] for g in group)
         if dim > 0:
             branches = tuple(c for g in group for c in g[3])
-            exact = key[1] if key[0] == "Q" else None
-            merged.append(IndicialRoot(value, branches, dim, exact, key))
+            merged.append(IndicialRoot(value, branches, dim, key))
     return tuple(merged)
 
 
 def d_lambda(cone: SLConeSpec, lam: Rate) -> int:
-    """dim V_lambda: b1 at -1 (floats within MERGE_TOL), else mult(l(l+1)) + mult((l+2)(l+1))."""
+    """dim V_lambda: b1 at -1 (floats within MERGE_TOL), else mult(l(l+1)) + mult((l+2)(l+1)),
+    where mult(0) is b0 by decree (floats within MERGE_TOL of 0)."""
     exact = _is_exact(lam)
     if exact:
         lam = Fraction(lam)
@@ -366,7 +353,8 @@ def d_lambda(cone: SLConeSpec, lam: Rate) -> int:
                 f"d_lambda({lam}) needs eigenvalue {float(t):g} beyond cutoff "
                 f"{cone.spectrum.cutoff:g}"
             )
-        total += cone.multiplicity(t)
+        zero = t == 0 if exact else abs(t) <= MERGE_TOL
+        total += cone.topology.b0 if zero else cone.spectrum.multiplicity(t)
     return total
 
 
@@ -394,13 +382,11 @@ class JacobiEigenvalue:
     eigenvalue: float
     multiplicity: int
     contributing_rates: tuple[float, ...]
-    representative: float
 
 
 @dataclass(frozen=True)
 class JacobiSpectrum:
     entries: tuple[JacobiEigenvalue, ...]
-    convention: str = JACOBI_CONVENTION
     # (rate, dimension, partner rate) of window roots whose partner -1 - rate
     # lies outside the kernel data, so their Jacobi multiplicity is unknown
     unpaired: tuple[tuple[float, int, float], ...] = ()
@@ -416,7 +402,7 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
     ``unpaired`` instead of ``entries``.
     """
     table = cone.kernel_table
-    cov_lo, cov_hi = table.rate_coverage()
+    cov_lo, cov_hi = table.rate_coverage
     reps = []
     for r in indicial_roots(cone, window).roots:
         own = _side(r.value, r.key, Fraction(-1, 2)) >= 0
@@ -440,7 +426,7 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
         contributing = tuple(v for v, k in rates if any(_same_rate(*f, v, k) for f in found))
         multiplicity = sum(table.d_at(k) for _, k in rates)
         eigenvalue = rep_val * rep_val + rep_val - 2.0
-        entries.append(JacobiEigenvalue(eigenvalue, multiplicity, contributing, rep_val))
+        entries.append(JacobiEigenvalue(eigenvalue, multiplicity, contributing))
     entries.sort(key=lambda e: e.eigenvalue)
     return JacobiSpectrum(entries=tuple(entries), unpaired=tuple(sorted(unpaired)))
 

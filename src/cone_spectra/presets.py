@@ -29,7 +29,7 @@ def plane_cone_spec(cutoff: float = DEFAULT_CUTOFF) -> SLConeSpec:
     """A single SL 3-plane: totally geodesic S^2 link."""
     return SLConeSpec(
         spectrum=sphere_spectrum(cutoff),
-        topology=LinkTopology(b0=1, b1=0, genus_per_component=(0,)),
+        topology=LinkTopology(b0=1, b1=0),
     )
 
 
@@ -37,7 +37,7 @@ def torus_cone_spec(metric: TorusMetric, cutoff: float = DEFAULT_CUTOFF) -> SLCo
     """Synthetic cone with a flat-torus link of the given metric."""
     return SLConeSpec(
         spectrum=torus_spectrum(metric, cutoff),
-        topology=LinkTopology(b0=1, b1=2, genus_per_component=(1,)),
+        topology=LinkTopology(b0=1, b1=2),
     )
 
 

@@ -91,16 +91,10 @@ class LinkTopology:
 
     b0: int
     b1: int
-    genus_per_component: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.b0 < 0 or self.b1 < 0:
             raise ValueError("Betti numbers must be nonnegative")
-        if self.genus_per_component:
-            if len(self.genus_per_component) != self.b0:
-                raise ValueError("need one genus per component")
-            if sum(2 * g for g in self.genus_per_component) != self.b1:
-                raise ValueError("b1 must equal sum of 2*genus for closed oriented links")
 
 
 @dataclass(frozen=True)

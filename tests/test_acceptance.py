@@ -104,7 +104,7 @@ def test_criterion_04_symmetry_window():
         gmat = a @ a.T + 0.4 * np.eye(2)
         cone = SLConeSpec(
             torus_spectrum(TorusMetric(gmat[0, 0], gmat[0, 1], gmat[1, 1]), 8.0),
-            LinkTopology(1, 2, (1,)),
+            LinkTopology(1, 2),
         )
         ok = ok and symmetry_check(cone, window)
     _report(4, "d symmetry about -1 on [-3,1]: HL, plane, 20 random tori", ok)

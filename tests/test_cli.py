@@ -1,6 +1,7 @@
 """CLI adapter checks: exit codes, determinism, config handling, parity."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cone_spectra
-from cone_spectra import cli, g2, mesh, presets, stability
+from cone_spectra import cli, g2, geometry, mesh, presets, stability
 from cone_spectra.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -83,6 +84,30 @@ def test_cli_matches_library():
     code, out = run(["stability", "--cone", "plane-pair", "--sym-dim", "6"])
     direct = stability.stability_report(presets.plane_pair_cone())
     assert json.loads(out)["result"] == direct
+    # a p/q literal reads as the float of its fraction, as in --metric
+    code, out = run(["lawlor", "angles", "--a", "1/3,1,1"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["a"] == [0.3333333333333333, 1.0, 1.0]
+    assert result["theta"] == list(lawlor_angles(LawlorParams((1 / 3, 1.0, 1.0))).theta)
+
+
+def test_parser_defaults_match_library_defaults():
+    # build_parser may not import the layers that own these defaults (the
+    # exact subcommands start without numpy), so each copy is checked here
+    def owner(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a.choices, dict)).choices
+    for command in ("spectrum", "indicial", "stability", "index"):
+        assert sub[command].get_default("cutoff") == presets.DEFAULT_CUTOFF, command
+    lawlor = sub["lawlor"]
+    r_window = owner(geometry.lawlor_decay_table, "r_window")
+    assert (lawlor.get_default("r_min"), lawlor.get_default("r_max")) == r_window
+    assert lawlor.get_default("tol") == owner(geometry.lawlor_solve, "tol")
+    assert sub["hl"].get_default("a") == owner(geometry.hl_decay_table, "a")
+    assert parser.get_default("seed") == owner(geometry.lawlor_decay_table, "seed")
 
 
 def _readme_cli_block() -> list[str]:
@@ -130,17 +155,23 @@ def test_exit_codes(tmp_path):
                      "--r-min", "1000", "--r-max", "10000"])
     assert code == EXIT_NUMERICAL
     assert json.loads(out)["error"] == "FitUnstable"
-    # malformed d-table JSON: missing keys, or a list at the top level
+    # malformed d-table JSON: missing keys, a list at the top level, a
+    # coverage that is not a pair, or a non-numeric rate
     for i, body in enumerate((
         {"rows": [{"lambda": 0}], "coverage": [-3, 3]},
         {"rows": [{"lambda": 0, "dimension": 7}]},
         [{"lambda": 0, "dimension": 7}],
+        {"rows": [{"lambda": 0, "dimension": 7}], "coverage": [-3]},
+        {"rows": [{"lambda": 0, "dimension": 7}], "coverage": [-3, 1, 5]},
+        {"rows": [{"lambda": "abc", "dimension": 7}], "coverage": [-3, 3]},
     )):
         table = tmp_path / f"bad{i}.json"
         table.write_text(json.dumps(body))
         code, out = run(["stability", "--cone", f"table:{table}"])
         assert code == EXIT_VALIDATION
-        assert json.loads(out)["error"] == "ValidationError"
+        error = json.loads(out)
+        assert error["error"] == "ValidationError"
+        assert error["message"].startswith(f"malformed d-table {table}: ")
     # one --stratum-dim per component, and a positive finite probe radius
     for argv in (
         ["stability", "--cone", "plane-pair", "--sym-dim", "6", "--stratum-dim", "8,8,99"],
@@ -158,6 +189,15 @@ def test_exit_codes(tmp_path):
         # empty sample sets check nothing
         ["hl", "verify", "--samples", "0"],
         ["lawlor", "verify", "--a", "1,1,1", "--samples", "-5"],
+        # --metric, torus:, --a and --theta take exactly three finite numbers
+        ["spectrum", "torus", "--metric", "1,0"],
+        ["spectrum", "torus", "--metric", "1,0,1,2"],
+        ["spectrum", "torus"],
+        ["stability", "--cone", "torus:1,0"],
+        ["lawlor", "angles", "--a", "1,,1,1"],
+        ["lawlor", "angles", "--a", "inf,1,1"],
+        ["lawlor", "angles", "--a", "1e400,1,1"],
+        ["planes", "--theta", "1,1"],
     ):
         code, out = run(argv)
         assert code == EXIT_VALIDATION

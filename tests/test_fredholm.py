@@ -1,5 +1,7 @@
 """Weighted Fueter index arithmetic: end sums, wall crossing, virtual dims."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,21 @@ def test_jump_across_minus_one_is_d_minus_one():
         s = 0.25 * min(-1.0 - lo, hi - (-1.0))
         op = _ac(cone, -1 + s)
         assert index(op) - index(with_rates(op, -1 - s)) == cone.kernel_table.d_at(-1)
+
+
+def test_with_rates_keeps_exact_rates():
+    # one rate that is not a sequence sets every end, and is kept as given
+    op = _ac(HL, -0.9)
+    assert index(with_rates(op, Fraction(1, 2))) == 8
+    (end,) = with_rates(op, [Fraction(1, 3)]).ends
+    assert type(end.rate) is Fraction and end.rate == Fraction(1, 3)
+    # so the wall check compares exact keys: 1e-12 below a root is off the
+    # wall, where the float of the rate lies within MERGE_TOL of the root
+    root = Fraction(1, 3) + Fraction(1, 10**12)
+    near = ConeData((ConeComponent(DLambdaTable(((root, 1),), Window(-3, 1))),))
+    assert index(with_rates(_ac(near, -0.5), [Fraction(1, 3)])) == 0
+    with pytest.raises(RateOnWall):
+        with_rates(_ac(near, -0.5), [1 / 3])
 
 
 def test_rate_on_wall_rejected():

@@ -11,6 +11,7 @@ import pytest
 
 from cone_spectra.errors import CutoffExceeded
 from cone_spectra.indicial import (
+    JACOBI_CONVENTION,
     BranchContribution,
     IndicialRoot,
     KernelTable,
@@ -71,7 +72,7 @@ def test_root_branch_bookkeeping():
     (root,) = table.roots
     branches = {(b.branch, b.source_eigenvalue, b.dimension) for b in root.branch_contributions}
     assert branches == {("F", 0.0, 1), ("H", 2.0, 6)}
-    assert root.exact == 0
+    assert root.key == ("Q", 0)
 
 
 def test_plane_open_window():
@@ -94,7 +95,7 @@ def test_window_endpoint_semantics():
 def test_merging_preserves_total_dimension():
     # sum over the window equals the sum of pointwise d_lambda at the roots
     table = indicial_roots(HL, Window(-3, 1))
-    total = sum(d_lambda(HL, r.exact if r.exact is not None else r.value) for r in table.roots)
+    total = sum(d_lambda(HL, r.key[1] if r.key[0] == "Q" else r.value) for r in table.roots)
     assert sum(r.total_dimension for r in table.roots) == total
 
 
@@ -116,7 +117,7 @@ def test_symmetry_random_metrics():
         g = a @ a.T + 0.4 * np.eye(2)
         cone = SLConeSpec(
             torus_spectrum(TorusMetric(g[0, 0], g[0, 1], g[1, 1]), 8.0),
-            LinkTopology(1, 2, (1,)),
+            LinkTopology(1, 2),
         )
         assert symmetry_check(cone, Window(-3, 1))
 
@@ -128,7 +129,6 @@ def test_symmetry_negative_control():
             value=float(value),
             branch_contributions=(BranchContribution("F", 0.0, dim),),
             total_dimension=dim,
-            exact=Fraction(value),
             key=("Q", Fraction(value)),
         )
 
@@ -149,7 +149,7 @@ def test_jacobi_hl():
     assert by_ev[-2.0].multiplicity == 9  # V_-1 + V_0
     assert by_ev[0.0].multiplicity == 19  # V_1 + V_-2 (= d_0 + d_1 by symmetry)
     assert set(by_ev[-2.0].contributing_rates) == {-1.0, 0.0}
-    assert "rep >= -1/2" in js.convention
+    assert "rep >= -1/2" in JACOBI_CONVENTION
 
 
 def test_jacobi_pair_collision_handled_once():
@@ -169,7 +169,7 @@ def test_jacobi_irrational_rates():
     # match the source eigenvalue minus 2 on the F-branch
     cone = SLConeSpec(
         Spectrum(((0, 1), (2, 6), (5, 4), (6, 6)), 12.0, True),
-        LinkTopology(1, 2, (1,)),
+        LinkTopology(1, 2),
     )
     js = jacobi_spectrum(cone, Window(-3, 2))
     assert any(abs(e.eigenvalue - 3.0) < 1e-12 for e in js.entries)  # 5 - 2
@@ -184,7 +184,7 @@ def test_morse_minimal_cone():
     # no SL cone has an empty (-1, 1) root set: the locally constant
     # functions put b0 into d_0, so the index floor is b0, not 0
     cone = SLConeSpec(
-        Spectrum(((0, 1), (7, 4)), 12.0, True), LinkTopology(1, 0, (0,))
+        Spectrum(((0, 1), (7, 4)), 12.0, True), LinkTopology(1, 0)
     )
     assert morse_index(cone) == 1
     assert d_lambda(cone, 0) == 1
@@ -192,7 +192,7 @@ def test_morse_minimal_cone():
 
 def test_morse_needs_cutoff_six():
     cone = SLConeSpec(
-        Spectrum(((0, 1), (2, 6)), 4.0, True), LinkTopology(1, 2, (1,))
+        Spectrum(((0, 1), (2, 6)), 4.0, True), LinkTopology(1, 2)
     )
     with pytest.raises(CutoffExceeded):
         morse_index(cone)
@@ -208,7 +208,7 @@ def test_cutoff_errors():
 def test_negative_target_needs_no_cutoff():
     # lambda in (-1, 0): the F-target is negative, only the H-target matters
     cone = SLConeSpec(
-        Spectrum(((0, 1), (2, 6)), 2.0, True), LinkTopology(1, 2, (1,))
+        Spectrum(((0, 1), (2, 6)), 2.0, True), LinkTopology(1, 2)
     )
     assert d_lambda(cone, Fraction(-1, 2)) == 0
 
@@ -227,7 +227,7 @@ def test_float_spectrum_path():
     # scaled metric -> float eigenvalues; d values agree with exact ones
     scale = 1.0000000001
     m = TorusMetric(2 / 3 * scale, 1 / 3 * scale, 2 / 3 * scale)
-    cone = SLConeSpec(torus_spectrum(m, 12.0), LinkTopology(1, 2, (1,)))
+    cone = SLConeSpec(torus_spectrum(m, 12.0), LinkTopology(1, 2))
     assert not cone.spectrum.exact
     table = indicial_roots(cone, Window(-2, 1))
     assert [r.total_dimension for r in table.roots] == [7, 2, 7, 12]
@@ -236,7 +236,7 @@ def test_float_spectrum_path():
 
 def test_mult_zero_comes_from_topology():
     with pytest.raises(ValueError):
-        SLConeSpec(Spectrum(((0, 2), (2, 6)), 8.0, True), LinkTopology(1, 2, (1,)))
+        SLConeSpec(Spectrum(((0, 2), (2, 6)), 8.0, True), LinkTopology(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def test_rational_roots_match_exact_oracle(metric):
     # window ends exactly on the float of each root (an ulp to either side
     # of it) and on the rationals between near-coincident roots
     rng = random.Random(str(metric))
-    cov_lo, cov_hi = table.rate_coverage()
+    cov_lo, cov_hi = table.rate_coverage
     ends = [Fraction(_float(rate)) for rate, _ in roots if cov_lo <= _float(rate) <= cov_hi]
     ends += [Fraction(k, 2) for k in range(-6, 3)]
     for end in ends:
@@ -418,7 +418,7 @@ def test_float_metric_self_partnered_jacobi_root():
     # a float root within MERGE_TOL of -1/2 is its own Jacobi partner: one root
     # of dimension 2 gives multiplicity 2, not 4
     spectrum = torus_spectrum(TorusMetric(400000000000 / 300000000001, 0.0, 1.0), 6)
-    cone = SLConeSpec(spectrum, LinkTopology(1, 2, (1,)))
+    cone = SLConeSpec(spectrum, LinkTopology(1, 2))
     assert not spectrum.exact
     js = jacobi_spectrum(cone, Window(-1, 0, include_lo=False, include_hi=False))
     (entry,) = [e for e in js.entries if abs(e.eigenvalue + 2.25) < 1e-9]

@@ -331,8 +331,8 @@ def test_spectrum_json():
 
 
 def test_topology_validation():
-    LinkTopology(1, 2, (1,))
+    LinkTopology(1, 2)
     with pytest.raises(ValueError):
-        LinkTopology(1, 2, (0,))  # b1 != 2 * genus
+        LinkTopology(-1, 0)  # negative b0
     with pytest.raises(ValueError):
-        LinkTopology(2, 0, (0,))  # genus list length mismatch
+        LinkTopology(1, -2)  # negative b1
