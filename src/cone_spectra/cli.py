@@ -50,8 +50,9 @@ MAX_SAMPLES = 50_000  # hl verify, lawlor verify --samples
 MAX_TUPLES = 25_000  # g2 check --tuples
 MAX_PROFILE_ROWS = 50_000  # lawlor profile --count
 # spectrum mesh: vertices of a builtin (from its parameter) or an OFF file, and
-# --count; the largest call (clifford:141, count 100) takes ~12 s and peaks at
-# 165 MB, the Lanczos basis of its k = 202 request
+# --count; the largest sparse eigensolve (icosphere:5, count 100) takes ~1.8 s
+# and peaks at 95 MB, and clifford:141 at count 100 (spectrum from the grid
+# symbol) takes ~0.4 s and peaks at 71 MB
 MAX_MESH_VERTICES = 20_000
 MAX_MESH_COUNT = 100
 
@@ -67,12 +68,15 @@ class SystemExit_usage(Exception):
 
 
 def _parse_number(text: str):
-    """Exact Fraction when the literal is rational, float otherwise; a value
-    that is not a finite float (inf, nan, 1e400) is a ValidationError."""
+    """Exact Fraction when the literal is rational, float otherwise; text that
+    is no number, or not a finite float (inf, nan, 1e400), is a ValidationError."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        value = float(text)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValidationError(f"number '{text}' is not a number") from None
     try:
         if math.isfinite(value):
             return value
@@ -137,7 +141,7 @@ def _load_table_cone(path: str) -> ConeData:
             for row in data["rows"]
         )
         lo, hi = data["coverage"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(
             f"malformed d-table {path}: {type(exc).__name__} {exc}"
         ) from None

@@ -3,16 +3,27 @@
 The discrete operator is the cotangent-weight Laplacian (Pinkall-Polthier)
 with lumped (barycentric diagonal) mass, assembled as a sparse matrix.  The
 generalized problem L x = lambda M x is reduced by M^{-1/2} to a sparse
-symmetric one A.  A is permuted once by reverse Cuthill-McKee, and every
-factorization of a shifted A is one symmetric set-up: SuperLU with diagonal
-pivots (an L D L^T factor) on the minimum-degree order of A + A^T.  ARPACK
-finds the lowest eigenvalues in shift-invert mode about a small negative
-shift, through one such factor, kept until a request finds a gap.  It is
-released before an inertia count (Sylvester's law) from a factor at the gap
-certifies that no copy of a multiple eigenvalue was missed.  No n x n dense
-matrix is formed unless the request reaches the top of the spectrum.  Only
-intrinsic data (triangle edge lengths) enter, so vertices may live in any
-ambient R^d with d >= 3; the flat Clifford-torus sample needs d = 6.
+symmetric one A.  ``mesh_spectrum`` picks one of two paths from the mesh:
+
+- A grid torus (a mesh from ``clifford_torus_mesh``, which carries its grid
+  side n in ``TriMesh.grid``) is invariant under the n x n grid translations,
+  so every vertex has the same star and the same lumped mass m, and A = L / m
+  is block-circulant.  Its eigenvalues are the values of its symbol on the
+  n^2 wave vectors k, evaluated in closed form from vertex 0's row of the
+  assembled L (P. J. Davis, Circulant Matrices, 1979).
+- Any other mesh (icospheres, OFF files, a grid torus rebuilt by hand) goes
+  to a sparse eigensolve.  A is permuted once by reverse Cuthill-McKee, and
+  every factorization of a shifted A is one symmetric set-up: SuperLU with
+  diagonal pivots (an L D L^T factor) on the minimum-degree order of A + A^T.
+  ARPACK finds the lowest eigenvalues in shift-invert mode about a small
+  negative shift, through one such factor, kept until a request finds a gap.
+  It is released before an inertia count (Sylvester's law) from a factor at
+  the gap certifies that no copy of a multiple eigenvalue was missed.  No
+  n x n dense matrix is formed unless the request reaches the top of the
+  spectrum.
+
+Only intrinsic data (triangle edge lengths) enter, so vertices may live in
+any ambient R^d with d >= 3; the flat Clifford-torus sample needs d = 6.
 
 scipy is imported inside the functions that use it, so importing the package
 does not load it.
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +55,9 @@ class TriMesh:
 
     vertices: np.ndarray  # (nv, d), d >= 3
     faces: np.ndarray  # (nf, 3) int
+    # n for the n x n grid of clifford_torus_mesh, which alone sets it: the
+    # spectrum is then the grid symbol's; None for every other mesh
+    grid: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -261,8 +275,32 @@ def _lowest_eigenvalues(A, count: int, sigma: float) -> np.ndarray:
     return np.linalg.eigvalsh(A.toarray())[:count]
 
 
+def _grid_symbol(L, m: float, n: int) -> np.ndarray:
+    """Every eigenvalue of L / m, for L block-circulant over an n x n grid.
+
+    Vertex (i, j) is number i n + j.  With vertex 0's star (offsets o = (i, j),
+    weights w_o) read from L, the eigenvalue at wave vector k = (k1, k2) is
+    (1/m) sum_{o != 0} (-w_o) 2 sin^2(pi r_o / n), r_o = k1 i + k2 j reduced
+    into (-n/2, n/2].  Only |r_o| enters, and it is the same for k and -k, so
+    the symbol is even bit for bit (ties are exact) and its value at k = 0 is
+    0.  Returned as an (n, n) array indexed by (k1, k2).
+    """
+    star = L.getrow(0)
+    off_diagonal = star.indices != 0
+    i, j = np.divmod(star.indices[off_diagonal], n)
+    # 2 sin^2(pi t / n) for t = |r| in 0 .. n/2
+    table = 2.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    k = np.arange(n)
+    symbol = np.zeros((n, n))
+    for di, dj, w in zip(i, j, star.data[off_diagonal]):
+        r = (k[:, None] * di + k[None, :] * dj) % n
+        symbol -= w * table[np.minimum(r, n - r)]
+    return symbol / m
+
+
 def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
-    """Lowest ``count`` Laplace eigenvalues of a closed mesh.
+    """Lowest ``count`` Laplace eigenvalues of a closed mesh: in closed form
+    from the grid symbol for a grid torus, by a sparse eigensolve otherwise.
 
     Multiplicities are clustered with relative gap 1e-3, on a scale no
     smaller than 1 / total area (so a scaled mesh clusters alike); the result
@@ -274,11 +312,14 @@ def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
     if not 1 <= count <= nv:
         raise ValueError("count must be between 1 and the vertex count")
     L, mass = cotangent_laplacian(mesh)
-    s = scipy.sparse.diags(1.0 / np.sqrt(mass))
-    A = s @ L @ s
-    A = 0.5 * (A + A.T)
     area = mass.sum()
-    vals = _lowest_eigenvalues(A.tocsc(), count, sigma=-SHIFT / area)
+    if mesh.grid is None:
+        s = scipy.sparse.diags(1.0 / np.sqrt(mass))
+        A = s @ L @ s
+        A = 0.5 * (A + A.T)
+        vals = _lowest_eigenvalues(A.tocsc(), count, sigma=-SHIFT / area)
+    else:
+        vals = np.sort(_grid_symbol(L, mass[0], mesh.grid), axis=None)[:count]
     if vals[0] < -1e-9:
         raise InvalidMesh(f"negative eigenvalue {vals[0]:g}; mesh badly conditioned")
     vals = np.maximum(vals, 0.0)
@@ -346,4 +387,6 @@ def clifford_torus_mesh(n: int) -> TriMesh:
     c = (i + 1) % n * n + (j + 1) % n
     d = i * n + (j + 1) % n
     faces = np.stack([a, b, c, a, c, d], axis=1).reshape(2 * n * n, 3)
-    return TriMesh(verts, faces)
+    mesh = TriMesh(verts, faces)
+    object.__setattr__(mesh, "grid", n)
+    return mesh

@@ -342,6 +342,19 @@ def test_lawlor_parameters_out_of_float_range_are_a_validation_error(fmt):
     assert (code, json.loads(out)["error"]) == (EXIT_VALIDATION, "ValueError")
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--kind", "ac", "--end", "hl:x"],
+    ["indicial", "--cone", "hl", "--window", "abc:1"],
+    ["stability", "--cone", "torus:1,x,1"],
+    ["lawlor", "angles", "--a", "1,,1"],
+], ids=["end-rate", "window", "torus-metric", "lawlor-a"])
+def test_non_numeric_literal_is_a_validation_error(argv):
+    code, out = run(argv)
+    body = json.loads(out)
+    assert (code, body["error"]) == (EXIT_VALIDATION, "ValidationError")
+    assert body["message"].endswith("is not a number")
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\ncutoff = 7\nwindow = -2:1\n")
@@ -693,6 +706,8 @@ def test_largest_batch_stays_under_memory_budget():
         ["lawlor", "verify", "--a", "1,1,1", "--samples", str(MAX_SAMPLES)],
         # the largest icosphere inside MAX_MESH_VERTICES
         ["spectrum", "mesh", "--builtin", "icosphere:5", "--count", str(MAX_MESH_COUNT)],
+        # the largest Clifford torus inside MAX_MESH_VERTICES
+        ["spectrum", "mesh", "--builtin", "clifford:141", "--count", str(MAX_MESH_COUNT)],
     ):
         done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
                               capture_output=True, text=True, check=True)

@@ -367,8 +367,15 @@ class _TrackedFactor:
         return self._lu.U
 
 
+def _untagged(mesh):
+    """The same vertices and faces without the grid tag, so mesh_spectrum
+    takes the sparse eigensolve on the same assembled matrix."""
+    return TriMesh(mesh.vertices, mesh.faces)
+
+
 @pytest.mark.parametrize(
-    "mesh, count", [(icosphere(3), 9), (clifford_torus_mesh(48), 25)], ids=["ico3", "clifford48"]
+    "mesh, count", [(icosphere(3), 9), (_untagged(clifford_torus_mesh(48)), 25)],
+    ids=["ico3", "clifford48"],
 )
 def test_one_factor_alive_at_a_time(monkeypatch, mesh, count):
     # icosphere 3 @ 9 makes one request; Clifford 48 @ 25 requests k = 26,
@@ -437,7 +444,7 @@ def test_lowest_eigenvalues_bit_identical_to_reference(monkeypatch, tmp_path, ki
         save_off(icosphere(size), tmp_path / "sphere.off")
         mesh = load_off(tmp_path / "sphere.off")
     else:
-        mesh = clifford_torus_mesh(size)
+        mesh = _untagged(clifford_torus_mesh(size))
     lowest, results = mesh_module._lowest_eigenvalues, []
 
     def both(A, count, sigma):
@@ -448,6 +455,67 @@ def test_lowest_eigenvalues_bit_identical_to_reference(monkeypatch, tmp_path, ki
     mesh_spectrum(mesh, count)
     [(vals, reference)] = results
     assert np.array_equal(vals, reference)
+
+
+# Clifford 48 @ 25 and 64 @ 40 end inside a cluster
+SYMBOL_CASES = [(24, 13), (48, 25), (64, 40)]
+
+
+@pytest.mark.parametrize("n, count", SYMBOL_CASES, ids=[f"clifford{n}-{c}" for n, c in SYMBOL_CASES])
+def test_grid_symbol_matches_sparse_solver(monkeypatch, n, count):
+    mesh = clifford_torus_mesh(n)
+    L, mass = cotangent_laplacian(mesh)
+    symbol = np.sort(mesh_module._grid_symbol(L, mass[0], n), axis=None)[:count]
+    lowest, solved = mesh_module._lowest_eigenvalues, []
+
+    def recorded(A, count, sigma):
+        solved.append(lowest(A, count, sigma))
+        return solved[-1]
+
+    monkeypatch.setattr(mesh_module, "_lowest_eigenvalues", recorded)
+    sparse = mesh_spectrum(_untagged(mesh), count)
+    [reference] = solved
+    assert np.all(np.abs(symbol - reference) <= 1e-12 * np.maximum(1.0, reference))
+    closed = mesh_spectrum(mesh, count)
+    assert [size for _, size in closed.entries] == [size for _, size in sparse.entries]
+
+
+@pytest.mark.parametrize("n", [3, 8, 24])
+def test_grid_torus_matrix_is_block_circulant(n):
+    # row (a, b) is row 0 translated by (a, b), and every vertex has the same mass
+    L, mass = cotangent_laplacian(clifford_torus_mesh(n))
+    dense = L.toarray()
+    i, j = np.divmod(np.arange(n * n), n)
+    translated = (i[:, None] + i) % n * n + (j[:, None] + j) % n
+    rows = np.take_along_axis(dense, translated, axis=1)
+    assert np.all(np.abs(rows - dense[0]) <= 1e-13 * np.abs(dense[0]).max())
+    assert np.all(np.abs(mass - mass[0]) <= 1e-13 * mass[0])
+
+
+@pytest.mark.parametrize("n", [3, 8, 24, 33, 48])
+def test_grid_symbol_is_even_bit_for_bit(n):
+    L, mass = cotangent_laplacian(clifford_torus_mesh(n))
+    symbol = mesh_module._grid_symbol(L, mass[0], n)
+    # reflected[k] = symbol[-k mod n]
+    reflected = np.roll(symbol[::-1, ::-1], 1, axis=(0, 1))
+    assert np.array_equal(symbol, reflected)
+    assert symbol[0, 0] == 0.0
+
+
+def test_grid_torus_skips_the_sparse_solver(monkeypatch):
+    factored = []
+
+    def counted(A, shift):
+        factored.append(shift)
+        return _factor(A, shift)
+
+    monkeypatch.setattr(mesh_module, "_factor", counted)
+    mesh = clifford_torus_mesh(24)
+    assert mesh.grid == 24 and _untagged(mesh).grid is None
+    mesh_spectrum(mesh, 13)
+    assert factored == []
+    mesh_spectrum(_untagged(mesh), 13)
+    assert factored
 
 
 def _clifford_loop_reference(n):
