@@ -271,14 +271,18 @@ def lawlor_sampler(a: LawlorParams):
     def sample(n: int, seed: int) -> SurfaceSample:
         rng = np.random.default_rng(seed)
         big = math.asinh(8.0)
-        ys, sigmas = [], []
+        ys, sigma = [], np.empty((n, 3))
         # per sample a uniform then three ziggurat normals, which take a
-        # variable number of raw draws: this order has no batched form
-        for _ in range(n):
-            ys.append(math.sinh(rng.uniform(-big, big)))
-            sigma = rng.normal(size=3)
-            sigmas.append(sigma / np.linalg.norm(sigma))
-        return lawlor_embed(ys, sigmas, a)
+        # variable number of raw draws: this order has no batched form.
+        # -big + 2 big u and standard_normal take the draws of
+        # rng.uniform(-big, big) and rng.normal(size=3) without their
+        # per-call argument handling
+        for row in sigma:
+            ys.append(math.sinh(-big + 2.0 * big * rng.random()))
+            rng.standard_normal(out=row)
+        # each row's dot product, as np.linalg.norm takes it
+        norms = np.sqrt(np.matmul(sigma[:, None, :], sigma[:, :, None]))[:, 0]
+        return lawlor_embed(ys, sigma / norms, a)
 
     return sample
 

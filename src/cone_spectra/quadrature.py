@@ -26,7 +26,10 @@ _STOP_SCALE = (2.0**-53 / 4.0) ** (-1.0 / 6.0)
 def _rc_one(e):
     """R_C(1, 1 + e) for real e > -1: arctan(sqrt e)/sqrt e, or artanh for e < 0."""
     t = np.sqrt(np.abs(e)) + 1e-300  # at e = 0 the ratio rounds to R_C(1, 1) = 1
-    return np.where(e > 0.0, np.arctan(t), np.arctanh(np.where(e > 0.0, 0.0, t))) / t
+    positive = e > 0.0
+    if positive.all():  # the usual case: skip the artanh branch
+        return np.arctan(t) / t
+    return np.where(positive, np.arctan(t), np.arctanh(np.where(positive, 0.0, t))) / t
 
 
 def carlson_rj(x, y, z, p):
@@ -50,7 +53,8 @@ def carlson_rj_sq(x, s, q, p):
     """R_J(x, y, z, p) from real x, p, s = y + z and q = y z (see carlson_rj)."""
     # R_J -> 0 as an argument -> inf: such entries run on x = y = z = p = 1, then read 0
     infinite = np.isinf(x) | np.isinf(s) | np.isinf(q) | np.isinf(p)
-    x, s, q, p = (np.where(infinite, d, v) for v, d in ((x, 1.0), (s, 2.0), (q, 1.0), (p, 1.0)))
+    if infinite.any():
+        x, s, q, p = (np.where(infinite, d, v) for v, d in ((x, 1.0), (s, 2.0), (q, 1.0), (p, 1.0)))
     a0 = (x + s + 2.0 * p) / 5.0
     delta = (p - x) * (p * (p - s) + q)
     # |A_0 - y| and |A_0 - z| are at most |A_0 - s/2| + sqrt|s^2/4 - q|

@@ -98,6 +98,14 @@ def test_carlson_rj_vanishes_at_infinity():
         assert np.all(lawlor_tails(1e200, params) == 0.0)
 
 
+def test_rc_one_is_entrywise():
+    # an all-positive batch and a mixed-sign batch give each entry the same value
+    e = np.array([-0.5, -1e-20, 0.0, 1e-20, 0.3, 5.0])
+    assert np.array_equal(_rc_one(e), [_rc_one(np.array([v]))[0] for v in e])
+    assert np.array_equal(_rc_one(e[3:]), _rc_one(e)[3:])
+    assert math.isclose(_rc_one(np.array([0.3]))[0], math.atan(math.sqrt(0.3)) / math.sqrt(0.3))
+
+
 @pytest.mark.parametrize("a", PARAMS)
 @mpmath.workdps(30)
 def test_tails_match_mpmath_quadrature(a):
