@@ -450,6 +450,52 @@ def test_user_table_cone(tmp_path):
     assert json.loads(out)["result"]["index"] == 1
 
 
+# each cone source of --cone and --end, and the provenance it prints verbatim
+PROVENANCE = {
+    "hl": "Harvey-Lawson T^2-cone, Clifford-torus link, H = U(1)^2",
+    "plane": "special Lagrangian 3-plane, totally geodesic S^2 link, H = SO(4)",
+    "plane-pair": "transverse pair of SL planes (two S^2 link components)",
+    "torus:1,0,1": "synthetic flat-torus link (user metric)",
+    "table:{table}": "user-supplied d-lambda table",
+}
+
+
+def test_each_cone_source_prints_its_provenance(tmp_path):
+    table = tmp_path / "cone.json"
+    table.write_text(json.dumps({"rows": [{"lambda": 0, "dimension": 7}], "coverage": [-3, 3]}))
+    sources = {name.format(table=table): text for name, text in PROVENANCE.items()}
+    for name, text in sources.items():
+        for command in ("indicial", "stability"):
+            code, out = run([command, "--cone", name])
+            if command == "indicial" and name.startswith("table:"):
+                assert (code, json.loads(out)) == (EXIT_VALIDATION, {
+                    "error": "ValidationError", "message": f"preset '{name}' has no link spectrum",
+                })
+                continue
+            assert code == EXIT_OK, out
+            assert json.loads(out)["provenance"] == text, (command, name)
+    ends = [tok for name in sources for tok in ("--end", f"{name}:-0.5")]
+    code, out = run(["index", "--kind", "ac", *ends])
+    assert code == EXIT_OK, out
+    assert json.loads(out)["provenance"] == list(sources.values())
+
+
+UNKNOWN_CONE = "unknown cone preset '{}' (use hl, plane, plane-pair, torus:<g11,g12,g22>, table:<path.json>)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--cone", "hl:"], UNKNOWN_CONE.format("hl:")),
+    (["indicial", "--cone", "torus"], UNKNOWN_CONE.format("torus")),
+    (["stability", "--cone", "torus:"], "'' must hold three comma-separated numbers"),
+    (["stability", "--cone", "foo"], UNKNOWN_CONE.format("foo")),
+    (["index", "--kind", "ac", "--end", "foo:-0.9"], UNKNOWN_CONE.format("foo")),
+    (["index", "--kind", "ac", "--end", "hl"], "--end 'hl' must look like PRESET:RATE"),
+], ids=["hl-colon", "torus", "torus-colon", "foo", "end-foo", "end-no-rate"])
+def test_unknown_cone_source_message(argv, message):
+    code, out = run(argv)
+    assert (code, json.loads(out)) == (EXIT_VALIDATION, {"error": "ValidationError", "message": message})
+
+
 @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1e400", "1.5", "true", '"7"'])
 def test_table_dimension_must_be_integral(tmp_path, text):
     # a dimension that is not an integral number is invalid input, not 1 or a traceback
