@@ -102,6 +102,14 @@ def parse_window(text: str) -> Window:
     )
 
 
+def _parse_int(text: str, flag: str) -> int:
+    """An integer literal of ``flag``; other text is a ValidationError naming the flag."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{flag} '{text}' is not an integer") from None
+
+
 def _check_batch_size(flag: str, value: int, bound: int, name: str) -> None:
     if value < 1:
         raise ValidationError(f"{flag} must be at least 1, got {value}")
@@ -149,28 +157,24 @@ def _load_table_cone(path: str) -> ConeData:
     return ConeData((ConeComponent(table),))
 
 
-def _resolve_cone_data(name: str, cutoff: float) -> ConeData:
+def _resolve_cone(name: str, cutoff: float) -> tuple[ConeData, str]:
+    """A --cone or --end source: the cone it names and the provenance it prints."""
     from . import presets
     from .spectra import TorusMetric
 
-    if name in presets.PRESETS:
-        return presets.PRESETS[name](cutoff)
-    if name.startswith("torus:"):
-        metric = TorusMetric(*_parse_triple(name.split(":", 1)[1]))
-        return presets.torus_cone(metric, cutoff)
-    if name.startswith("table:"):
-        return _load_table_cone(name.split(":", 1)[1])
+    kind, colon, param = name.partition(":")
+    if not colon and kind in presets.PRESETS:
+        build, provenance = presets.PRESETS[kind]
+        return build(cutoff), provenance
+    if colon and kind == "torus":
+        metric = TorusMetric(*_parse_triple(param))
+        return presets.torus_cone(metric, cutoff), "synthetic flat-torus link (user metric)"
+    if colon and kind == "table":
+        return _load_table_cone(param), "user-supplied d-lambda table"
     raise ValidationError(
         f"unknown cone preset '{name}' (use {', '.join(presets.PRESETS)}, "
         f"torus:<g11,g12,g22>, table:<path.json>)"
     )
-
-
-def _provenance(name: str) -> str:
-    from . import presets
-
-    key = name.split(":", 1)[0]
-    return presets.PRESET_PROVENANCE.get(key, "user-specified")
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +193,10 @@ def _builtin_mesh(text: str):
     # the vertex count from the parameter; None where it has too many digits
     # to be worth computing (far over the budget)
     if kind == "icosphere":
-        n = int(param or 3)
+        n = _parse_int(param or "3", "--builtin")
         build, vertices = icosphere, 10 * 4**n + 2 if n <= 32 else None
     elif kind == "clifford":
-        n = int(param or 64)
+        n = _parse_int(param or "64", "--builtin")
         build, vertices = clifford_torus_mesh, n * n if n <= MAX_MESH_VERTICES else None
     else:
         raise ValidationError(f"unknown builtin mesh '{text}'")
@@ -244,12 +248,13 @@ def _cmd_indicial(args) -> dict:
     )
 
     window = parse_window(args.window)
-    cone = _resolve_cone_data(args.cone, args.cutoff)
+    cone, provenance = _resolve_cone(args.cone, args.cutoff)
     specs = [c.kernel_source for c in cone.components]
     if not all(isinstance(s, SLConeSpec) for s in specs):
         raise ValidationError(f"preset '{args.cone}' has no link spectrum")
     tables = [indicial_roots(s, window) for s in specs]
     result: dict = {
+        "provenance": provenance,
         "window": str(window),
         "roots": [{"lambda": lam, "dimension": d} for lam, d in cone.kernel_table.roots_in(window)],
         "per_component": [[r.to_dict() for r in t.roots] for t in tables],
@@ -291,7 +296,7 @@ def _per_component(cone: ConeData, text: str | None, flag: str, field: str) -> C
     """Set ``field`` on every component from one value or one per component."""
     if text is None:
         return cone
-    dims = [int(p) for p in text.split(",")]
+    dims = [_parse_int(p, flag) for p in text.split(",")]
     if len(dims) == 1:
         dims = dims * len(cone.components)
     if len(dims) != len(cone.components):
@@ -305,10 +310,10 @@ def _per_component(cone: ConeData, text: str | None, flag: str, field: str) -> C
 def _cmd_stability(args) -> dict:
     from .stability import stability_report
 
-    cone = _resolve_cone_data(args.cone, args.cutoff)
+    cone, provenance = _resolve_cone(args.cone, args.cutoff)
     cone = _per_component(cone, args.sym_dim, "--sym-dim", "symmetry_group_dim")
     cone = _per_component(cone, args.stratum_dim, "--stratum-dim", "stratum_dim")
-    return stability_report(cone)
+    return {**stability_report(cone), "provenance": provenance}
 
 
 def _cmd_index(args) -> dict:
@@ -316,14 +321,16 @@ def _cmd_index(args) -> dict:
 
     if not args.end:
         raise ValidationError("need at least one --end PRESET:RATE")
-    ends = []
+    ends, provenance = [], []
     for spec in args.end:
         name, _, rate = spec.rpartition(":")
         if not name:
             raise ValidationError(f"--end '{spec}' must look like PRESET:RATE")
-        ends.append(EndSpec(_resolve_cone_data(name, args.cutoff), _parse_number(rate)))
+        cone, text = _resolve_cone(name, args.cutoff)
+        ends.append(EndSpec(cone, _parse_number(rate)))
+        provenance.append(text)
     op = OperatorSpec(args.kind, tuple(ends))
-    result = index_report(op)
+    result = {**index_report(op), "provenance": provenance}
     if args.cross:
         parts = args.cross.split(":")
         if len(parts) != 2:
@@ -516,7 +523,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metric", help="torus metric g11,g12,g22 (fractions allowed)")
     p.add_argument("--cutoff", type=float, default=12.0)
     p.add_argument("--off", help="OFF mesh path")
-    p.add_argument("--builtin", help="icosphere:N or clifford:N test meshes")
+    p.add_argument("--builtin", help="icosphere:N or clifford:N test meshes (bare: N = 3 or 64)")
     p.add_argument("--count", type=int, default=9)
 
     p = sub.add_parser("indicial", help="kernel dimensions and indicial roots", parents=[common])
@@ -714,12 +721,8 @@ def run(argv) -> tuple[int, str]:
             "config": config,
             "result": result,
         }
-        if args.command in ("indicial", "stability"):
-            report["provenance"] = _provenance(args.cone)
-        if args.command == "index":
-            report["provenance"] = [
-                _provenance(e.rpartition(":")[0]) for e in args.end
-            ]
+        if "provenance" in result:
+            report["provenance"] = result.pop("provenance")
         return EXIT_OK, json.dumps(report, sort_keys=True, allow_nan=False)
     except ValidationError as exc:  # csv output is undefined for this command
         return EXIT_VALIDATION, json.dumps({"error": "ValidationError", "message": str(exc)})

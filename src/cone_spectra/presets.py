@@ -68,13 +68,9 @@ def torus_cone(metric: TorusMetric, cutoff: float = DEFAULT_CUTOFF) -> ConeData:
     return ConeData(components=(ConeComponent(torus_cone_spec(metric, cutoff)),))
 
 
-#: the named presets of the CLI's --cone and --end
-PRESETS = {"hl": hl_cone, "plane": plane_cone, "plane-pair": plane_pair_cone}
-
-PRESET_PROVENANCE = {
-    "hl": "Harvey-Lawson T^2-cone, Clifford-torus link, H = U(1)^2",
-    "plane": "special Lagrangian 3-plane, totally geodesic S^2 link, H = SO(4)",
-    "plane-pair": "transverse pair of SL planes (two S^2 link components)",
-    "torus": "synthetic flat-torus link (user metric)",
-    "table": "user-supplied d-lambda table",
+#: the named presets of the CLI's --cone and --end: builder and provenance
+PRESETS = {
+    "hl": (hl_cone, "Harvey-Lawson T^2-cone, Clifford-torus link, H = U(1)^2"),
+    "plane": (plane_cone, "special Lagrangian 3-plane, totally geodesic S^2 link, H = SO(4)"),
+    "plane-pair": (plane_pair_cone, "transverse pair of SL planes (two S^2 link components)"),
 }

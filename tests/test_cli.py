@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cone_spectra
@@ -342,17 +342,25 @@ def test_lawlor_parameters_out_of_float_range_are_a_validation_error(fmt):
     assert (code, json.loads(out)["error"]) == (EXIT_VALIDATION, "ValueError")
 
 
-@pytest.mark.parametrize("argv", [
-    ["index", "--kind", "ac", "--end", "hl:x"],
-    ["indicial", "--cone", "hl", "--window", "abc:1"],
-    ["stability", "--cone", "torus:1,x,1"],
-    ["lawlor", "angles", "--a", "1,,1"],
-], ids=["end-rate", "window", "torus-metric", "lawlor-a"])
-def test_non_numeric_literal_is_a_validation_error(argv):
+@pytest.mark.parametrize("argv, message", [
+    (["index", "--kind", "ac", "--end", "hl:x"], "number 'x' is not a number"),
+    (["indicial", "--cone", "hl", "--window", "abc:1"], "number 'abc' is not a number"),
+    (["stability", "--cone", "torus:1,x,1"], "number 'x' is not a number"),
+    (["lawlor", "angles", "--a", "1,,1"], "number '' is not a number"),
+    # integer literals: one rule names the flag
+    (["stability", "--cone", "hl", "--sym-dim", "x"], "--sym-dim 'x' is not an integer"),
+    (["stability", "--cone", "hl", "--sym-dim="], "--sym-dim '' is not an integer"),
+    (["stability", "--cone", "plane-pair", "--sym-dim", "6,x"], "--sym-dim 'x' is not an integer"),
+    (["stability", "--cone", "plane-pair", "--stratum-dim", "1.5"],
+     "--stratum-dim '1.5' is not an integer"),
+    (["spectrum", "mesh", "--builtin", "clifford:x"], "--builtin 'x' is not an integer"),
+    (["spectrum", "mesh", "--builtin", "clifford:1e3"], "--builtin '1e3' is not an integer"),
+    (["spectrum", "mesh", "--builtin", "icosphere:2.0"], "--builtin '2.0' is not an integer"),
+], ids=["end-rate", "window", "torus-metric", "lawlor-a", "sym-dim", "sym-dim-empty",
+        "sym-dim-list", "stratum-dim", "builtin-clifford", "builtin-exponent", "builtin-icosphere"])
+def test_non_numeric_literal_is_a_validation_error(argv, message):
     code, out = run(argv)
-    body = json.loads(out)
-    assert (code, body["error"]) == (EXIT_VALIDATION, "ValidationError")
-    assert body["message"].endswith("is not a number")
+    assert (code, json.loads(out)) == (EXIT_VALIDATION, {"error": "ValidationError", "message": message})
 
 
 def test_config_file(tmp_path):
@@ -678,7 +686,8 @@ def test_overflowing_profile_is_quiet_on_stderr():
 NUMBERS = ["-2", "1", "0", "-1", "-1/2", "7/3", "0.25", "-3.75", "1e300", "-1e400", "inf",
            "-inf", "nan", "1/0", "abc", ""]
 CONES = ["hl", "plane", "plane-pair", "torus:1,0,1", "torus:2/3,1/3,2/3", "torus:1,2,1",
-         "torus:1e400,0,1", "torus:nan,0,1", "torus:1,0", "nope", "table:missing.json"]
+         "torus:1e400,0,1", "torus:nan,0,1", "torus:1,0", "nope", "table:missing.json", "hl:",
+         "torus"]
 CUTOFFS = st.one_of(
     st.floats(min_value=0.5, max_value=30.0).map(repr),
     st.sampled_from(["inf", "nan", "0", "-1", "1e300", "6", "12"]),
@@ -692,7 +701,7 @@ WINDOWS = st.builds(
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["indicial", "stability", "index", "torus", "sphere"]))
+    command = draw(st.sampled_from(["indicial", "stability", "index", "torus", "sphere", "mesh"]))
     cutoff = ["--cutoff", draw(CUTOFFS)]
     if command == "indicial":
         flags = draw(st.lists(st.sampled_from(["--morse", "--jacobi", "--symmetry"]), unique=True))
@@ -710,6 +719,10 @@ def _argv(draw):
     if command == "torus":
         metrics = ["1,0,1", "2/3,1/3,2/3", "1,2,1", "1e400,0,1", "0.7,0.1,1.3"]
         return ["spectrum", "torus", "--metric", draw(st.sampled_from(metrics)), *cutoff]
+    if command == "mesh":
+        builtins = ["icosphere", "clifford", "icosphere:x", "clifford:1e3", "torus:2"]
+        builtins += [f"{kind}:{n}" for kind in ("icosphere", "clifford") for n in range(4)]
+        return ["spectrum", "mesh", "--builtin", draw(st.sampled_from(builtins)), "--count", "3"]
     return ["spectrum", "sphere", *cutoff]
 
 
@@ -867,8 +880,16 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
+# what Python's int() and float() say about a literal they cannot parse: an
+# exit-2 body that carries it names no flag
+RAW_PARSE_MESSAGES = ("invalid literal for int()", "could not convert string to float")
+
+
 @settings(max_examples=200, deadline=2000, derandomize=True, database=None)
 @given(_case())
+# integer literals that Python's int() rejects, drawn every run
+@example(case=(["stability", "--cone", "hl", "--sym-dim", "x"], {}))
+@example(case=(["spectrum", "mesh", "--builtin", "clifford:1e3"], {}))
 def test_cli_contract_property(tmp_path_factory, case):
     # every input ends in a documented exit code with strictly valid JSON
     argv, files, *strict = case
@@ -881,4 +902,6 @@ def test_cli_contract_property(tmp_path_factory, case):
             warnings.simplefilter("error")
         code, out = run(argv)
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_USAGE), (argv, files, out)
-    json.loads(out, parse_constant=_reject_constant)
+    body = json.loads(out, parse_constant=_reject_constant)
+    if code == EXIT_VALIDATION:
+        assert not any(raw in body["message"] for raw in RAW_PARSE_MESSAGES), (argv, files, out)
