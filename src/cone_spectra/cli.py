@@ -172,7 +172,7 @@ def _resolve_cone(name: str, cutoff: float) -> tuple[ConeData, str]:
     if colon and kind == "table":
         return _load_table_cone(param), "user-supplied d-lambda table"
     raise ValidationError(
-        f"unknown cone preset '{name}' (use {', '.join(presets.PRESETS)}, "
+        f"unknown cone source '{name}' (use {', '.join(presets.PRESETS)}, "
         f"torus:<g11,g12,g22>, table:<path.json>)"
     )
 
@@ -251,7 +251,7 @@ def _cmd_indicial(args) -> dict:
     cone, provenance = _resolve_cone(args.cone, args.cutoff)
     specs = [c.kernel_source for c in cone.components]
     if not all(isinstance(s, SLConeSpec) for s in specs):
-        raise ValidationError(f"preset '{args.cone}' has no link spectrum")
+        raise ValidationError(f"cone source '{args.cone}' has no link spectrum")
     tables = [indicial_roots(s, window) for s in specs]
     result: dict = {
         "provenance": provenance,

@@ -71,12 +71,11 @@ def _check_off_wall(cone: ConeData, rate: Rate) -> None:
 
 def _end_contribution(end: EndSpec) -> Fraction:
     table = end.cone.kernel_table
-    half = Fraction(table.d_at(-1), 2)
     if end.rate >= -1.0:
         between = Window(-1, end.rate, include_lo=False, include_hi=False)
-        return half + table.d_sum(between)
+        return Fraction(table.d_at(-1) + 2 * table.d_sum(between), 2)
     between = Window(end.rate, -1, include_lo=False, include_hi=False)
-    return -(half + table.d_sum(between))
+    return Fraction(-table.d_at(-1) - 2 * table.d_sum(between), 2)
 
 
 def _as_integer(total: Fraction) -> int:

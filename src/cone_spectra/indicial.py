@@ -14,8 +14,9 @@ MERGE_TOL = 1e-9.
 
 Kernel data has one type, :class:`KernelTable`, built once per kernel source
 (a cone's spectrum, a user d-table, or the union of a cone's components) over
-the rates it covers; every indicial, stability and Fredholm query is a slice
-of it.  :func:`d_lambda` is the independent pointwise oracle.
+the rates it covers; every indicial, stability and Fredholm query bisects its
+one sorted rate index and checks by key only the roots within 2 MERGE_TOL of
+a bound.  :func:`d_lambda` is the independent pointwise oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -71,19 +73,19 @@ class SLConeSpec:
         parts, irrational = [], []
         for i, (delta, m) in enumerate(self.spectrum.entries):
             delta = delta if i else 0
-            dval = float(delta)
-            root = math.sqrt(1.0 + 4.0 * dval)
             if exact:
                 k, d = delta.numerator, delta.denominator
                 r = math.isqrt(n := d * (d + 4 * k))
+            dval = k / d if exact else float(delta)  # k / d is float(delta), cheaper
+            root = math.sqrt(1.0 + 4.0 * dval)
             for p, branch in ((-1, F_BRANCH), (-3, H_BRANCH)):
+                branches = (BranchContribution(branch, dval, m),)  # one for both signs
                 for s in (+1, -1):
                     if not i and p + s == -2:
                         continue  # eigenvalue 0's two roots at -1
                     value = (p + s * root) / 2.0
                     if not cov_lo <= value <= cov_hi:
                         continue
-                    branches = (BranchContribution(branch, dval, m),)
                     if not exact:
                         parts.append((value, ("V", value), m, branches))
                     elif r * r == n:
@@ -159,8 +161,10 @@ def _side(value: float, key: tuple, bound: Rate) -> int:
     """The sign of rate - bound: by the rate's key when it and the bound are
     exact, else by the rate's float value."""
     if _is_exact(bound):
-        if key[0] == "Q":
-            return (key[1] > bound) - (key[1] < bound)
+        if key[0] == "Q":  # by integers: a Fraction comparison costs more
+            q = key[1]
+            t = q.numerator * bound.denominator - bound.numerator * q.denominator
+            return (t > 0) - (t < 0)
         if key[0] == "I":
             # (p + s sqrt(n) / d) / 2 - bound has the sign of s sqrt(n) - t; n is no square
             _, p, s, k, d = key
@@ -193,12 +197,19 @@ class IndicialRoot:
 
 
 _value = attrgetter("value")
+_dimension = attrgetter("total_dimension")
 
 
 @dataclass(frozen=True)
 class KernelTable:
     """d_lambda data complete on ``window``, one merged root per rate in
-    increasing rate.  Queries beyond the window raise CutoffExceeded."""
+    increasing rate.  Queries beyond the window raise CutoffExceeded.
+
+    ``_index``, built on first use, holds the root values and the prefix sums
+    of their dimensions.  A query bisects the values; the key decides only the
+    b roots within 2 MERGE_TOL of a bound or rate.  For n roots and k returned,
+    ``at``, ``d_at`` and ``d_sum`` cost O(log n + b), ``between``, ``restrict``
+    and ``roots_in`` O(log n + b + k), and :func:`table_symmetry` O(n log n)."""
 
     window: Window
     roots: tuple[IndicialRoot, ...]
@@ -234,40 +245,53 @@ class KernelTable:
                 f"[{lo:g}, {hi:g}]"
             )
 
+    @cached_property
+    def _index(self) -> tuple[list[float], list[int]]:
+        values = list(map(_value, self.roots))
+        return values, list(accumulate(map(_dimension, self.roots), initial=0))
+
     def between(self, lo: float, hi: float) -> tuple[IndicialRoot, ...]:
         """The roots with lo <= value <= hi, found by bisection."""
-        roots = self.roots
-        return roots[bisect_left(roots, lo, key=_value) : bisect_right(roots, hi, key=_value)]
+        return self.roots[bisect_left(self._index[0], lo) : bisect_right(self._index[0], hi)]
 
     def at(self, rate: Rate | tuple) -> tuple[IndicialRoot, ...]:
-        """The roots at ``rate``, a number or a root key (see _same_rate), from
-        a +-2 MERGE_TOL slice so that rounding of the slice bounds drops none."""
-        key = rate if isinstance(rate, tuple) else _rate_key(rate)
+        """The roots at ``rate``, a root key or a number keyed as given (only ==
+        reads it: ("Q", 1) == ("Q", Fraction(1))), from a +-2 MERGE_TOL slice."""
+        key = rate if isinstance(rate, tuple) else ("Q" if _is_exact(rate) else "V", rate)
         value = _key_value(key)
         self._check_covered(value, value)
         near = self.between(value - 2 * MERGE_TOL, value + 2 * MERGE_TOL)
-        return tuple(r for r in near if _same_rate(r.value, r.key, value, key))
+        return tuple([r for r in near if _same_rate(r.value, r.key, value, key)])
 
-    def _inside(self, window: Window):
+    def _split(self, window: Window) -> tuple[list, int, int, list]:
+        """(low, i, j, high): roots[i:j] lie more than 2 MERGE_TOL inside ``window``;
+        low and high, the roots within 2 MERGE_TOL of a bound that their keys put in it."""
         lo, hi = float(window.lo), float(window.hi)
         self._check_covered(lo, hi)
-        band = 2 * MERGE_TOL  # a float may round across a bound this close: the key decides
-        inner_lo, inner_hi = lo + band, hi - band
-        roots = self.between(lo - band, hi + band)
-        return (r for r in roots if inner_lo < r.value < inner_hi or window._holds(r.value, r.key))
+        values, band, roots = self._index[0], 2 * MERGE_TOL, self.roots
+        i = bisect_right(values, lo + band)
+        j = max(i, bisect_left(values, hi - band))  # no inside when hi - lo < 2 bands
+        a, b = bisect_left(values, lo - band, 0, i), bisect_right(values, hi + band, j)
+        low = [r for r in roots[a:i] if window._holds(r.value, r.key)]
+        return low, i, j, [r for r in roots[j:b] if window._holds(r.value, r.key)]
+
+    def _inside(self, window: Window) -> tuple[IndicialRoot, ...]:
+        low, i, j, high = self._split(window)
+        return (*low, *self.roots[i:j], *high)
 
     def restrict(self, window: Window) -> KernelTable:
         """The roots inside ``window``, as a table complete on it."""
-        return KernelTable(window, tuple(self._inside(window)))
+        return KernelTable(window, self._inside(window))
 
     def roots_in(self, window: Window) -> list[tuple[float, int]]:
         return [(r.value, r.total_dimension) for r in self._inside(window)]
 
     def d_sum(self, window: Window) -> int:
-        return sum(r.total_dimension for r in self._inside(window))
+        low, i, j, high = self._split(window)
+        return self._index[1][j] - self._index[1][i] + sum(map(_dimension, low + high))
 
     def d_at(self, lam: Rate | tuple) -> int:
-        return sum(r.total_dimension for r in self.at(lam))
+        return sum(map(_dimension, self.at(lam)))
 
 
 def _rate_coverage(cutoff: float) -> tuple[float, float]:
@@ -364,8 +388,19 @@ def indicial_roots(cone: SLConeSpec, window: Window) -> KernelTable:
 
 
 def table_symmetry(table: KernelTable) -> bool:
-    """True iff every root's dimension matches its mirror at -2 - lambda."""
-    return all(table.d_at(_reflect(r.key, -2)) == r.total_dimension for r in table.roots)
+    """True iff every root's dimension matches the d at its mirror -2 - lambda,
+    each mirror's roots sliced from the index and matched as ``at`` does."""
+    roots, values, (cov_lo, cov_hi) = table.roots, table._index[0], table.rate_coverage
+    keys = [_reflect(r.key, -2) for r in roots]
+    for r, key, value in zip(roots, keys, map(_key_value, keys)):
+        if not cov_lo <= value <= cov_hi:
+            table._check_covered(value, value)  # raises, as d_at there would
+        i = bisect_left(values, value - 2 * MERGE_TOL)
+        near = roots[i : bisect_right(values, value + 2 * MERGE_TOL, i)]
+        same = (m.total_dimension for m in near if _same_rate(m.value, m.key, value, key))
+        if sum(same) != r.total_dimension:
+            return False
+    return True
 
 
 def symmetry_check(cone: SLConeSpec, window: Window) -> bool:

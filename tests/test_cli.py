@@ -477,7 +477,7 @@ def test_each_cone_source_prints_its_provenance(tmp_path):
             code, out = run([command, "--cone", name])
             if command == "indicial" and name.startswith("table:"):
                 assert (code, json.loads(out)) == (EXIT_VALIDATION, {
-                    "error": "ValidationError", "message": f"preset '{name}' has no link spectrum",
+                    "error": "ValidationError", "message": f"cone source '{name}' has no link spectrum",
                 })
                 continue
             assert code == EXIT_OK, out
@@ -488,7 +488,7 @@ def test_each_cone_source_prints_its_provenance(tmp_path):
     assert json.loads(out)["provenance"] == list(sources.values())
 
 
-UNKNOWN_CONE = "unknown cone preset '{}' (use hl, plane, plane-pair, torus:<g11,g12,g22>, table:<path.json>)"
+UNKNOWN_CONE = "unknown cone source '{}' (use hl, plane, plane-pair, torus:<g11,g12,g22>, table:<path.json>)"
 
 
 @pytest.mark.parametrize("argv, message", [

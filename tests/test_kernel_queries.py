@@ -1,0 +1,349 @@
+"""KernelTable queries against a scan over every root.
+
+The tables answer window and point queries from one sorted rate index: the
+root values as a list and the prefix sums of their dimensions.  The oracles
+below are the scans the tables used before that index, kept verbatim: a
+bisection by root value, then a filter over every root in the slice.  Both
+must give the same answers, and raise CutoffExceeded for the same inputs, on
+exact torus cones (Q and I keys), the presets, float spectra, user d-tables
+and empty tables.
+"""
+
+import math
+import random
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+from operator import attrgetter
+
+import pytest
+
+from cone_spectra.errors import CutoffExceeded
+from cone_spectra.indicial import (
+    F_BRANCH,
+    H_BRANCH,
+    HARMONIC_ONE_FORM,
+    MERGE_TOL,
+    BranchContribution,
+    IndicialRoot,
+    KernelTable,
+    SLConeSpec,
+    Window,
+    _key_value,
+    _rate_coverage,
+    _rate_key,
+    _reflect,
+    _same_rate,
+    merge_roots,
+    table_symmetry,
+)
+from cone_spectra.presets import PRESETS, torus_cone_spec
+from cone_spectra.spectra import LinkTopology, Spectrum, TorusMetric, torus_spectrum
+from cone_spectra.stability import DLambdaTable
+
+BAND = 2 * MERGE_TOL
+_value = attrgetter("value")
+
+
+# ---------------------------------------------------------------------------
+# the scans: every root of a bisected slice, filtered one by one
+# ---------------------------------------------------------------------------
+
+def scan_side(value, key, bound):
+    exact = isinstance(bound, (int, Fraction)) and not isinstance(bound, bool)
+    if exact and key[0] == "Q":
+        return (key[1] > bound) - (key[1] < bound)
+    if exact and key[0] == "I":
+        _, p, s, k, d = key
+        t = (2 * bound - p) * d
+        return s if s * t <= 0 or d * (d + 4 * k) > t * t else -s
+    diff = value - float(bound)
+    return (diff > 0) - (diff < 0)
+
+
+def scan_holds(window, value, key):
+    lo = scan_side(value, key, window.lo)
+    if lo < 0 or (lo == 0 and not window.include_lo):
+        return False
+    hi = scan_side(value, key, window.hi)
+    return hi < 0 or (hi == 0 and window.include_hi)
+
+
+def scan_covered(table, lo, hi):
+    cov_lo, cov_hi = table.rate_coverage
+    if not (cov_lo <= lo and hi <= cov_hi):
+        raise CutoffExceeded("not covered")
+
+
+def scan_between(table, lo, hi):
+    roots = table.roots
+    return roots[bisect_left(roots, lo, key=_value) : bisect_right(roots, hi, key=_value)]
+
+
+def scan_at(table, rate):
+    key = rate if isinstance(rate, tuple) else _rate_key(rate)
+    value = _key_value(key)
+    scan_covered(table, value, value)
+    near = scan_between(table, value - BAND, value + BAND)
+    return tuple(r for r in near if _same_rate(r.value, r.key, value, key))
+
+
+def scan_inside(table, window):
+    lo, hi = float(window.lo), float(window.hi)
+    scan_covered(table, lo, hi)
+    roots = scan_between(table, lo - BAND, hi + BAND)
+    return tuple(
+        r for r in roots if lo + BAND < r.value < hi - BAND or scan_holds(window, r.value, r.key)
+    )
+
+
+def scan_d_at(table, rate):
+    return sum(r.total_dimension for r in scan_at(table, rate))
+
+
+def scan_symmetry(table):
+    return all(scan_d_at(table, _reflect(r.key, -2)) == r.total_dimension for r in table.roots)
+
+
+def scan_build(spec):
+    """A cone's table as built before the sorted index: one branch tuple per root."""
+    exact = spec.spectrum.exact
+    cov_lo, cov_hi = _rate_coverage(spec.spectrum.cutoff)
+    parts, irrational = [], []
+    for i, (delta, m) in enumerate(spec.spectrum.entries):
+        delta = delta if i else 0
+        dval = float(delta)
+        root = math.sqrt(1.0 + 4.0 * dval)
+        if exact:
+            k, d = delta.numerator, delta.denominator
+            r = math.isqrt(n := d * (d + 4 * k))
+        for p, branch in ((-1, F_BRANCH), (-3, H_BRANCH)):
+            for s in (+1, -1):
+                if not i and p + s == -2:
+                    continue
+                value = (p + s * root) / 2.0
+                if not cov_lo <= value <= cov_hi:
+                    continue
+                branches = (BranchContribution(branch, dval, m),)
+                if not exact:
+                    parts.append((value, ("V", value), m, branches))
+                elif r * r == n:
+                    parts.append((value, ("Q", Fraction(p * d + s * r, 2 * d)), m, branches))
+                else:
+                    irrational.append(IndicialRoot(value, branches, m, ("I", p, s, k, d)))
+    if spec.topology.b1 > 0 and cov_lo <= -1.0 <= cov_hi:
+        harmonic = BranchContribution(HARMONIC_ONE_FORM, 0.0, spec.topology.b1)
+        parts.append((-1.0, _rate_key(-1 if exact else -1.0), spec.topology.b1, (harmonic,)))
+    roots = sorted(irrational + list(merge_roots(parts)), key=_value)
+    return KernelTable(Window(cov_lo, cov_hi), tuple(roots))
+
+
+def outcome(query, *args):
+    try:
+        return query(*args)
+    except CutoffExceeded:
+        return CutoffExceeded
+
+
+# ---------------------------------------------------------------------------
+# the differential cones
+# ---------------------------------------------------------------------------
+
+def _integral_metric(rng):
+    """A metric whose inverse form has integer values (integer eigenvalues)."""
+    while True:
+        a, c, b2 = rng.randint(1, 5), rng.randint(1, 5), rng.randint(-4, 4)
+        b = Fraction(b2, 2)
+        if b * b < a * c:
+            det = a * c - b * b
+            return TorusMetric(c / det, -b / det, a / det)
+
+
+def _rational_metric(rng):
+    while True:
+        g11 = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        g22 = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        g12 = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        if g12 * g12 < g11 * g22:
+            return TorusMetric(g11, g12, g22)
+
+
+def _float_metric(rng):
+    while True:
+        g11, g22, g12 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0)
+        if g12 * g12 < 0.9 * g11 * g22:
+            return TorusMetric(g11, g12, g22)
+
+
+def _specs():
+    rng = random.Random(2317)
+    specs = {}
+    for cutoff in (12, 24, 48):
+        for n in range(2):
+            specs[f"torus-int@{cutoff}/{n}"] = torus_cone_spec(_integral_metric(rng), cutoff)
+            specs[f"torus-rat@{cutoff}/{n}"] = torus_cone_spec(_rational_metric(rng), cutoff)
+    for n in range(2):
+        specs[f"torus-float@24/{n}"] = torus_cone_spec(_float_metric(rng), 24)
+    # eigenvalues that sit 1e-10 off the integer ones: V roots within MERGE_TOL of exact rates
+    scale = 1.0000000001
+    near = TorusMetric(2 / 3 * scale, 1 / 3 * scale, 2 / 3 * scale)
+    specs["torus-float-near-exact@12"] = SLConeSpec(torus_spectrum(near, 12.0), LinkTopology(1, 2))
+    spectrum = Spectrum(((0.0, 1), (2.0, 2), (2.0 + 1.5e-9, 1), (6.0 - 4e-9, 3)), 8.0, False)
+    specs["float-close-pairs@8"] = SLConeSpec(spectrum, LinkTopology(1, 2))
+    # rational roots whose float lies an ulp off the exact rate: 4/9 gives 1/3 as
+    # 0.33333333333333337 and 28/9 gives it as 0.33333333333333326
+    ninths = [Fraction(k, 9) for k in (4, 10, 28, 40, 70, 88)]
+    spectrum = Spectrum(((0, 1), *((q, 1 + i % 3) for i, q in enumerate(ninths))), 10.0, True)
+    specs["rational-off-by-an-ulp@10"] = SLConeSpec(spectrum, LinkTopology(1, 2))
+    return specs
+
+
+SPECS = _specs()
+
+
+def _tables():
+    tables = {name: spec.kernel_table for name, spec in SPECS.items()}
+    for name, (build, _provenance) in PRESETS.items():
+        for cutoff in (12, 30):
+            tables[f"{name}@{cutoff}"] = build(cutoff).kernel_table
+    coverage = Window(Fraction(-4), Fraction(2))
+    rows = [(Fraction(-4), 1), (Fraction(-1), 2), (Fraction(-3, 4), 3), (Fraction(-5, 4), 3),
+            (Fraction(2), 5), (Fraction(1), 7), (-1, 1), (Fraction(1, 2), 0), (0.25, 2)]
+    tables["table-on-ends"] = DLambdaTable(tuple(rows), coverage).kernel_table
+    rng = random.Random(52)
+    for n in range(3):
+        rows = [(Fraction(k, 4), rng.randint(0, 4)) for k in rng.sample(range(-16, 9), 10)]
+        tables[f"table/{n}"] = DLambdaTable(tuple(rows), coverage).kernel_table
+    # float rows whose mirrors -2 - lambda lie 0.7 MERGE_TOL above or below
+    # another row (the same rate), or 1.9 MERGE_TOL off it (another rate)
+    rows = ((0.5, 1), (-2.5 + 7e-10, 1), (0.75, 2), (-2.75 - 7e-10, 2), (-1.0 + 4e-10, 3))
+    tables["table-near-mirrors"] = DLambdaTable(rows, coverage).kernel_table
+    rows = ((0.25 + 1.9e-9, 2), (-2.25, 2), (0.5, 1), (-2.5, 1))
+    tables["table-apart-mirrors"] = DLambdaTable(rows, coverage).kernel_table
+    tables["table-open"] = DLambdaTable(
+        ((Fraction(-1, 2), 1), (0.75, 2)), Window(-1, 1, include_lo=False, include_hi=False)
+    ).kernel_table
+    tables["empty"] = KernelTable(Window(-3, 1), ())
+    tables["empty-rows"] = KernelTable.from_rows(Window(-2, 2), [])
+    tables["empty-restricted"] = SPECS["torus-int@12/0"].kernel_table.restrict(
+        Window(Fraction(1, 1000), Fraction(2, 1000))
+    )
+    return tables
+
+
+TABLES = _tables()
+
+
+def _bounds(table, rng):
+    """Window bounds on and around the roots: their floats as Fractions, exact
+    rational keys, quarter grid rates, and floats MERGE_TOL-close to roots."""
+    cov_lo, cov_hi = table.rate_coverage
+    exact = [Fraction(r.value) for r in table.roots]
+    exact += [r.key[1] for r in table.roots if r.key[0] == "Q"]
+    exact += [Fraction(k, 4) for k in range(-16, 9)]
+    exact += [Fraction(cov_lo), Fraction(cov_hi)]
+    floats = [r.value + f * MERGE_TOL for r in table.roots for f in (0.0, -1.0, 1.0, -2.5, 2.5)]
+    floats += [math.nextafter(r.value, math.inf) for r in table.roots]
+    floats += [cov_lo, cov_hi, -1.0, 0.0, 1.0]
+    bounds = [b for b in exact + floats if cov_lo <= float(b) <= cov_hi]
+    return rng.sample(bounds, min(len(bounds), 40))
+
+
+def _windows(table, rng):
+    bounds = _bounds(table, rng)
+    windows = []
+    for _ in range(80):
+        lo, hi = sorted(rng.sample(bounds, 2), key=float)
+        windows.append(Window(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    for lo in bounds[:12]:
+        # narrower than two bands: every root near the window is decided by its key
+        for width in (0, MERGE_TOL / 2, MERGE_TOL, 3 * MERGE_TOL):
+            hi = lo + width if width else lo
+            if float(hi) <= table.rate_coverage[1]:
+                windows.append(Window(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    cov_lo, cov_hi = table.rate_coverage
+    for q in (r.key[1] for r in table.roots if r.key[0] == "Q"):
+        # ends on an exact rate whose root's float may lie an ulp to either side
+        ends = [(q, q), (q, q + Fraction(1, 2)), (q - Fraction(1, 2), q)]
+        for lo, hi in ends:
+            if cov_lo <= lo and hi <= cov_hi:
+                windows += [Window(lo, hi, flag, flag2) for flag in (True, False) for flag2 in (True, False)]
+    windows += [
+        Window(cov_lo, cov_hi),
+        Window(cov_lo, cov_hi, False, False),
+        Window(cov_lo - 0.5, cov_hi),  # out of coverage
+        Window(cov_lo, cov_hi + 1e-12),
+        Window(-math.inf, math.inf),
+    ]
+    return windows
+
+
+def _rates(table, rng):
+    rates = [r.key for r in table.roots] + [_reflect(r.key, -2) for r in table.roots]
+    rates += [r.value for r in table.roots] + [Fraction(r.value) for r in table.roots]
+    rates += [r.value + MERGE_TOL * f for r in table.roots for f in (-1.5, 0.5, 0.9)]
+    rates += [-1, 0, 1, -2, Fraction(-1, 2), -1.0, 0.37, math.nan, math.inf, -math.inf]
+    cov_lo, cov_hi = table.rate_coverage
+    rates += [cov_lo, cov_hi, cov_hi + 0.25, cov_lo - 1, Fraction(cov_hi) + 1]
+    return rng.sample(rates, min(len(rates), 120))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_queries_match_the_scans(name):
+    table = TABLES[name]
+    rng = random.Random(name)
+    for window in _windows(table, rng):
+        inside = outcome(scan_inside, table, window)
+        want_sum = inside if inside is CutoffExceeded else sum(r.total_dimension for r in inside)
+        assert outcome(table.d_sum, window) == want_sum, window
+        restricted = outcome(table.restrict, window)
+        if inside is CutoffExceeded:
+            assert restricted is CutoffExceeded and outcome(table.roots_in, window) is CutoffExceeded
+            continue
+        assert restricted.roots == inside and restricted.window == window, window
+        assert table.roots_in(window) == [(r.value, r.total_dimension) for r in inside]
+        assert outcome(table_symmetry, restricted) == outcome(scan_symmetry, restricted), window
+    for rate in _rates(table, rng):
+        assert outcome(table.at, rate) == outcome(scan_at, table, rate), rate
+        assert outcome(table.d_at, rate) == outcome(scan_d_at, table, rate), rate
+    assert outcome(table_symmetry, table) == outcome(scan_symmetry, table)
+
+
+def test_the_differential_cones_reach_every_key_kind():
+    kinds = {r.key[0] for t in TABLES.values() for r in t.roots}
+    assert kinds == {"Q", "I", "V"}
+    assert table_symmetry(TABLES["table-near-mirrors"])
+    assert not table_symmetry(TABLES["table-apart-mirrors"])
+    # some symmetry queries answer False and some raise, not only True
+    answers = set()
+    for name in ("table-on-ends", "table/0", "torus-int@12/0"):
+        table = TABLES[name]
+        for window in _windows(table, random.Random(name)):
+            restricted = outcome(table.restrict, window)
+            if restricted is not CutoffExceeded:
+                answers.add(outcome(scan_symmetry, restricted))
+    assert answers == {True, False, CutoffExceeded}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_cone_tables_are_unchanged(name):
+    spec = SPECS[name]
+    built, scanned = spec.kernel_table, scan_build(spec)
+    assert built.window == scanned.window
+    assert repr(built.roots) == repr(scanned.roots)
+
+
+def test_d_sum_decides_only_band_roots_by_key(monkeypatch):
+    # a wide window on a torus@48 table: the prefix sums count every root
+    # strictly inside, so only roots near a bound reach Window._holds
+    table = TABLES["torus-int@48/0"]
+    values = [r.value for r in table.roots]
+    lo, hi = Fraction(values[3]), Fraction(values[-4])
+    window = Window(lo, hi, include_lo=False, include_hi=True)
+    near = sum(1 for v in values if abs(v - float(lo)) <= BAND or abs(v - float(hi)) <= BAND)
+    calls = []
+    holds = Window._holds
+    monkeypatch.setattr(Window, "_holds", lambda self, *a: calls.append(a) or holds(self, *a))
+    total = table.d_sum(window)
+    assert 0 < len(calls) <= near < len(table.roots) // 10
+    monkeypatch.undo()
+    assert total == sum(r.total_dimension for r in scan_inside(table, window))
