@@ -69,13 +69,17 @@ def _check_off_wall(cone: ConeData, rate: Rate) -> None:
         raise RateOnWall(f"rate {float(rate)} lies on the indicial root {on_wall[0].value}")
 
 
-def _end_contribution(end: EndSpec) -> Fraction:
+def _twice_contribution(end: EndSpec) -> int:
+    """Twice the end's AC contribution: d_(-1) plus twice the d between -1 and
+    the rate, negated below -1."""
     table = end.cone.kernel_table
     if end.rate >= -1.0:
-        between = Window(-1, end.rate, include_lo=False, include_hi=False)
-        return Fraction(table.d_at(-1) + 2 * table.d_sum(between), 2)
-    between = Window(end.rate, -1, include_lo=False, include_hi=False)
-    return Fraction(-table.d_at(-1) - 2 * table.d_sum(between), 2)
+        return table.d_minus_one + 2 * table.d_open(-1, end.rate)
+    return -table.d_minus_one - 2 * table.d_open(end.rate, -1)
+
+
+def _end_contribution(end: EndSpec) -> Fraction:
+    return Fraction(_twice_contribution(end), 2)
 
 
 def _as_integer(total: Fraction) -> int:
@@ -88,17 +92,22 @@ def _as_integer(total: Fraction) -> int:
 
 def index(op: OperatorSpec) -> int:
     """Fredholm index of the weighted Fueter operator (AC; negated for CS)."""
-    total = sum((_end_contribution(e) for e in op.ends), Fraction(0))
-    value = _as_integer(total)
+    twice = sum(map(_twice_contribution, op.ends))
+    value = _as_integer(Fraction(twice, 2)) if twice % 2 else twice // 2
     return value if op.kind == AC else -value
+
+
+def _span(op: OperatorSpec, rate_from: float, rate_to: float) -> tuple[float, float]:
+    """The two rates in increasing order, each checked off every end's wall."""
+    for e in op.ends:
+        _check_off_wall(e.cone, rate_from)
+        _check_off_wall(e.cone, rate_to)
+    return min(rate_from, rate_to), max(rate_from, rate_to)
 
 
 def crossed_roots(op: OperatorSpec, rate_from: float, rate_to: float) -> list[tuple[float, int]]:
     """Indicial roots of every end strictly between the two (off-wall) rates."""
-    for e in op.ends:
-        _check_off_wall(e.cone, rate_from)
-        _check_off_wall(e.cone, rate_to)
-    lo, hi = min(rate_from, rate_to), max(rate_from, rate_to)
+    lo, hi = _span(op, rate_from, rate_to)
     window = Window(lo, hi, include_lo=False, include_hi=False)
     out: list[tuple[float, int]] = []
     for e in op.ends:
@@ -109,11 +118,13 @@ def crossed_roots(op: OperatorSpec, rate_from: float, rate_to: float) -> list[tu
 def wall_crossing(op: OperatorSpec, rate_from: float, rate_to: float) -> int:
     """Index jump when moving rates from ``rate_from`` to ``rate_to``.
 
-    Computed as the signed sum of d_lambda over the crossed roots; equals
+    Computed as the signed sum of d_lambda over the crossed roots (those of
+    :func:`crossed_roots`, summed from each table's prefix sums); equals
     index(at rate_to) - index(at rate_from).  Every end moves its rate
     together.
     """
-    crossed = sum(d for _, d in crossed_roots(op, rate_from, rate_to))
+    lo, hi = _span(op, rate_from, rate_to)
+    crossed = sum(e.cone.kernel_table.d_open(lo, hi) for e in op.ends)
     direction = 1 if rate_to > rate_from else -1
     sign = direction if op.kind == AC else -direction
     return sign * crossed
@@ -179,7 +190,7 @@ def index_report(op: OperatorSpec) -> dict:
                 "rate": float(e.rate),
                 "contribution_ac": str(contrib),
                 "chamber": [lo, hi],
-                "d_minus_one": e.cone.kernel_table.d_at(-1),
+                "d_minus_one": e.cone.kernel_table.d_minus_one,
             }
         )
     return {"kind": op.kind, "index": index(op), "ends": ends}

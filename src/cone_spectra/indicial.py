@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, takewhile
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -208,8 +208,9 @@ class KernelTable:
     ``_index``, built on first use, holds the root values and the prefix sums
     of their dimensions.  A query bisects the values; the key decides only the
     b roots within 2 MERGE_TOL of a bound or rate.  For n roots and k returned,
-    ``at``, ``d_at`` and ``d_sum`` cost O(log n + b), ``between``, ``restrict``
-    and ``roots_in`` O(log n + b + k), and :func:`table_symmetry` O(n log n)."""
+    ``at``, ``d_at``, ``d_sum`` and ``d_open`` cost O(log n + b), ``between``,
+    ``restrict`` and ``roots_in`` O(log n + b + k), and :func:`table_symmetry`
+    O(n) on a symmetric exact table, else O(n log n)."""
 
     window: Window
     roots: tuple[IndicialRoot, ...]
@@ -263,15 +264,25 @@ class KernelTable:
         near = self.between(value - 2 * MERGE_TOL, value + 2 * MERGE_TOL)
         return tuple([r for r in near if _same_rate(r.value, r.key, value, key)])
 
+    @cached_property
+    def d_minus_one(self) -> int:
+        """d_(-1), read once: every index and stability sum starts from it."""
+        return self.d_at(-1)
+
+    def _bands(self, lo: float, hi: float) -> tuple[int, int, int, int]:
+        """(a, i, j, b): roots[i:j] lie more than 2 MERGE_TOL inside [lo, hi],
+        roots[a:i] and roots[j:b] within 2 MERGE_TOL of a bound."""
+        self._check_covered(lo, hi)
+        values, band = self._index[0], 2 * MERGE_TOL
+        i = bisect_right(values, lo + band)
+        j = max(i, bisect_left(values, hi - band))  # no inside when hi - lo < 2 bands
+        return bisect_left(values, lo - band, 0, i), i, j, bisect_right(values, hi + band, j)
+
     def _split(self, window: Window) -> tuple[list, int, int, list]:
         """(low, i, j, high): roots[i:j] lie more than 2 MERGE_TOL inside ``window``;
         low and high, the roots within 2 MERGE_TOL of a bound that their keys put in it."""
-        lo, hi = float(window.lo), float(window.hi)
-        self._check_covered(lo, hi)
-        values, band, roots = self._index[0], 2 * MERGE_TOL, self.roots
-        i = bisect_right(values, lo + band)
-        j = max(i, bisect_left(values, hi - band))  # no inside when hi - lo < 2 bands
-        a, b = bisect_left(values, lo - band, 0, i), bisect_right(values, hi + band, j)
+        a, i, j, b = self._bands(float(window.lo), float(window.hi))
+        roots = self.roots
         low = [r for r in roots[a:i] if window._holds(r.value, r.key)]
         return low, i, j, [r for r in roots[j:b] if window._holds(r.value, r.key)]
 
@@ -289,6 +300,17 @@ class KernelTable:
     def d_sum(self, window: Window) -> int:
         low, i, j, high = self._split(window)
         return self._index[1][j] - self._index[1][i] + sum(map(_dimension, low + high))
+
+    def d_open(self, lo: Rate, hi: Rate) -> int:
+        """d_sum of the open window (lo, hi), lo <= hi, without building it: the
+        band roots are placed by the same _side rule as Window._holds."""
+        a, i, j, b = self._bands(float(lo), float(hi))
+        cum, roots = self._index[1], self.roots
+        total = cum[j] - cum[i]
+        for r in roots[a:i] + roots[j:b]:
+            if _side(r.value, r.key, lo) > 0 and _side(r.value, r.key, hi) < 0:
+                total += r.total_dimension
+        return total
 
     def d_at(self, lam: Rate | tuple) -> int:
         return sum(map(_dimension, self.at(lam)))
@@ -387,9 +409,36 @@ def indicial_roots(cone: SLConeSpec, window: Window) -> KernelTable:
     return cone.kernel_table.restrict(window)
 
 
+def _mirrors(key: tuple, other: tuple) -> bool:
+    """Whether the exact key ``other`` is _reflect(key, -2), a "Q" pair compared
+    by integers (-2 - a/b in lowest terms is (-2b - a)/b); False for "V" keys."""
+    if key[0] == "Q" == other[0]:
+        q, m = key[1], other[1]
+        return m.denominator == q.denominator and m.numerator + q.numerator == -2 * q.denominator
+    return key[0] == "I" and _reflect(key, -2) == other
+
+
+def _paired(table: KernelTable) -> bool:
+    """Whether root i and root n - 1 - i are exact mirrors of equal dimension
+    for every i, and every mirror lies in the coverage.  A table holds one root
+    per rate, each valued within 2 MERGE_TOL of its key's rate, so only roots
+    that close to a coverage bound can have a mirror outside it."""
+    roots, n = table.roots, len(table.roots)
+    for r, m in zip(roots[: (n + 1) // 2], reversed(roots)):
+        if r.total_dimension != m.total_dimension or not _mirrors(r.key, m.key):
+            return False
+    (cov_lo, cov_hi), band = table.rate_coverage, 2 * MERGE_TOL
+    low = takewhile(lambda r: r.value <= cov_lo + band, roots)
+    high = takewhile(lambda r: r.value >= cov_hi - band, reversed(roots))
+    return all(cov_lo <= _key_value(r.key) <= cov_hi for r in chain(low, high))
+
+
 def table_symmetry(table: KernelTable) -> bool:
-    """True iff every root's dimension matches the d at its mirror -2 - lambda,
-    each mirror's roots sliced from the index and matched as ``at`` does."""
+    """True iff every root's dimension matches the d at its mirror -2 - lambda.
+    An exact symmetric table passes by pairing root i with root n - 1 - i;
+    any other table looks each mirror up in the index, matched as ``at`` does."""
+    if _paired(table):
+        return True
     roots, values, (cov_lo, cov_hi) = table.roots, table._index[0], table.rate_coverage
     keys = [_reflect(r.key, -2) for r in roots]
     for r, key, value in zip(roots, keys, map(_key_value, keys)):
@@ -466,12 +515,14 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
     return JacobiSpectrum(entries=tuple(entries), unpaired=tuple(sorted(unpaired)))
 
 
+_ZERO_TO_ONE = Window(0, 1, include_lo=True, include_hi=False)
+
+
 def morse_index(cone: SLConeSpec) -> int:
     """Morse index of the link's Jacobi operator:
     d_(-1) + 2 * sum_{-1<lambda<0} d_lambda + sum_{0<=lambda<1} d_lambda
     (needs the spectrum complete up to eigenvalue (1+2)(1+1) = 6).
     """
     table = cone.kernel_table
-    negative = table.d_sum(Window(-1, 0, include_lo=False, include_hi=False))
-    small = table.d_sum(Window(0, 1, include_lo=True, include_hi=False))
-    return cone.topology.b1 + 2 * negative + small
+    negative = table.d_open(-1, 0)
+    return cone.topology.b1 + 2 * negative + table.d_sum(_ZERO_TO_ONE)

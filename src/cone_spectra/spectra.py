@@ -27,10 +27,11 @@ MAX_SPHERE_DEGREE = 10_000
 RELATIVE_TOL = 1e-9
 
 _eigenvalue = itemgetter(0)
+_RATIONAL = (int, Fraction)
 
 
 def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    return isinstance(x, _RATIONAL) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,18 @@ class Spectrum:
     exact: bool
 
     def __post_init__(self):
-        prev = None
+        prev = num = den = None  # num / den: prev in lowest terms when it is an int or Fraction
         for ev, mult in self.entries:
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
-            if prev is not None and not ev > prev:
+            if isinstance(ev, _RATIONAL):  # cross-multiplied: a Fraction comparison costs more
+                n, d = ev.numerator, ev.denominator
+                increasing = n * den > num * d if den else prev is None or ev > prev
+                num, den = n, d
+            else:
+                increasing = prev is None or ev > prev
+                den = None
+            if not increasing:
                 raise ValueError("eigenvalues must be strictly increasing")
             prev = ev
         if not self.entries:

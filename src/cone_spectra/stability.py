@@ -97,7 +97,7 @@ class ConeData:
 
 def _base_sum(cone: ConeData, window: Window) -> Fraction:
     table = cone.kernel_table
-    return Fraction(table.d_at(-1) + 2 * (table.d_sum(window) - 7), 2)
+    return Fraction(table.d_minus_one + 2 * (table.d_sum(window) - 7), 2)
 
 
 def s_ind_minus(cone: ConeData) -> Fraction:

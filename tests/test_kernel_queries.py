@@ -7,6 +7,11 @@ bisection by root value, then a filter over every root in the slice.  Both
 must give the same answers, and raise CutoffExceeded for the same inputs, on
 exact torus cones (Q and I keys), the presets, float spectra, user d-tables
 and empty tables.
+
+The Fredholm index, wall crossings and Morse index read open-interval sums
+from the same index; they are checked against sums over every root placed by
+its key, and the d-symmetry check, which pairs root i with root n - 1 - i,
+against the mirror-by-mirror lookup it short-cuts.
 """
 
 import math
@@ -14,10 +19,21 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 
-from cone_spectra.errors import CutoffExceeded
+from cone_spectra.errors import CutoffExceeded, NonIntegerIndex, RateOnWall
+from cone_spectra.fredholm import (
+    AC,
+    CS,
+    EndSpec,
+    OperatorSpec,
+    crossed_roots,
+    index,
+    wall_crossing,
+    with_rates,
+)
 from cone_spectra.indicial import (
     F_BRANCH,
     H_BRANCH,
@@ -29,16 +45,18 @@ from cone_spectra.indicial import (
     SLConeSpec,
     Window,
     _key_value,
+    _paired,
     _rate_coverage,
     _rate_key,
     _reflect,
     _same_rate,
     merge_roots,
+    morse_index,
     table_symmetry,
 )
 from cone_spectra.presets import PRESETS, torus_cone_spec
 from cone_spectra.spectra import LinkTopology, Spectrum, TorusMetric, torus_spectrum
-from cone_spectra.stability import DLambdaTable
+from cone_spectra.stability import ConeComponent, ConeData, DLambdaTable
 
 BAND = 2 * MERGE_TOL
 _value = attrgetter("value")
@@ -347,3 +365,321 @@ def test_d_sum_decides_only_band_roots_by_key(monkeypatch):
     assert 0 < len(calls) <= near < len(table.roots) // 10
     monkeypatch.undo()
     assert total == sum(r.total_dimension for r in scan_inside(table, window))
+
+
+# ---------------------------------------------------------------------------
+# the index path: index, wall_crossing and morse_index against sums over every root
+# ---------------------------------------------------------------------------
+
+def scan_open(table, lo, hi):
+    """d summed over every root strictly between lo and hi, each placed by its key."""
+    return sum(
+        r.total_dimension
+        for r in table.roots
+        if scan_side(r.value, r.key, lo) > 0 > scan_side(r.value, r.key, hi)
+    )
+
+
+def scan_off_wall(table, rate):
+    cov_lo, cov_hi = table.rate_coverage
+    if not cov_lo <= rate <= cov_hi:
+        raise CutoffExceeded("not covered")
+    key = _rate_key(rate)
+    if any(_same_rate(r.value, r.key, float(rate), key) for r in table.roots):
+        raise RateOnWall("on a root")
+
+
+def scan_d_minus_one(table):
+    scan_covered(table, -1.0, -1.0)
+    return sum(r.total_dimension for r in table.roots if _same_rate(r.value, r.key, -1.0, ("Q", -1)))
+
+
+def scan_index(ends):
+    """The AC index: the sum over (cone, rate) ends of d_(-1)/2 plus the d strictly
+    between -1 and the rate, negated below -1."""
+    for cone, rate in ends:
+        scan_off_wall(cone.kernel_table, rate)
+    twice = 0
+    for cone, rate in ends:
+        table = cone.kernel_table
+        d = scan_d_minus_one(table)
+        if rate >= -1:
+            twice += d + 2 * scan_open(table, -1, rate)
+        else:
+            twice -= d + 2 * scan_open(table, rate, -1)
+    if twice % 2:
+        raise NonIntegerIndex(
+            f"end contributions sum to {Fraction(twice, 2)}; an odd d_(-1) was left unpaired"
+        )
+    return twice // 2
+
+
+def scan_wall_crossing(cones, rate_from, rate_to):
+    """The AC jump: d summed over the roots strictly between the rates, signed."""
+    for cone in cones:
+        scan_off_wall(cone.kernel_table, rate_from)
+        scan_off_wall(cone.kernel_table, rate_to)
+    lo, hi = min(rate_from, rate_to), max(rate_from, rate_to)
+    crossed = sum(scan_open(cone.kernel_table, lo, hi) for cone in cones)
+    return crossed if rate_to > rate_from else -crossed
+
+
+def index_outcome(query, *args):
+    """The answer, the class of a wall or coverage error, or the odd-index message."""
+    try:
+        return query(*args)
+    except (CutoffExceeded, RateOnWall) as err:
+        return type(err)
+    except NonIntegerIndex as err:
+        return str(err)
+
+
+def signed(sign, outcome):
+    """A CS outcome from the AC one: the index is negated, errors are the same."""
+    return sign * outcome if isinstance(outcome, int) else outcome
+
+
+def _cone(table):
+    return ConeData((ConeComponent(SimpleNamespace(kernel_table=table)),))
+
+
+CONES = {name: _cone(table) for name, table in TABLES.items()}
+
+
+def _index_rates(table, rng):
+    """Seeded float rates (some below -1), exact rates within 2 MERGE_TOL of a
+    root (on it only when its float is its rate), and rates off the coverage."""
+    cov_lo, cov_hi = table.rate_coverage
+    rates = [rng.uniform(cov_lo, cov_hi) for _ in range(8)]
+    rates += [rng.uniform(cov_lo, -1.0) for _ in range(4)]
+    for r in rng.sample(table.roots, min(len(table.roots), 8)):
+        near = Fraction(r.value)
+        for step in (0, 1e-12, -1e-12, 1.5 * MERGE_TOL, -1.5 * MERGE_TOL):
+            rates.append(near + Fraction(step))
+    rates += [-1, Fraction(-3, 2), cov_hi + 0.25, Fraction(cov_lo) - 1, math.nan]
+    rng.shuffle(rates)
+    return rates
+
+
+def _valid_rate(cone, rng):
+    cov_lo, cov_hi = cone.kernel_table.rate_coverage
+    while True:
+        try:
+            return EndSpec(cone, rng.uniform(cov_lo, cov_hi)).rate
+        except RateOnWall:
+            pass
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_index_path_matches_the_scans(name):
+    names = sorted(TABLES)
+    cone, other = CONES[name], CONES[names[(names.index(name) + 1) % len(names)]]
+    rng = random.Random(f"index {name}")
+    rates, other_rates = _index_rates(cone.kernel_table, rng), _index_rates(other.kernel_table, rng)
+    for rate, other_rate in zip(rates, other_rates * 3):
+        for ends in ([(cone, rate)], [(cone, rate), (other, other_rate)]):
+            want = index_outcome(scan_index, ends)
+            for kind, sign in ((AC, 1), (CS, -1)):
+                op = lambda: index(OperatorSpec(kind, tuple(EndSpec(c, r) for c, r in ends)))
+                assert index_outcome(op) == signed(sign, want), (kind, ends)
+    for cones in ([cone], [cone, other]):
+        ends = tuple(EndSpec(c, _valid_rate(c, rng)) for c in cones)
+        for a, b in zip(rates, rates[1:] + rates[:1]):
+            want = index_outcome(scan_wall_crossing, cones, a, b)
+            for kind, sign in ((AC, 1), (CS, -1)):
+                op = OperatorSpec(kind, ends)
+                jump = index_outcome(wall_crossing, op, a, b)
+                assert jump == signed(sign, want), (kind, a, b)
+                crossed = index_outcome(crossed_roots, op, a, b)
+                if isinstance(jump, int):
+                    direction = 1 if b > a else -1
+                    assert jump == sign * direction * sum(d for _, d in crossed)
+                else:
+                    assert crossed is jump
+
+
+def test_the_index_rates_reach_every_outcome():
+    outcomes = set()
+    for name, cone in CONES.items():
+        rng = random.Random(f"index {name}")
+        for rate in _index_rates(cone.kernel_table, rng):
+            got = index_outcome(scan_index, [(cone, rate)])
+            outcomes.add(got if not isinstance(got, int) else int)
+            near = isinstance(rate, Fraction) and any(
+                0 < abs(float(rate) - r.value) <= BAND for r in cone.kernel_table.roots
+            )
+            if near and isinstance(got, int):
+                outcomes.add("off a root within 2 MERGE_TOL")
+            if rate < -1 and isinstance(got, int):
+                outcomes.add("below -1")
+    assert {int, CutoffExceeded, RateOnWall, "off a root within 2 MERGE_TOL", "below -1"} <= outcomes
+    assert any(isinstance(o, str) and o.startswith("end contributions") for o in outcomes)
+
+
+def test_an_odd_index_message_is_pinned():
+    ends = CONES["table-on-ends"]  # rows at -1 of dimensions 2 and 1: d_(-1) = 3
+    op = OperatorSpec(AC, (EndSpec(ends, 0.3),))
+    with pytest.raises(NonIntegerIndex) as err:
+        index(op)
+    assert str(err.value) == "end contributions sum to 13/2; an odd d_(-1) was left unpaired"
+    hl = CONES["hl@12"]
+    op = OperatorSpec(CS, (EndSpec(ends, 0.3), EndSpec(hl, 0.5)))
+    with pytest.raises(NonIntegerIndex) as err:
+        index(op)
+    assert str(err.value) == "end contributions sum to 29/2; an odd d_(-1) was left unpaired"
+
+
+def _sl_specs():
+    specs = dict(SPECS)
+    for name, (build, _provenance) in PRESETS.items():
+        for cutoff in (12, 30):
+            for i, component in enumerate(build(cutoff).components):
+                specs[f"{name}@{cutoff}/{i}"] = component.kernel_source
+    return specs
+
+
+SL_SPECS = _sl_specs()
+
+
+@pytest.mark.parametrize("name", sorted(SL_SPECS))
+def test_morse_index_matches_the_scan(name):
+    spec = SL_SPECS[name]
+    table = spec.kernel_table
+    scan_covered(table, -1.0, 1.0)
+    small = sum(
+        r.total_dimension
+        for r in table.roots
+        if scan_side(r.value, r.key, 0) >= 0 > scan_side(r.value, r.key, 1)
+    )
+    assert morse_index(spec) == spec.topology.b1 + 2 * scan_open(table, -1, 0) + small
+
+
+def test_index_and_wall_crossing_build_no_window(monkeypatch):
+    cone = ConeData((ConeComponent(SPECS["torus-int@48/0"]),))
+    table = cone.kernel_table  # built, with its coverage window, before counting
+    rng = random.Random(48)
+    cov_lo, cov_hi = table.rate_coverage
+    rates = [rng.uniform(cov_lo, cov_hi) for _ in range(20)]
+    rates += [Fraction(r.value) + Fraction(1, 10**12) for r in table.roots[::7]]
+    op = OperatorSpec(AC, (EndSpec(cone, rates[0]),))
+    built = []
+    post_init = Window.__post_init__
+    monkeypatch.setattr(Window, "__post_init__", lambda self: built.append(self) or post_init(self))
+    indices = [index(with_rates(op, r)) for r in rates]
+    jumps = [wall_crossing(op, a, b) for a, b in zip(rates, rates[1:])]
+    assert built == []
+    monkeypatch.undo()
+    assert jumps == [b - a for a, b in zip(indices, indices[1:])]
+    assert len(set(indices)) > 5
+
+
+# ---------------------------------------------------------------------------
+# d-symmetry: root pairing against the mirror-by-mirror lookup
+# ---------------------------------------------------------------------------
+
+def lookup_symmetry(table):
+    """table_symmetry before root pairing, kept verbatim: each mirror -2 - lambda
+    sliced from the index and matched as ``at`` does."""
+    roots, values, (cov_lo, cov_hi) = table.roots, table._index[0], table.rate_coverage
+    keys = [_reflect(r.key, -2) for r in roots]
+    for r, key, value in zip(roots, keys, map(_key_value, keys)):
+        if not cov_lo <= value <= cov_hi:
+            table._check_covered(value, value)  # raises, as d_at there would
+        i = bisect_left(values, value - 2 * MERGE_TOL)
+        near = roots[i : bisect_right(values, value + 2 * MERGE_TOL, i)]
+        same = (m.total_dimension for m in near if _same_rate(m.value, m.key, value, key))
+        if sum(same) != r.total_dimension:
+            return False
+    return True
+
+
+def symmetry_outcome(check, table):
+    try:
+        return check(table)
+    except CutoffExceeded as err:
+        return CutoffExceeded, str(err)
+
+
+def _symmetric_windows(table, rng):
+    """Windows symmetric about -1: seeded exact and float half-widths, and ends
+    on a root's exact rate or on its float."""
+    cov_lo, cov_hi = table.rate_coverage
+    radius = min(-1.0 - cov_lo, cov_hi + 1.0)
+    widths = [Fraction(rng.randint(1, 400), 400) * Fraction(radius) for _ in range(8)]
+    widths += [rng.uniform(0.0, radius) for _ in range(8)]
+    widths += [r.key[1] + 1 for r in table.roots if r.key[0] == "Q" and r.key[1] > -1]
+    widths += [r.value + 1.0 for r in table.roots if r.value > -1.0]
+    windows = []
+    for w in widths:
+        if float(w) <= radius:
+            flag = rng.random() < 0.5
+            windows.append(Window(-1 - w, -1 + w, flag, flag))
+    return windows
+
+
+@pytest.mark.parametrize("name", sorted(SL_SPECS))
+def test_symmetry_pairing_matches_the_lookup_on_cones(name):
+    table = SL_SPECS[name].kernel_table
+    exact = all(r.key[0] != "V" for r in table.roots)
+    for window in _symmetric_windows(table, random.Random(f"symmetry {name}")):
+        restricted = table.restrict(window)
+        got = symmetry_outcome(table_symmetry, restricted)
+        assert got == symmetry_outcome(lookup_symmetry, restricted), window
+        if exact and isinstance(window.lo, Fraction):
+            assert got is True and _paired(restricted), window  # decided by pairing
+
+
+def _asymmetric_tables(rng):
+    """Mirror-symmetric d-tables with one defect: a dimension changed, a rate
+    moved off its mirror, or a row dropped."""
+    coverage = Window(Fraction(-4), Fraction(2))
+    tables = []
+    for n in range(12):
+        half = [(Fraction(k, 4), rng.randint(1, 5)) for k in rng.sample(range(-3, 8), 4)]
+        rows = half + [(-2 - lam, d) for lam, d in half] + [(Fraction(-1), rng.randint(0, 3))]
+        i = rng.randrange(len(half))
+        lam, d = rows[i]
+        if n % 3 == 0:
+            rows[i] = (lam, d + 1)
+        elif n % 3 == 1:
+            rows[i] = (lam + Fraction(1, 8), d)
+        else:
+            del rows[i]
+        tables.append(KernelTable.from_rows(coverage, rows))
+    return tables
+
+
+def test_symmetry_pairing_matches_the_lookup_elsewhere():
+    # float ("V" key) tables, whole and on symmetric windows
+    float_tables = [t for t in TABLES.values() if any(r.key[0] == "V" for r in t.roots)]
+    assert len(float_tables) >= 5
+    for table in float_tables:
+        windows = _symmetric_windows(table, random.Random(len(table.roots)))
+        for t in [table] + [table.restrict(w) for w in windows]:
+            assert symmetry_outcome(table_symmetry, t) == symmetry_outcome(lookup_symmetry, t)
+    # asymmetric user tables
+    for table in _asymmetric_tables(random.Random(24)):
+        assert table_symmetry(table) is False and lookup_symmetry(table) is False
+    # a symmetric table passes by pairing
+    rows = [(Fraction(1, 4), 3), (Fraction(-9, 4), 3), (Fraction(-1), 2), (Fraction(1, 2), 1), (Fraction(-5, 2), 1)]
+    table = KernelTable.from_rows(Window(Fraction(-4), Fraction(2)), rows)
+    assert _paired(table) and lookup_symmetry(table)
+
+
+def test_a_mirror_outside_the_coverage_raises_as_before():
+    # a row at 3/2 whose mirror -7/2 lies below the coverage [-3, 2]
+    table = KernelTable.from_rows(Window(Fraction(-3), Fraction(2)), [(Fraction(3, 2), 1)])
+    got = symmetry_outcome(table_symmetry, table)
+    assert got == symmetry_outcome(lookup_symmetry, table)
+    assert got == (CutoffExceeded, "kernel data only covers [-3, 2], asked for [-3.5, -3.5]")
+    # the root -10/3 has the float -3.333333333333333, above -10/3's float: a window
+    # from that float keeps the root, but its rate, the mirror of 4/3, lies below
+    # the coverage; the roots in between pair off
+    table = SPECS["rational-off-by-an-ulp@10"].kernel_table
+    low = next(r for r in table.roots if r.key == ("Q", Fraction(-10, 3)))
+    restricted = table.restrict(Window(low.value, Fraction(4, 3)))
+    assert restricted.roots[0] is low and restricted.roots[-1].key == ("Q", Fraction(4, 3))
+    assert not _paired(restricted)
+    got = symmetry_outcome(table_symmetry, restricted)
+    assert got == symmetry_outcome(lookup_symmetry, restricted)
+    assert got[0] is CutoffExceeded

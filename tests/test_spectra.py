@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,38 @@ def test_spectrum_validation():
         Spectrum(((1, 1),), 5.0, True)  # missing eigenvalue 0
     with pytest.raises(ValueError):
         Spectrum((), 1.0, True)  # no entries, so no eigenvalue 0
+
+
+def _increasing(entries):
+    return all(b > a for (a, _), (b, _) in zip(entries, entries[1:]))
+
+
+def test_spectrum_order_check_matches_comparisons():
+    # exact entries are compared as cross-multiplied integers: the same verdicts
+    # and message as comparing the numbers, on equal, decreasing and mixed entries
+    fixed = [
+        ((0, 1), (2, 1), (Fraction(2), 3)),  # 2 then Fraction(2): equal
+        ((0, 1), (Fraction(5, 2), 1), (2, 1)),  # decreasing
+        ((0, 1), (Fraction(4, 6), 1), (Fraction(2, 3), 1)),  # equal, one not in lowest terms
+        ((0, 1), (Fraction(-1, 3), 1)),  # negative
+        ((0, 1), (Fraction(1, 3), 1), (0.5, 2), (Fraction(1, 2), 1)),  # float then its Fraction
+        ((0, 1), (1.0, 1), (Fraction(3, 2), 1), (2, 1)),  # exact=True with a float entry
+        ((0, 1), (math.nan, 1)),
+    ]
+    rng = random.Random(24)
+    seeded = []
+    for _ in range(300):
+        values = [0] + [rng.choice((Fraction(rng.randint(-3, 30), rng.randint(1, 6)),
+                                    rng.randint(0, 6), rng.randint(0, 12) / 2))
+                        for _ in range(rng.randint(1, 6))]
+        seeded.append(tuple((v, 1) for v in values))
+    for entries in fixed + seeded:
+        if _increasing(entries):
+            assert Spectrum(entries, 40.0, True).entries == entries
+        else:
+            with pytest.raises(ValueError, match="^eigenvalues must be strictly increasing$"):
+                Spectrum(entries, 40.0, True)
+    assert sum(map(_increasing, seeded)) not in (0, len(seeded))
 
 
 def test_spectrum_json():
