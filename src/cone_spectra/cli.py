@@ -19,7 +19,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -273,15 +273,7 @@ def _cmd_indicial(args) -> dict:
         js = [jacobi_spectrum(s, window) for s in specs]
         result["jacobi"] = {
             "convention": JACOBI_CONVENTION,
-            "entries": [
-                {
-                    "eigenvalue": e.eigenvalue,
-                    "multiplicity": e.multiplicity,
-                    "contributing_rates": list(e.contributing_rates),
-                }
-                for j in js
-                for e in j.entries
-            ],
+            "entries": [asdict(e) for j in js for e in j.entries],
         }
         unpaired = [u for j in js for u in j.unpaired]
         if unpaired:
@@ -352,11 +344,8 @@ def _decay_report(radii: list[float], norms: list[float]) -> dict:
     """The log-log decay fit of a (radius, deviation) table, with the table."""
     from .geometry import fit_decay
 
-    fit = fit_decay(radii, norms)
     return {
-        "fitted_exponent": fit.fitted_exponent,
-        "r_range": list(fit.r_range),
-        "residual_of_fit": fit.residual_of_fit,
+        **asdict(fit_decay(radii, norms)),
         "table": [{"r": r, "deviation": d} for r, d in zip(radii, norms)],
     }
 
@@ -397,14 +386,7 @@ def _cmd_lawlor(args) -> dict:
         report = geometry.verify_special_lagrangian(
             geometry.lawlor_sampler(params), args.samples, args.seed
         )
-        return {
-            "a": list(params.a),
-            "max_omega": report.max_omega,
-            "max_im_omega": report.max_im_omega,
-            "max_associator": report.max_associator,
-            "phase": report.phase,
-            "n_samples": report.n_samples,
-        }
+        return {"a": list(params.a), **asdict(report)}
     # decay, the last mode argparse admits
     if not 0 < args.r_min < args.r_max < math.inf:
         raise ValidationError(f"need 0 < --r-min < --r-max < inf: {args.r_min}, {args.r_max}")

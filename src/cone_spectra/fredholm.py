@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .errors import CutoffExceeded, NonIntegerIndex, RateOnWall
+from .errors import NonIntegerIndex, RateOnWall
 from .indicial import Rate, Window
 from .stability import ConeData, s_ind
 
@@ -57,14 +57,8 @@ class OperatorSpec:
 
 
 def _check_off_wall(cone: ConeData, rate: Rate) -> None:
-    table = cone.kernel_table
-    cov_lo, cov_hi = table.rate_coverage
-    if not cov_lo <= rate <= cov_hi:
-        raise CutoffExceeded(
-            f"rate {float(rate)} outside the covered rate interval "
-            f"[{cov_lo:g}, {cov_hi:g}]"
-        )
-    on_wall = table.at(rate)
+    """RateOnWall on an indicial root; CutoffExceeded (from ``at``) outside the coverage."""
+    on_wall = cone.kernel_table.at(rate)
     if on_wall:
         raise RateOnWall(f"rate {float(rate)} lies on the indicial root {on_wall[0].value}")
 
@@ -76,10 +70,6 @@ def _twice_contribution(end: EndSpec) -> int:
     if end.rate >= -1.0:
         return table.d_minus_one + 2 * table.d_open(-1, end.rate)
     return -table.d_minus_one - 2 * table.d_open(end.rate, -1)
-
-
-def _end_contribution(end: EndSpec) -> Fraction:
-    return Fraction(_twice_contribution(end), 2)
 
 
 def _as_integer(total: Fraction) -> int:
@@ -183,7 +173,7 @@ def index_report(op: OperatorSpec) -> dict:
     """JSON-ready report with per-end contributions and chamber walls."""
     ends = []
     for e in op.ends:
-        contrib = _end_contribution(e)
+        contrib = Fraction(_twice_contribution(e), 2)
         lo, hi = chamber(e.cone, e.rate)
         ends.append(
             {

@@ -113,7 +113,7 @@ class Window:
             raise ValueError("window must have lo <= hi")
 
     def contains(self, value: float, exact: Fraction | None = None) -> bool:
-        return self._holds(value, ("V", value) if exact is None else ("Q", exact))
+        return self._holds(value, _rate_key(value if exact is None else exact))
 
     def _holds(self, value: float, key: tuple) -> bool:
         """Whether the rate with this value and key lies in the window (see _side)."""
@@ -134,8 +134,10 @@ class Window:
 # ---------------------------------------------------------------------------
 
 def _rate_key(rate: Rate) -> tuple:
-    """The key of a rate given as a number: exact for an int or Fraction."""
-    return ("Q", Fraction(rate)) if _is_exact(rate) else ("V", float(rate))
+    """The key of a rate given as a number: an int or Fraction kept as given (only
+    ==, arithmetic, numerator/denominator and float read it, and
+    ("Q", 1) == ("Q", Fraction(1))), else its float."""
+    return ("Q", rate) if _is_exact(rate) else ("V", float(rate))
 
 
 def _key_value(key) -> float:
@@ -159,7 +161,7 @@ def _reflect(key: tuple, c: int) -> tuple:
 
 def _side(value: float, key: tuple, bound: Rate) -> int:
     """The sign of rate - bound: by the rate's key when it and the bound are
-    exact, else by the rate's float value."""
+    exact, else by the rate's float value, 0 within MERGE_TOL (as _same_rate)."""
     if _is_exact(bound):
         if key[0] == "Q":  # by integers: a Fraction comparison costs more
             q = key[1]
@@ -171,7 +173,7 @@ def _side(value: float, key: tuple, bound: Rate) -> int:
             t = (2 * bound - p) * d
             return s if s * t <= 0 or d * (d + 4 * k) > t * t else -s
     diff = value - float(bound)
-    return (diff > 0) - (diff < 0)
+    return (diff > MERGE_TOL) - (diff < -MERGE_TOL)
 
 
 @dataclass(frozen=True)
@@ -256,9 +258,9 @@ class KernelTable:
         return self.roots[bisect_left(self._index[0], lo) : bisect_right(self._index[0], hi)]
 
     def at(self, rate: Rate | tuple) -> tuple[IndicialRoot, ...]:
-        """The roots at ``rate``, a root key or a number keyed as given (only ==
-        reads it: ("Q", 1) == ("Q", Fraction(1))), from a +-2 MERGE_TOL slice."""
-        key = rate if isinstance(rate, tuple) else ("Q" if _is_exact(rate) else "V", rate)
+        """The roots at ``rate``, a root key or a number (see _rate_key), from a
+        +-2 MERGE_TOL slice."""
+        key = rate if isinstance(rate, tuple) else _rate_key(rate)
         value = _key_value(key)
         self._check_covered(value, value)
         near = self.between(value - 2 * MERGE_TOL, value + 2 * MERGE_TOL)

@@ -114,8 +114,7 @@ class TorusMetric:
     g22: Number
 
     def __post_init__(self):
-        det = self.g11 * self.g22 - self.g12 * self.g12
-        if not (self.g11 > 0 and det > 0):
+        if not (self.g11 > 0 and self.det() > 0):
             raise NonPositiveDefinite(f"metric {self.matrix()} is not SPD")
 
     def matrix(self):

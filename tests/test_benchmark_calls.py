@@ -49,3 +49,56 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert presets.hl_cone is original
+
+
+
+# the layers each traced run must call: one exact-sweep cycle, then one op of each numeric kind
+TRACED_LAYERS = {
+    "exact": ("spectra", "indicial", "stability", "fredholm", "presets"),
+    "lawlor": ("geometry", "quadrature", "g2"),
+    "hl": ("geometry", "g2"),
+    "g2": ("g2",),
+    "icosphere": ("mesh",),
+    "clifford": ("mesh",),
+}
+
+
+def _bindings(tracer_module) -> list[tuple]:
+    """(holder, name, object) for every name of the traced modules and classes."""
+    import importlib
+    import sys
+
+    for layer in tracer_module.LAYERS:
+        importlib.import_module(f"cone_spectra.{layer}")
+    holders = [m for n, m in sys.modules.items() if n.split(".")[0] == "cone_spectra"]
+    holders += [
+        getattr(sys.modules[f"cone_spectra.{layer}"], name)
+        for layer, names in tracer_module.METHOD_CLASSES.items()
+        for name in names
+    ]
+    return [(holder, name, obj) for holder in holders for name, obj in list(vars(holder).items())]
+
+
+def test_traced_cycles_check_clean_and_count_every_layer(tmp_path):
+    tracer_module = _load("tracer")
+    exact, numeric = _load("exact_sweep"), _load("numeric_sweep")
+    before = _bindings(tracer_module)
+    tracer = tracer_module.Tracer()
+    runs = {"exact": [(exact.ExactOps(), spec) for spec in exact.cycle(random.Random(1))]}
+    numeric_ops = numeric.NumericOps(tmp_path)
+    for kind, size in (("lawlor", None), ("hl", None), ("g2", None), ("icosphere", 2), ("clifford", 24)):
+        runs[kind] = [(numeric_ops, numeric.make_op(random.Random(1), kind, size))]
+    calls = {}
+    tracer.install()
+    try:
+        assert any(vars(h).get(name) is not obj for h, name, obj in before)
+        for kind, ops in runs.items():
+            tracer.reset()
+            for op_set, op in ops:
+                assert op_set.check(op, op_set.run(op)) == [], kind
+            calls[kind] = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert [(h, name) for h, name, obj in before if vars(h).get(name) is not obj] == []
+    for kind, layers in TRACED_LAYERS.items():
+        assert all(calls[kind][f"{layer}.calls"] > 0 for layer in layers), (kind, calls[kind])

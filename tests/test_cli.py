@@ -262,6 +262,20 @@ def test_rate_on_wall_is_validation_error():
     assert run(["index", "--kind", "ac", "--end", "hl:0"])[0] == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv, asked", [
+    (["--end", "hl:5"], "[5, 5]"),
+    (["--end", "hl:-0.9", "--cross", "-0.9:3"], "[3, 3]"),
+])
+def test_rate_outside_the_coverage_has_one_message(argv, asked):
+    # an end rate and a crossing rate are checked by the kernel table's own coverage test
+    code, out = run(["index", "--kind", "ac", *argv])
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {
+        "error": "CutoffExceeded",
+        "message": f"kernel data only covers [-4, 2], asked for {asked}",
+    }
+
+
 def test_index_rates_are_exact():
     # rates parse like every other number: p/q and decimal literals stay exact,
     # and the report prints them as floats

@@ -56,7 +56,7 @@ from cone_spectra.indicial import (
 )
 from cone_spectra.presets import PRESETS, torus_cone_spec
 from cone_spectra.spectra import LinkTopology, Spectrum, TorusMetric, torus_spectrum
-from cone_spectra.stability import ConeComponent, ConeData, DLambdaTable
+from cone_spectra.stability import ConeComponent, ConeData, DLambdaTable, stability_report
 
 BAND = 2 * MERGE_TOL
 _value = attrgetter("value")
@@ -75,7 +75,7 @@ def scan_side(value, key, bound):
         t = (2 * bound - p) * d
         return s if s * t <= 0 or d * (d + 4 * k) > t * t else -s
     diff = value - float(bound)
-    return (diff > 0) - (diff < 0)
+    return (diff > MERGE_TOL) - (diff < -MERGE_TOL)
 
 
 def scan_holds(window, value, key):
@@ -683,3 +683,44 @@ def test_a_mirror_outside_the_coverage_raises_as_before():
     got = symmetry_outcome(table_symmetry, restricted)
     assert got == symmetry_outcome(lookup_symmetry, restricted)
     assert got[0] is CutoffExceeded
+
+
+# ---------------------------------------------------------------------------
+# one key per rate, and one coincidence rule for placing a rate against a bound
+# ---------------------------------------------------------------------------
+
+def test_rate_keys_keep_an_exact_rate_as_given():
+    assert type(_rate_key(1)[1]) is int and type(_rate_key(Fraction(1, 3))[1]) is Fraction
+    assert _rate_key(1) == _rate_key(Fraction(1)) and hash(_rate_key(1)) == hash(_rate_key(Fraction(1)))
+    assert _rate_key(0.5) == ("V", 0.5)
+    for name in ("hl@12", "plane@12", "table-on-ends"):
+        table = TABLES[name]
+        assert table.at(1) == table.at(Fraction(1)) == table.at(("Q", 1)) != ()
+
+
+@pytest.mark.parametrize("e", [4e-10, -4e-10, 1e-9, -1e-9])
+def test_a_float_root_within_merge_tol_of_a_bound_is_on_it(e):
+    # the eigenvalue 2 + e puts a float root within MERGE_TOL of 1, where d_at and
+    # rigidity see it; the Morse and s-ind windows end at 1 and place it there too
+    spectrum = Spectrum(((0.0, 1), (2.0 + e, 6), (6.0, 6), (8.0, 6)), 8.0, False)
+    spec = SLConeSpec(spectrum, LinkTopology(1, 2))
+    report = stability_report(ConeData((ConeComponent(spec, symmetry_group_dim=2),)))
+    assert morse_index(spec) == 9
+    assert report["s_ind_minus"] == report["s_ind_plus"] == report["s_ind"] == "1"
+    near_one = [row for row in report["d_table"] if abs(row["lambda"] - 1) <= MERGE_TOL]
+    assert [row["dimension"] for row in near_one] == [12]
+
+
+def test_closed_and_open_windows_differ_by_the_roots_at_their_bounds():
+    float_tables = [t for t in TABLES.values() if any(r.key[0] == "V" for r in t.roots)]
+    windows = 0
+    for table in float_tables:
+        rng = random.Random(len(table.roots))
+        bounds = _bounds(table, rng)
+        for _ in range(200):
+            lo, hi = sorted(rng.sample(bounds, 2), key=float)
+            if float(hi) - float(lo) > 4 * MERGE_TOL:
+                closed, open_ = Window(lo, hi), Window(lo, hi, False, False)
+                assert table.d_sum(closed) - table.d_sum(open_) == table.d_at(lo) + table.d_at(hi)
+                windows += 1
+    assert windows > 500
