@@ -67,22 +67,19 @@ class SystemExit_usage(Exception):
     pass
 
 
-def _parse_number(text: str):
-    """Exact Fraction when the literal is rational, float otherwise; text that
-    is no number, or not a finite float (inf, nan, 1e400), is a ValidationError."""
+def _parse_number(text: str) -> Fraction:
+    """The exact Fraction of a number literal.  Text that is no rational (x,
+    inf, nan) is not a number, and a value past float range (1e400) not a
+    finite float: either is a ValidationError."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValidationError(f"number '{text}' is not a number") from None
+        raise ValidationError(f"number '{text}' is not a number") from None
     try:
-        if math.isfinite(value):
-            return value
+        float(value)
     except OverflowError:
-        pass
-    raise ValidationError(f"number '{text}' is not a finite float")
+        raise ValidationError(f"number '{text}' is not a finite float") from None
+    return value
 
 
 def parse_window(text: str) -> Window:

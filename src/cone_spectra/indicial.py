@@ -112,8 +112,8 @@ class Window:
         if not float(self.lo) <= float(self.hi):
             raise ValueError("window must have lo <= hi")
 
-    def contains(self, value: float, exact: Fraction | None = None) -> bool:
-        return self._holds(value, _rate_key(value if exact is None else exact))
+    def contains(self, rate: Rate) -> bool:
+        return self._holds(float(rate), _rate_key(rate))
 
     def _holds(self, value: float, key: tuple) -> bool:
         """Whether the rate with this value and key lies in the window (see _side)."""
@@ -212,7 +212,9 @@ class KernelTable:
     b roots within 2 MERGE_TOL of a bound or rate.  For n roots and k returned,
     ``at``, ``d_at``, ``d_sum`` and ``d_open`` cost O(log n + b), ``between``,
     ``restrict`` and ``roots_in`` O(log n + b + k), and :func:`table_symmetry`
-    O(n) on a symmetric exact table, else O(n log n)."""
+    O(n) on a symmetric exact table, else O(n log n).  Every index formula
+    (stability, Morse, Fredholm) reads ``d_minus_one``, ``d_open`` and
+    ``d_at``; ``d_sum`` is the query for a given ``Window``."""
 
     window: Window
     roots: tuple[IndicialRoot, ...]
@@ -441,11 +443,10 @@ def table_symmetry(table: KernelTable) -> bool:
     any other table looks each mirror up in the index, matched as ``at`` does."""
     if _paired(table):
         return True
-    roots, values, (cov_lo, cov_hi) = table.roots, table._index[0], table.rate_coverage
+    roots, values = table.roots, table._index[0]
     keys = [_reflect(r.key, -2) for r in roots]
     for r, key, value in zip(roots, keys, map(_key_value, keys)):
-        if not cov_lo <= value <= cov_hi:
-            table._check_covered(value, value)  # raises, as d_at there would
+        table._check_covered(value, value)  # raises outside the coverage, as d_at there would
         i = bisect_left(values, value - 2 * MERGE_TOL)
         near = roots[i : bisect_right(values, value + 2 * MERGE_TOL, i)]
         same = (m.total_dimension for m in near if _same_rate(m.value, m.key, value, key))
@@ -517,14 +518,10 @@ def jacobi_spectrum(cone: SLConeSpec, window: Window) -> JacobiSpectrum:
     return JacobiSpectrum(entries=tuple(entries), unpaired=tuple(sorted(unpaired)))
 
 
-_ZERO_TO_ONE = Window(0, 1, include_lo=True, include_hi=False)
-
-
 def morse_index(cone: SLConeSpec) -> int:
     """Morse index of the link's Jacobi operator:
-    d_(-1) + 2 * sum_{-1<lambda<0} d_lambda + sum_{0<=lambda<1} d_lambda
+    d_(-1) + 2 * sum_{-1<lambda<0} d_lambda + d_0 + sum_{0<lambda<1} d_lambda
     (needs the spectrum complete up to eigenvalue (1+2)(1+1) = 6).
     """
     table = cone.kernel_table
-    negative = table.d_open(-1, 0)
-    return cone.topology.b1 + 2 * negative + table.d_sum(_ZERO_TO_ONE)
+    return cone.topology.b1 + 2 * table.d_open(-1, 0) + table.d_at(0) + table.d_open(0, 1)

@@ -303,8 +303,8 @@ def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
     from the grid symbol for a grid torus, by a sparse eigensolve otherwise.
 
     Multiplicities are clustered with relative gap 1e-3, on a scale no
-    smaller than 1 / total area (so a scaled mesh clusters alike); the result
-    is marked inexact and its cutoff is the largest computed eigenvalue.
+    smaller than 1 / total area (so a scaled mesh clusters alike); its float
+    eigenvalues make it inexact, and its cutoff is the largest computed one.
     """
     import scipy.sparse
 
@@ -323,7 +323,7 @@ def mesh_spectrum(mesh: TriMesh, count: int) -> Spectrum:
     if vals[0] < -1e-9:
         raise InvalidMesh(f"negative eigenvalue {vals[0]:g}; mesh badly conditioned")
     vals = np.maximum(vals, 0.0)
-    return Spectrum(entries=_cluster(vals, 1.0 / area), cutoff=float(vals[-1]), exact=False)
+    return Spectrum(entries=_cluster(vals, 1.0 / area), cutoff=float(vals[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -27,36 +27,40 @@ MAX_SPHERE_DEGREE = 10_000
 RELATIVE_TOL = 1e-9
 
 _eigenvalue = itemgetter(0)
-_RATIONAL = (int, Fraction)
 
 
 def _is_exact(x) -> bool:
-    return isinstance(x, _RATIONAL) and not isinstance(x, bool)
+    """The package's one exactness rule: an int or Fraction, not a bool."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered (eigenvalue, multiplicity) pairs, complete for eigenvalues <= cutoff."""
+    """Ordered (eigenvalue, multiplicity) pairs, complete for eigenvalues <= cutoff;
+    ``exact`` when every eigenvalue is exact (see _is_exact)."""
 
     entries: tuple[tuple[Number, int], ...]
     cutoff: float
-    exact: bool
+    exact: bool = field(init=False)
 
     def __post_init__(self):
         prev = num = den = None  # num / den: prev in lowest terms when it is an int or Fraction
+        exact = True
         for ev, mult in self.entries:
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
-            if isinstance(ev, _RATIONAL):  # cross-multiplied: a Fraction comparison costs more
+            if _is_exact(ev):  # cross-multiplied: a Fraction comparison costs more
                 n, d = ev.numerator, ev.denominator
                 increasing = n * den > num * d if den else prev is None or ev > prev
                 num, den = n, d
             else:
                 increasing = prev is None or ev > prev
                 den = None
+                exact = False
             if not increasing:
                 raise ValueError("eigenvalues must be strictly increasing")
             prev = ev
+        object.__setattr__(self, "exact", exact)
         if not self.entries:
             raise ValueError("a spectrum needs eigenvalue 0")
         first = self.entries[0][0]
@@ -180,14 +184,14 @@ def torus_spectrum(metric: TorusMetric, cutoff: float) -> Spectrum:
                 if key <= top:
                     counts[key] = counts.get(key, 0) + 1
         entries = tuple((Fraction(k, d) if k % d else k // d, counts[k]) for k in sorted(counts))
-        return Spectrum(entries=entries, cutoff=float(cutoff), exact=True)
+        return Spectrum(entries=entries, cutoff=float(cutoff))
     cut = float(cutoff)
     for m in ms:
         for n in ns:
             q = a * m * m + 2 * b * m * n + c * n * n
             if q <= cut:
                 counts[q] = counts.get(q, 0) + 1
-    return Spectrum(entries=_merge_close(sorted(counts.items())), cutoff=float(cutoff), exact=False)
+    return Spectrum(entries=_merge_close(sorted(counts.items())), cutoff=float(cutoff))
 
 
 def _merge_close(pairs) -> tuple[tuple[float, int], ...]:
@@ -213,5 +217,5 @@ def sphere_spectrum(cutoff: float) -> Spectrum:
     # l(l+1) <= cutoff  <=>  (2l+1)^2 <= 4 cutoff + 1
     top = (math.isqrt(math.floor(4 * cutoff) + 1) - 1) // 2
     entries = tuple((ell * (ell + 1), 2 * ell + 1) for ell in range(top + 1))
-    return Spectrum(entries=entries, cutoff=float(cutoff), exact=True)
+    return Spectrum(entries=entries, cutoff=float(cutoff))
 

@@ -10,7 +10,9 @@ disconnected) link, the three indices are
 where H_j is the G2 symmetry group of the j-th link component and Z_j the
 stratum of its moduli of holomorphic links.  Results are Fractions, never
 floats: index formulas admit no tolerance.  Every d_lambda is read from
-``cone.kernel_table``, its components' tables merged.
+``cone.kernel_table``, its components' tables merged: d_(-1) from
+``d_minus_one``, the open sum from ``d_open(-1, 1)`` and lambda = 1 from
+``d_at(1)``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,9 @@ from typing import Union
 
 from .errors import MissingStratumData, MissingSymmetryData, NonPositiveArea
 from .indicial import KernelTable, Rate, SLConeSpec, Window
-from .spectra import LinkTopology, _is_exact
+from .spectra import LinkTopology
 
 DIM_G2 = 14
-
-OPEN_UNIT = Window(-1, 1, include_lo=False, include_hi=False)
-HALF_OPEN_UNIT = Window(-1, 1, include_lo=False, include_hi=True)
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class DLambdaTable:
         for lam, d in self.rows:
             if d < 0:
                 raise ValueError("dimensions must be nonnegative")
-            if not self.coverage.contains(float(lam), Fraction(lam) if _is_exact(lam) else None):
+            if not self.coverage.contains(lam):
                 raise ValueError(f"table row {lam} outside coverage {self.coverage}")
 
     @cached_property
@@ -95,14 +94,10 @@ class ConeData:
         return KernelTable.union([c.kernel_source.kernel_table for c in self.components])
 
 
-def _base_sum(cone: ConeData, window: Window) -> Fraction:
-    table = cone.kernel_table
-    return Fraction(table.d_minus_one + 2 * (table.d_sum(window) - 7), 2)
-
-
 def s_ind_minus(cone: ConeData) -> Fraction:
     """Lower stability index d_(-1)/2 + sum_{-1<lambda<1} d_lambda - 7."""
-    return _base_sum(cone, OPEN_UNIT)
+    table = cone.kernel_table
+    return Fraction(table.d_minus_one + 2 * (table.d_open(-1, 1) - 7), 2)
 
 
 def _orbit_codims(cone: ConeData) -> list[int]:
@@ -118,7 +113,7 @@ def _orbit_codims(cone: ConeData) -> list[int]:
 
 def s_ind_plus(cone: ConeData) -> Fraction:
     """Upper stability index, subtracting the G2-orbit dimensions."""
-    return _base_sum(cone, HALF_OPEN_UNIT) - sum(_orbit_codims(cone))
+    return s_ind_minus(cone) + cone.kernel_table.d_at(1) - sum(_orbit_codims(cone))
 
 
 def is_rigid(cone: ConeData) -> bool:
@@ -143,7 +138,7 @@ def s_ind(cone: ConeData) -> Fraction:
             )
         codims = _orbit_codims(cone)
         strata = [s if s is not None else codims[i] for i, s in enumerate(strata)]
-    return _base_sum(cone, HALF_OPEN_UNIT) - sum(strata)
+    return s_ind_minus(cone) + cone.kernel_table.d_at(1) - sum(strata)
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,32 @@ def test_non_numeric_literal_is_a_validation_error(argv, message):
     assert (code, json.loads(out)) == (EXIT_VALIDATION, {"error": "ValidationError", "message": message})
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1_0.5", Fraction(21, 2)),
+    ("١٢", Fraction(12)),  # Unicode digits
+    ("1e-400", Fraction(1, 10**400)),
+    (" 3 ", Fraction(3)),
+    ("+.5e-3", Fraction(1, 2000)),
+])
+def test_number_literals_parse_to_exact_fractions(text, value):
+    parsed = cli._parse_number(text)
+    assert type(parsed) is Fraction and parsed == value
+
+
+@pytest.mark.parametrize("text", ["inf", "-Infinity", "nan", "1e400"])
+def test_non_finite_rate_literal_is_a_validation_error(text):
+    code, out = run(["index", "--kind", "ac", "--end", f"hl:{text}"])
+    assert (code, json.loads(out)["error"]) == (EXIT_VALIDATION, "ValidationError")
+
+
+def test_non_finite_literal_messages():
+    # inf and nan are no rational, so no number; 1e400 is one, past float range
+    for text, why in [("inf", "is not a number"), ("-Infinity", "is not a number"),
+                      ("nan", "is not a number"), ("1e400", "is not a finite float")]:
+        _, out = run(["index", "--kind", "ac", "--end", f"hl:{text}"])
+        assert json.loads(out)["message"] == f"number '{text}' {why}"
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\ncutoff = 7\nwindow = -2:1\n")
@@ -628,7 +654,7 @@ def _record_mesh_calls(monkeypatch):
     monkeypatch.setattr(mesh, "clifford_torus_mesh", builder("clifford"))
     monkeypatch.setattr(mesh, "mesh_spectrum",
                         lambda m, count: calls.append(("spectrum", count)) or
-                        Spectrum(entries=((0.0, 1),), cutoff=0.0, exact=False))
+                        Spectrum(entries=((0.0, 1),), cutoff=0.0))
     return calls
 
 

@@ -168,7 +168,7 @@ def test_jacobi_irrational_rates():
     # eigenvalue 5 contributes irrational roots; map lambda^2+lambda-2 must
     # match the source eigenvalue minus 2 on the F-branch
     cone = SLConeSpec(
-        Spectrum(((0, 1), (2, 6), (5, 4), (6, 6)), 12.0, True),
+        Spectrum(((0, 1), (2, 6), (5, 4), (6, 6)), 12.0),
         LinkTopology(1, 2),
     )
     js = jacobi_spectrum(cone, Window(-3, 2))
@@ -184,7 +184,7 @@ def test_morse_minimal_cone():
     # no SL cone has an empty (-1, 1) root set: the locally constant
     # functions put b0 into d_0, so the index floor is b0, not 0
     cone = SLConeSpec(
-        Spectrum(((0, 1), (7, 4)), 12.0, True), LinkTopology(1, 0)
+        Spectrum(((0, 1), (7, 4)), 12.0), LinkTopology(1, 0)
     )
     assert morse_index(cone) == 1
     assert d_lambda(cone, 0) == 1
@@ -192,7 +192,7 @@ def test_morse_minimal_cone():
 
 def test_morse_needs_cutoff_six():
     cone = SLConeSpec(
-        Spectrum(((0, 1), (2, 6)), 4.0, True), LinkTopology(1, 2)
+        Spectrum(((0, 1), (2, 6)), 4.0), LinkTopology(1, 2)
     )
     with pytest.raises(CutoffExceeded):
         morse_index(cone)
@@ -208,7 +208,7 @@ def test_cutoff_errors():
 def test_negative_target_needs_no_cutoff():
     # lambda in (-1, 0): the F-target is negative, only the H-target matters
     cone = SLConeSpec(
-        Spectrum(((0, 1), (2, 6)), 2.0, True), LinkTopology(1, 2)
+        Spectrum(((0, 1), (2, 6)), 2.0), LinkTopology(1, 2)
     )
     assert d_lambda(cone, Fraction(-1, 2)) == 0
 
@@ -236,7 +236,7 @@ def test_float_spectrum_path():
 
 def test_mult_zero_comes_from_topology():
     with pytest.raises(ValueError):
-        SLConeSpec(Spectrum(((0, 2), (2, 6)), 8.0, True), LinkTopology(1, 2))
+        SLConeSpec(Spectrum(((0, 2), (2, 6)), 8.0), LinkTopology(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -205,12 +205,12 @@ def _specs():
     scale = 1.0000000001
     near = TorusMetric(2 / 3 * scale, 1 / 3 * scale, 2 / 3 * scale)
     specs["torus-float-near-exact@12"] = SLConeSpec(torus_spectrum(near, 12.0), LinkTopology(1, 2))
-    spectrum = Spectrum(((0.0, 1), (2.0, 2), (2.0 + 1.5e-9, 1), (6.0 - 4e-9, 3)), 8.0, False)
+    spectrum = Spectrum(((0.0, 1), (2.0, 2), (2.0 + 1.5e-9, 1), (6.0 - 4e-9, 3)), 8.0)
     specs["float-close-pairs@8"] = SLConeSpec(spectrum, LinkTopology(1, 2))
     # rational roots whose float lies an ulp off the exact rate: 4/9 gives 1/3 as
     # 0.33333333333333337 and 28/9 gives it as 0.33333333333333326
     ninths = [Fraction(k, 9) for k in (4, 10, 28, 40, 70, 88)]
-    spectrum = Spectrum(((0, 1), *((q, 1 + i % 3) for i, q in enumerate(ninths))), 10.0, True)
+    spectrum = Spectrum(((0, 1), *((q, 1 + i % 3) for i, q in enumerate(ninths))), 10.0)
     specs["rational-off-by-an-ulp@10"] = SLConeSpec(spectrum, LinkTopology(1, 2))
     return specs
 
@@ -702,7 +702,7 @@ def test_rate_keys_keep_an_exact_rate_as_given():
 def test_a_float_root_within_merge_tol_of_a_bound_is_on_it(e):
     # the eigenvalue 2 + e puts a float root within MERGE_TOL of 1, where d_at and
     # rigidity see it; the Morse and s-ind windows end at 1 and place it there too
-    spectrum = Spectrum(((0.0, 1), (2.0 + e, 6), (6.0, 6), (8.0, 6)), 8.0, False)
+    spectrum = Spectrum(((0.0, 1), (2.0 + e, 6), (6.0, 6), (8.0, 6)), 8.0)
     spec = SLConeSpec(spectrum, LinkTopology(1, 2))
     report = stability_report(ConeData((ConeComponent(spec, symmetry_group_dim=2),)))
     assert morse_index(spec) == 9

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cone_spectra.cli import run
 from cone_spectra.errors import NonPositiveDefinite, ValidationError
+from cone_spectra.indicial import SLConeSpec
 from cone_spectra.presets import torus_cone_spec
 from cone_spectra.spectra import (
     MAX_LATTICE_POINTS,
@@ -21,6 +22,7 @@ from cone_spectra.spectra import (
     LinkTopology,
     Spectrum,
     TorusMetric,
+    _is_exact,
     clifford_torus_metric,
     sphere_spectrum,
     torus_spectrum,
@@ -179,7 +181,7 @@ def _fraction_torus_spectrum(metric, cutoff):
     entries = tuple(
         (int(q) if q.denominator == 1 else q, counts[q]) for q in sorted(counts)
     )
-    return Spectrum(entries, float(cutoff), True)
+    return Spectrum(entries, float(cutoff))
 
 
 _ratio = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
@@ -297,7 +299,7 @@ def test_multiplicity_matches_linear_scan():
         sphere_spectrum(90),
         torus_spectrum(TorusMetric(Fraction(3, 2), Fraction(1, 3), Fraction(5, 4)), 30),
         # neighbours closer than the tolerance: the lowest match wins
-        Spectrum(((0.0, 1), (1.0, 2), (1.0 + 5e-10, 3), (1.0 + 1.5e-9, 4), (2.0, 5)), 3.0, False),
+        Spectrum(((0.0, 1), (1.0, 2), (1.0 + 5e-10, 3), (1.0 + 1.5e-9, 4), (2.0, 5)), 3.0),
     ]
     for _ in range(4):
         a = rng.normal(size=(2, 2))
@@ -316,13 +318,13 @@ def test_multiplicity_matches_linear_scan():
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        Spectrum(((0, 1), (2, 0)), 5.0, True)  # zero multiplicity
+        Spectrum(((0, 1), (2, 0)), 5.0)  # zero multiplicity
     with pytest.raises(ValueError):
-        Spectrum(((0, 1), (2, 3), (2, 1)), 5.0, True)  # not increasing
+        Spectrum(((0, 1), (2, 3), (2, 1)), 5.0)  # not increasing
     with pytest.raises(ValueError):
-        Spectrum(((1, 1),), 5.0, True)  # missing eigenvalue 0
+        Spectrum(((1, 1),), 5.0)  # missing eigenvalue 0
     with pytest.raises(ValueError):
-        Spectrum((), 1.0, True)  # no entries, so no eigenvalue 0
+        Spectrum((), 1.0)  # no entries, so no eigenvalue 0
 
 
 def _increasing(entries):
@@ -338,7 +340,7 @@ def test_spectrum_order_check_matches_comparisons():
         ((0, 1), (Fraction(4, 6), 1), (Fraction(2, 3), 1)),  # equal, one not in lowest terms
         ((0, 1), (Fraction(-1, 3), 1)),  # negative
         ((0, 1), (Fraction(1, 3), 1), (0.5, 2), (Fraction(1, 2), 1)),  # float then its Fraction
-        ((0, 1), (1.0, 1), (Fraction(3, 2), 1), (2, 1)),  # exact=True with a float entry
+        ((0, 1), (1.0, 1), (Fraction(3, 2), 1), (2, 1)),  # a float entry among exact ones
         ((0, 1), (math.nan, 1)),
     ]
     rng = random.Random(24)
@@ -350,11 +352,39 @@ def test_spectrum_order_check_matches_comparisons():
         seeded.append(tuple((v, 1) for v in values))
     for entries in fixed + seeded:
         if _increasing(entries):
-            assert Spectrum(entries, 40.0, True).entries == entries
+            assert Spectrum(entries, 40.0).entries == entries
         else:
             with pytest.raises(ValueError, match="^eigenvalues must be strictly increasing$"):
-                Spectrum(entries, 40.0, True)
+                Spectrum(entries, 40.0)
     assert sum(map(_increasing, seeded)) not in (0, len(seeded))
+
+
+def test_exactness_is_read_from_the_entries():
+    # one float entry makes a spectrum inexact, and its table takes float keys
+    mixed = Spectrum(((0, 1), (2.0, 6), (6, 6)), 12.0)
+    floats = Spectrum(((0.0, 1), (2.0, 6), (6.0, 6)), 12.0)
+    assert not mixed.exact and not floats.exact
+    table = SLConeSpec(mixed, LinkTopology(1, 2)).kernel_table
+    assert table.roots == SLConeSpec(floats, LinkTopology(1, 2)).kernel_table.roots
+    assert {r.key[0] for r in table.roots} == {"V"}
+    # ints and Fractions only: exact, with exact root keys
+    rational = Spectrum(((0, 1), (2, 6), (Fraction(5, 2), 2), (6, 6)), 12.0)
+    assert rational.exact
+    assert {r.key[0] for r in SLConeSpec(rational, LinkTopology(1, 2)).kernel_table.roots} == {"Q", "I"}
+
+
+def test_every_spectrum_source_is_exact_when_its_entries_are():
+    from cone_spectra.mesh import icosphere, mesh_spectrum
+
+    spectra = [
+        sphere_spectrum(12),
+        torus_spectrum(clifford_torus_metric(), 12),
+        torus_spectrum(TorusMetric(1.5, 1 / 3, 1.25), 12),
+        mesh_spectrum(icosphere(1), 9),
+    ]
+    assert [s.exact for s in spectra] == [True, True, False, False]
+    for s in spectra:
+        assert s.exact == all(_is_exact(ev) for ev, _ in s.entries)
 
 
 def test_spectrum_json():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -183,7 +184,7 @@ def test_sl_lower_bound_against_s_ind_minus():
     from cone_spectra.spectra import Spectrum
 
     spec = SLConeSpec(
-        Spectrum(((0, 1), (2, 6), (5, 2), (6, 6), (8, 4)), 8.0, True),
+        Spectrum(((0, 1), (2, 6), (5, 2), (6, 6), (8, 4)), 8.0),
         LinkTopology(1, 4),
     )
     cone = ConeData((ConeComponent(spec),))
@@ -244,13 +245,12 @@ def _oracle_sum(component, window):
         return sum(
             d_lambda(source, lam)
             for lam in rates
-            if window.contains(float(lam), lam if isinstance(lam, Fraction) else None)
+            if window.contains(lam)
         )
-    exact = (int, Fraction)
     return sum(
         d
         for lam, d in source.rows
-        if window.contains(float(lam), Fraction(lam) if isinstance(lam, exact) else None)
+        if window.contains(lam)
     )
 
 
@@ -280,7 +280,7 @@ DIFFERENTIAL_CONES = {
 # float links whose zero eigenvalue carries noise, as a mesh spectrum's does
 for _zero in (1e-10, 1e-7):
     DIFFERENTIAL_CONES[f"noisy-zero-{_zero:g}"] = ConeData((ConeComponent(SLConeSpec(
-        Spectrum(((_zero, 1), (2.0, 6)), 6.0, False), LinkTopology(1, 2)
+        Spectrum(((_zero, 1), (2.0, 6)), 6.0), LinkTopology(1, 2)
     )),))
 
 
@@ -376,9 +376,46 @@ def test_window_sums_match_a_contains_scan(name):
     for _ in range(300):
         lo, hi = sorted(rng.sample(ends, 2), key=float)
         window = Window(lo, hi, include_lo=rng.random() < 0.5, include_hi=rng.random() < 0.5)
-        inside = [r for r in table.roots if window.contains(r.value, r.key[1] if r.key[0] == "Q" else None)]
+        inside = [r for r in table.roots if window.contains(r.key[1] if r.key[0] == "Q" else r.value)]
         assert table.roots_in(window) == [(r.value, r.total_dimension) for r in inside], window
         assert table.d_sum(window) == sum(r.total_dimension for r in inside), window
+
+
+# the float link of tests/test_kernel_queries.py: eigenvalue 2 + e puts a root
+# within MERGE_TOL of 1, on the end of the s-ind and Morse sums
+FLOAT_NEAR_ONE = {
+    f"float-near-one-{e:g}": SLConeSpec(
+        Spectrum(((0.0, 1), (2.0 + e, 6), (6.0, 6), (8.0, 6)), 8.0), LinkTopology(1, 2)
+    )
+    for e in (0.0, 4e-10, -4e-10, 1e-9, -1e-9)
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONES) + sorted(FLOAT_NEAR_ONE))
+def test_index_sums_match_their_windowed_forms(name):
+    # s-ind-, s-ind and s-ind+ read d_minus_one, d_open(-1, 1) and d_at(1), and the
+    # Morse index d_open and d_at(0): each equals its d_sum over (-1, 1), (-1, 1] or [0, 1)
+    if name in FLOAT_NEAR_ONE:
+        cone = ConeData((ConeComponent(FLOAT_NEAR_ONE[name], symmetry_group_dim=2),))
+    else:
+        cone = DIFFERENTIAL_CONES[name]
+    table = cone.kernel_table
+
+    def windowed(include_hi):
+        window = Window(-1, 1, include_lo=False, include_hi=include_hi)
+        return Fraction(table.d_minus_one + 2 * (table.d_sum(window) - 7), 2)
+
+    assert s_ind_minus(cone) == windowed(False)
+    bare = ConeData(tuple(replace(c, symmetry_group_dim=14, stratum_dim=0) for c in cone.components))
+    assert s_ind_plus(bare) == s_ind(bare) == windowed(True)
+    dims = [c.symmetry_group_dim for c in cone.components]
+    if None not in dims:
+        assert s_ind_plus(cone) == windowed(True) - sum(14 - d for d in dims)
+    for spec in [c.kernel_source for c in cone.components]:
+        if isinstance(spec, SLConeSpec):
+            t = spec.kernel_table
+            zero_to_one = Window(0, 1, include_lo=True, include_hi=False)
+            assert morse_index(spec) == spec.topology.b1 + 2 * t.d_open(-1, 0) + t.d_sum(zero_to_one)
 
 
 def test_nan_rate_is_not_covered():
