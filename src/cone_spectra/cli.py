@@ -55,6 +55,10 @@ MAX_PROFILE_ROWS = 50_000  # lawlor profile --count
 # symbol) takes ~0.4 s and peaks at 71 MB
 MAX_MESH_VERTICES = 20_000
 MAX_MESH_COUNT = 100
+# |decimal exponent| of a number literal: Fraction("1eN") builds 10**|N|, which
+# takes seconds from N = 1e7 on, while every float's exact decimal needs at
+# most 1074 (2**-1074 = 5**1074 / 10**1074) and 10**10000 takes 0.2 ms
+MAX_DECIMAL_EXPONENT = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +73,19 @@ class SystemExit_usage(Exception):
 
 def _parse_number(text: str) -> Fraction:
     """The exact Fraction of a number literal.  Text that is no rational (x,
-    inf, nan) is not a number, and a value past float range (1e400) not a
-    finite float: either is a ValidationError."""
+    inf, nan) is not a number, a decimal exponent past MAX_DECIMAL_EXPONENT
+    (1e-10001) is refused before its power of ten is built, and a value past
+    float range (1e400) is not a finite float: each is a ValidationError."""
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        beyond = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+    except ValueError:  # no exponent literal: Fraction decides
+        beyond = False
+    if beyond:
+        raise ValidationError(
+            f"number '{text}' has a decimal exponent outside "
+            f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]"
+        )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -8,7 +8,9 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -387,6 +389,23 @@ def test_non_numeric_literal_is_a_validation_error(argv, message):
 def test_number_literals_parse_to_exact_fractions(text, value):
     parsed = cli._parse_number(text)
     assert type(parsed) is Fraction and parsed == value
+
+
+def test_every_float_literal_parses_exactly():
+    # a float's exact decimal, subnormals included, needs no exponent past 1074
+    for x in (5e-324, 2.2250738585072014e-308, 0.1, 1.7976931348623157e308):
+        k = Fraction(x).denominator.bit_length() - 1  # x = numerator / 2^k
+        for text in (str(Decimal(x)), f"{Fraction(x).numerator * 5**k}e-{k}"):
+            assert cli._parse_number(text) == Fraction(x)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "1e999999999"])
+def test_literal_exponents_are_bounded_before_the_fraction_is_built(text):
+    start = time.perf_counter()
+    code, out = run(["index", "--kind", "ac", "--end", f"hl:{text}"])
+    assert time.perf_counter() - start < 1.0
+    message = f"number '{text}' has a decimal exponent outside [-10000, 10000]"
+    assert (code, json.loads(out)) == (EXIT_VALIDATION, {"error": "ValidationError", "message": message})
 
 
 @pytest.mark.parametrize("text", ["inf", "-Infinity", "nan", "1e400"])

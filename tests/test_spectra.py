@@ -8,13 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cone_spectra.cli import run
 from cone_spectra.errors import NonPositiveDefinite, ValidationError
-from cone_spectra.indicial import SLConeSpec
-from cone_spectra.presets import torus_cone_spec
+from cone_spectra.indicial import SLConeSpec, morse_index
+from cone_spectra.presets import hl_cone, hl_cone_spec, torus_cone, torus_cone_spec
 from cone_spectra.spectra import (
     MAX_LATTICE_POINTS,
     MAX_SPHERE_DEGREE,
@@ -23,10 +23,12 @@ from cone_spectra.spectra import (
     Spectrum,
     TorusMetric,
     _is_exact,
+    _reduce_form,
     clifford_torus_metric,
     sphere_spectrum,
     torus_spectrum,
 )
+from cone_spectra.stability import s_ind_minus
 
 
 def _clifford_link(t1, t2):
@@ -185,20 +187,46 @@ def _fraction_torus_spectrum(metric, cutoff):
 
 
 _ratio = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_small_ratio = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_unimodular = (
+    st.tuples(*[st.integers(-3, 3)] * 4)
+    .filter(lambda u: abs(u[0] * u[3] - u[1] * u[2]) == 1)
+    .map(lambda u: (u[:2], u[2:]))
+)
+
+
+def _congruent(m, u):
+    """U^T M U for 2x2 matrices given as row tuples."""
+    mu = [[sum(m[i][k] * u[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    return tuple(tuple(sum(u[k][i] * mu[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+
+def _gl2z_image(metric, u):
+    """U^T G U for a unimodular U: the same flat torus in another lattice basis."""
+    (g11, g12), (_, g22) = _congruent(metric.matrix(), u)
+    return TorusMetric(g11, g12, g22)
 
 
 @st.composite
 def _exact_metrics(draw):
-    if draw(st.booleans()):  # integral inverse form [[A, B], [B, C]]
+    kind = draw(st.sampled_from(("integral", "rational", "near-degenerate", "gl2z")))
+    if kind == "integral":  # integral inverse form [[A, B], [B, C]]
         A, B, C = draw(st.integers(1, 6)), draw(st.integers(-4, 4)), draw(st.integers(1, 6))
         det = A * C - B * B
         if det <= 0:
             B, det = 0, A * C
         return TorusMetric(Fraction(C, det), Fraction(-B, det), Fraction(A, det))
-    g11 = draw(_ratio.filter(lambda x: x > 0))
-    g22 = draw(_ratio.filter(lambda x: x > 0))
-    g12 = draw(_ratio.filter(lambda x: x * x < g11 * g22))
-    return TorusMetric(g11, g12, g22)
+    if kind == "near-degenerate":  # g12^2 within 1/100 of g11 g22: a thin ellipse
+        g11 = draw(_small_ratio.filter(lambda x: x > 0))
+        g12 = draw(_small_ratio)
+        det = Fraction(1, draw(st.integers(100, 10**4)))
+        return TorusMetric(g11, g12, (g12 * g12 + det) / g11)
+    small = kind == "gl2z"  # keeps the oracle's bounding box of U G U^T small
+    g11 = draw((_small_ratio if small else _ratio).filter(lambda x: x > 0))
+    g22 = draw((_small_ratio if small else _ratio).filter(lambda x: x > 0))
+    g12 = draw((_small_ratio if small else _ratio).filter(lambda x: x * x < g11 * g22))
+    metric = TorusMetric(g11, g12, g22)
+    return _gl2z_image(metric, draw(_unimodular)) if small else metric
 
 
 @settings(max_examples=80, deadline=None)
@@ -217,6 +245,12 @@ def test_integer_count_matches_fraction_oracle(metric, data):
             st.just(on_lattice - Fraction(1, 10**20)).filter(lambda q: q > 0),
         )
     )
+    # the oracle walks the ellipse's bounding box, which for a thin ellipse at a
+    # large on-lattice cutoff holds millions of points: keep to the boxes that
+    # the box budget allowed before exact metrics counted ellipse rows
+    m_max = math.isqrt(math.floor(float(cutoff) * float(metric.g11))) + 1
+    n_max = math.isqrt(math.floor(float(cutoff) * float(metric.g22))) + 1
+    assume((2 * m_max + 1) * (2 * n_max + 1) <= MAX_LATTICE_POINTS)
     got, want = torus_spectrum(metric, cutoff), _fraction_torus_spectrum(metric, cutoff)
     assert got.entries == want.entries
     assert [type(ev) for ev, _ in got.entries] == [type(ev) for ev, _ in want.entries]
@@ -226,11 +260,63 @@ def test_integer_count_matches_fraction_oracle(metric, data):
         assert got.entries[-1][0] == on_lattice
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(-40, 40), st.integers(1, 40), st.lists(_unimodular, max_size=3))
+def test_reduce_form_is_reduced_and_a_basis_change(A, B, C, us):
+    # the input: a positive definite form carried through up to three GL(2, Z) maps
+    if 4 * A * C - B * B <= 0:
+        B = 0
+    form = ((2 * A, B), (B, 2 * C))  # twice the form's matrix, to keep integers
+    for u in us:
+        form = _congruent(form, u)
+    (A2, B2, C2), U = _reduce_form(form[0][0] // 2, form[0][1], form[1][1] // 2)
+    assert abs(B2) <= A2 <= C2
+    assert abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) == 1
+    assert _congruent(form, U) == ((2 * A2, B2), (B2, 2 * C2))
+
+
+def test_thin_ellipse_fits_the_budget():
+    # the ellipse of (1, 999/1000, 1) at cutoff 25000 holds 3,511 points, its
+    # bounding box 100,489: counted by rows, the spectrum is within the budget
+    code, out = run(["spectrum", "torus", "--metric", "1,999/1000,1", "--cutoff", "25000"])
+    assert code == 0
+    assert sum(e["multiplicity"] for e in json.loads(out)["result"]["entries"]) == 3511
+    metric = TorusMetric(1, Fraction(999, 1000), 1)
+    assert torus_spectrum(metric, 6000).entries == _fraction_torus_spectrum(metric, 6000).entries
+
+
+def test_clifford_torus_in_another_basis_is_the_hl_cone():
+    # g = U^T G_clifford U for U = ((1, 1), (0, 1)): the same flat torus, so the
+    # same spectrum, kernel table and indices
+    metric = TorusMetric(Fraction(2, 3), 1, 2)
+    assert _gl2z_image(clifford_torus_metric(), ((1, 1), (0, 1))) == metric
+    for cutoff in (12, 48):
+        hl, other = hl_cone_spec(cutoff), torus_cone_spec(metric, cutoff)
+        assert other.spectrum.entries == hl.spectrum.entries
+        assert other.kernel_table.roots == hl.kernel_table.roots
+        assert morse_index(other) == morse_index(hl) == 9
+    assert s_ind_minus(torus_cone(metric)) == s_ind_minus(hl_cone()) == 1
+    reports = []
+    for cone in ("hl", "torus:2/3,1,2"):
+        code, out = run(["stability", "--cone", cone, "--sym-dim", "2"])
+        assert code == 0
+        reports.append(json.loads(out)["result"])
+    assert [r["d_table"] for r in reports] == [reports[0]["d_table"]] * 2
+    assert [r["s_ind"] for r in reports] == ["1", "1"]
+
+
 def test_lattice_budget():
-    # (2 * (isqrt(cutoff) + 1) + 1)^2 points for the identity metric: 315^2 fit, 317^2 do not
-    assert len(torus_spectrum(TorusMetric(1, 0, 1), 157**2 - 1).entries) > 0
+    # exact metrics count the ellipse row by row: for the identity, cutoff
+    # 31823 holds 99,985 points and fits, 31824 holds 100,001; a float metric
+    # counts its bounding box, (2 * (isqrt(cutoff) + 1) + 1)^2 points for the
+    # identity: 315^2 fit, 317^2 do not
+    fits = torus_spectrum(TorusMetric(1, 0, 1), 31823)
+    assert sum(mult for _, mult in fits.entries) == 99_985
+    assert len(torus_spectrum(TorusMetric(1, 0, 1), 157**2).entries) > 0
+    assert len(torus_spectrum(TorusMetric(1.0, 0.0, 1.0), 157**2 - 1).entries) > 0
     for metric, cutoff in (
-        (TorusMetric(1, 0, 1), 157**2),
+        (TorusMetric(1, 0, 1), 31824),
+        (TorusMetric(1, 0, 1), 10**12),  # 10^6 rows: refused before any row is measured
         (TorusMetric(1.0, 0.0, 1.0), 157**2),
         (TorusMetric(Fraction(3, 2), Fraction(1, 3), Fraction(5, 4)), Fraction(10**6, 7)),
         (clifford_torus_metric(), math.inf),
