@@ -386,8 +386,10 @@ def _cmd_lawlor(args) -> dict:
         import numpy as np
 
         _check_batch_size("--count", args.count, MAX_PROFILE_ROWS, "MAX_PROFILE_ROWS")
-        if not (math.isfinite(args.y_min) and math.isfinite(args.y_max)):
-            raise ValidationError(f"need finite --y-min, --y-max; got {args.y_min}, {args.y_max}")
+        if not math.isfinite(args.y_max - args.y_min):  # also an infinite or NaN end
+            raise ValidationError(
+                f"need --y-min, --y-max with a finite span; got {args.y_min}, {args.y_max}"
+            )
         params = geometry.LawlorParams(_parse_triple(args.a))
         ys = np.linspace(args.y_min, args.y_max, args.count)
         rows = geometry.lawlor_profile(params, ys)

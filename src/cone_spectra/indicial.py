@@ -444,19 +444,10 @@ def _paired(table: KernelTable) -> bool:
 def table_symmetry(table: KernelTable) -> bool:
     """True iff every root's dimension matches the d at its mirror -2 - lambda.
     An exact symmetric table passes by pairing root i with root n - 1 - i;
-    any other table looks each mirror up in the index, matched as ``at`` does."""
+    any other table looks each mirror up with ``d_at``."""
     if _paired(table):
         return True
-    roots, values = table.roots, table._index[0]
-    keys = [_reflect(r.key, -2) for r in roots]
-    for r, key, value in zip(roots, keys, map(_key_value, keys)):
-        table._check_covered(value, value)  # raises outside the coverage, as d_at there would
-        i = bisect_left(values, value - 2 * MERGE_TOL)
-        near = roots[i : bisect_right(values, value + 2 * MERGE_TOL, i)]
-        same = (m.total_dimension for m in near if _same_rate(m.value, m.key, value, key))
-        if sum(same) != r.total_dimension:
-            return False
-    return True
+    return all(table.d_at(_reflect(r.key, -2)) == r.total_dimension for r in table.roots)
 
 
 def symmetry_check(cone: SLConeSpec, window: Window) -> bool:

@@ -1,7 +1,8 @@
 """Laplace-Beltrami spectra of cone links as (eigenvalue, multiplicity) lists.
 
 Analytic spectra (flat tori, round spheres) carry exact integer or rational
-eigenvalues (every torus metric of ints and Fractions has an exact spectrum);
+eigenvalues (every torus metric of ints and Fractions has an exact spectrum;
+a float metric is walked over the rationals its floats hold);
 numeric mesh spectra live in :mod:`cone_spectra.mesh`.  All links
 are normalized to the unit sphere, so the Clifford-torus parametrization
 carries its 1/sqrt(3) factor and the induced metric is (1/3)[[2,1],[1,2]].
@@ -19,10 +20,9 @@ from .errors import NonPositiveDefinite, ValidationError
 
 Number = int | float | Fraction
 
-# work budget of torus_spectrum, in rows and points of an exact metric's ellipse
-# or points of a float metric's bounding box: on a 2-core host 1e5 ellipse points
-# take 17 ms (integer eigenvalues) to 100 ms (a Fraction per distinct rational
-# eigenvalue), 1e5 box points 40 ms
+# work budget of torus_spectrum, in rows and points of the metric's ellipse: on a
+# 2-core host 1e5 ellipse points take 17 ms (integer eigenvalues) to 100 ms (a
+# Fraction per distinct rational eigenvalue)
 MAX_LATTICE_POINTS = 100_000
 # work budget of sphere_spectrum: the indicial roots of 1e4 degrees take about 1 s
 MAX_SPHERE_DEGREE = 10_000
@@ -35,6 +35,11 @@ _eigenvalue = itemgetter(0)
 def _is_exact(x) -> bool:
     """The package's one exactness rule: an int or Fraction, not a bool."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _rational(x) -> int | Fraction:
+    """x as an exact number: an exact x as given, else the rational its float holds."""
+    return x if _is_exact(x) else Fraction(float(x))
 
 
 @dataclass(frozen=True)
@@ -114,30 +119,35 @@ class LinkTopology:
 
 @dataclass(frozen=True)
 class TorusMetric:
-    """Flat metric in angle coordinates (theta_1, theta_2) of period 2 pi."""
+    """Flat metric in angle coordinates (theta_1, theta_2) of period 2 pi.  The
+    SPD check, ``det`` and ``inverse`` read the entries' exact values."""
 
     g11: Number
     g12: Number
     g22: Number
 
     def __post_init__(self):
-        if not (self.g11 > 0 and self.det() > 0):
+        finite = all(_is_exact(g) or math.isfinite(g) for g in (self.g11, self.g12, self.g22))
+        if not (finite and self.g11 > 0 and self.det() > 0):
             raise NonPositiveDefinite(f"metric {self.matrix()} is not SPD")
 
     def matrix(self):
         return ((self.g11, self.g12), (self.g12, self.g22))
 
-    def det(self) -> Number:
-        return self.g11 * self.g22 - self.g12 * self.g12
+    def _values(self) -> tuple[int | Fraction, ...]:
+        """The entries as exact numbers: ints and Fractions as given, a float as
+        the dyadic rational it holds (float() first, which numpy scalars take)."""
+        return tuple(_rational(g) for g in (self.g11, self.g12, self.g22))
 
-    def inverse(self):
-        """Entries of g^{-1} (exact Fractions when the metric is exact)."""
-        d = self.det()
-        if self.is_exact():
-            d = Fraction(d)
-            return (Fraction(self.g22) / d, -Fraction(self.g12) / d, Fraction(self.g11) / d)
-        d = float(d)
-        return (float(self.g22) / d, -float(self.g12) / d, float(self.g11) / d)
+    def det(self) -> int | Fraction:
+        g11, g12, g22 = self._values()
+        return g11 * g22 - g12 * g12
+
+    def inverse(self) -> tuple[Fraction, Fraction, Fraction]:
+        """Entries of g^{-1}, exact Fractions of the entries' exact values."""
+        g11, g12, g22 = self._values()
+        d = Fraction(g11 * g22 - g12 * g12)
+        return (g22 / d, -g12 / d, g11 / d)
 
     def area(self) -> float:
         return 4.0 * math.pi**2 * math.sqrt(float(self.det()))
@@ -176,61 +186,49 @@ def _over_budget(cutoff) -> ValidationError:
 def torus_spectrum(metric: TorusMetric, cutoff: float) -> Spectrum:
     """Flat-torus spectrum: eigenvalue q(m,n) = g^{ab} k_a k_b over integer (m, n).
 
-    An exact metric's inverse a, b, c is put over its common denominator d, so
+    The inverse a, b, c of the metric's exact values (a float entry is the
+    rational it holds) is put over its common denominator d, so
     d q = A m^2 + B m n + C n^2 on Python ints, and the form is reduced
     (_reduce_form): a change of lattice basis, which keeps the values.  Row n
     of the ellipse d q <= top = floor(d cutoff) holds the m with
     (2 A m + B n)^2 <= 4 A top - (4 A C - B^2) n^2, one isqrt per row, so only
     points inside the ellipse are visited.  The half plane n > 0 (or n = 0,
-    m > 0) counts twice, as q(-m, -n) = q(m, n), and the origin once; each
-    distinct key becomes the exact eigenvalue key // d, or Fraction(key, d)
-    where d does not divide it.  Float metrics are enumerated in floats over
-    the ellipse's bounding box, and eigenvalues within RELATIVE_TOL merge.
+    m > 0) counts twice, as q(-m, -n) = q(m, n), and the origin once.  For an
+    exact metric each distinct key becomes the exact eigenvalue key // d, or
+    Fraction(key, d) where d does not divide it; for a float metric the
+    correctly rounded float key / d, and eigenvalues within RELATIVE_TOL merge.
     """
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    if metric.is_exact():
-        if cutoff == math.inf:
-            raise _over_budget(cutoff)
-        a, b, c = metric.inverse()
-        d = math.lcm(a.denominator, b.denominator, c.denominator)
-        (A, B, C), _ = _reduce_form(int(a * d), int(2 * b * d), int(c * d))
-        top = math.floor(Fraction(cutoff) * d)  # key <= top  <=>  q <= cutoff
-        disc, a4top, a2 = 4 * A * C - B * B, 4 * A * top, 2 * A
-        n_top = math.isqrt(a4top // disc)  # disc n^2 <= 4 A top on every row
-        if n_top >= MAX_LATTICE_POINTS:
-            raise _over_budget(cutoff)
-        rows = []  # (lo, hi): the m of row n = 0, 1, ..., n_top
-        for n in range(n_top + 1):
-            s = math.isqrt(a4top - disc * n * n)
-            rows.append((-((B * n + s) // a2), (s - B * n) // a2))
-        widths = [hi - lo + 1 for lo, hi in rows]
-        if 2 * sum(widths) - widths[0] > MAX_LATTICE_POINTS:  # rows n < 0 mirror rows n > 0
-            raise _over_budget(cutoff)
-        counts: dict = {}
-        for n, (lo, hi) in enumerate(rows):
-            bn, cnn = B * n, C * n * n
-            for m in range(lo if n else 1, hi + 1):
-                key = (A * m + bn) * m + cnn
-                counts[key] = counts.get(key, 0) + 2
-        ordered = sorted(counts.items())
-        entries = ((0, 1), *((Fraction(k, d) if k % d else k // d, mult) for k, mult in ordered))
-        return Spectrum(entries=entries, cutoff=float(cutoff))
-    # bounding box: max m^2 = cutoff * g11, max n^2 = cutoff * g22 (capped when infinite)
-    cap = float(MAX_LATTICE_POINTS) ** 2
-    m_max = math.isqrt(math.floor(min(float(cutoff) * float(metric.g11), cap))) + 1
-    n_max = math.isqrt(math.floor(min(float(cutoff) * float(metric.g22), cap))) + 1
-    if (2 * m_max + 1) * (2 * n_max + 1) > MAX_LATTICE_POINTS:
+    if cutoff == math.inf:
         raise _over_budget(cutoff)
-    a, b, c = metric.inverse()  # q(m,n) = a m^2 + 2 b m n + c n^2
-    cut = float(cutoff)
-    counts = {}
-    for m in range(-m_max, m_max + 1):
-        for n in range(-n_max, n_max + 1):
-            q = a * m * m + 2 * b * m * n + c * n * n
-            if q <= cut:
-                counts[q] = counts.get(q, 0) + 1
-    return Spectrum(entries=_merge_close(sorted(counts.items())), cutoff=float(cutoff))
+    a, b, c = metric.inverse()
+    d = math.lcm(a.denominator, b.denominator, c.denominator)
+    (A, B, C), _ = _reduce_form(int(a * d), int(2 * b * d), int(c * d))
+    top = math.floor(_rational(cutoff) * d)  # key <= top  <=>  q <= cutoff
+    disc, a4top, a2 = 4 * A * C - B * B, 4 * A * top, 2 * A
+    n_top = math.isqrt(a4top // disc)  # disc n^2 <= 4 A top on every row
+    if n_top >= MAX_LATTICE_POINTS:
+        raise _over_budget(cutoff)
+    rows = []  # (lo, hi): the m of row n = 0, 1, ..., n_top
+    for n in range(n_top + 1):
+        s = math.isqrt(a4top - disc * n * n)
+        rows.append((-((B * n + s) // a2), (s - B * n) // a2))
+    widths = [hi - lo + 1 for lo, hi in rows]
+    if 2 * sum(widths) - widths[0] > MAX_LATTICE_POINTS:  # rows n < 0 mirror rows n > 0
+        raise _over_budget(cutoff)
+    counts: dict = {}
+    for n, (lo, hi) in enumerate(rows):
+        bn, cnn = B * n, C * n * n
+        for m in range(lo if n else 1, hi + 1):
+            key = (A * m + bn) * m + cnn
+            counts[key] = counts.get(key, 0) + 2
+    ordered = sorted(counts.items())
+    if metric.is_exact():
+        entries = ((0, 1), *((Fraction(k, d) if k % d else k // d, mult) for k, mult in ordered))
+    else:
+        entries = _merge_close([(0.0, 1), *((k / d, mult) for k, mult in ordered)])
+    return Spectrum(entries=entries, cutoff=float(cutoff))
 
 
 def _merge_close(pairs) -> tuple[tuple[float, int], ...]:

@@ -740,6 +740,16 @@ def test_overflowing_profile_is_quiet_on_stderr():
         "error": "NonFiniteResult", "message": "Out of range float values are not JSON compliant",
     }
     assert done.stderr == ""
+    # finite ends whose span overflows: refused before np.linspace warns
+    done = subprocess.run(
+        [sys.executable, "-m", "cone_spectra", "lawlor", "profile", "--a", "1,1,1",
+         "--y-min", "-1.7e308", "--y-max", "1.7e308", "--count", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_VALIDATION
+    assert json.loads(done.stdout)["error"] == "ValidationError"
+    assert "--y-min" in done.stdout and "--y-max" in done.stdout
+    assert done.stderr == ""
 
 
 NUMBERS = ["-2", "1", "0", "-1", "-1/2", "7/3", "0.25", "-3.75", "1e300", "-1e400", "inf",

@@ -23,6 +23,7 @@ from cone_spectra.spectra import (
     Spectrum,
     TorusMetric,
     _is_exact,
+    _merge_close,
     _reduce_form,
     clifford_torus_metric,
     sphere_spectrum,
@@ -306,23 +307,104 @@ def test_clifford_torus_in_another_basis_is_the_hl_cone():
 
 
 def test_lattice_budget():
-    # exact metrics count the ellipse row by row: for the identity, cutoff
-    # 31823 holds 99,985 points and fits, 31824 holds 100,001; a float metric
-    # counts its bounding box, (2 * (isqrt(cutoff) + 1) + 1)^2 points for the
-    # identity: 315^2 fit, 317^2 do not
-    fits = torus_spectrum(TorusMetric(1, 0, 1), 31823)
-    assert sum(mult for _, mult in fits.entries) == 99_985
+    # every metric counts the ellipse row by row: for the identity, cutoff
+    # 31823 holds 99,985 points and fits, 31824 holds 100,001, whether its
+    # entries are ints or floats
+    for identity in (TorusMetric(1, 0, 1), TorusMetric(1.0, 0.0, 1.0)):
+        fits = torus_spectrum(identity, 31823)
+        assert sum(mult for _, mult in fits.entries) == 99_985
     assert len(torus_spectrum(TorusMetric(1, 0, 1), 157**2).entries) > 0
-    assert len(torus_spectrum(TorusMetric(1.0, 0.0, 1.0), 157**2 - 1).entries) > 0
     for metric, cutoff in (
         (TorusMetric(1, 0, 1), 31824),
         (TorusMetric(1, 0, 1), 10**12),  # 10^6 rows: refused before any row is measured
-        (TorusMetric(1.0, 0.0, 1.0), 157**2),
+        (TorusMetric(1.0, 0.0, 1.0), 31824),
         (TorusMetric(Fraction(3, 2), Fraction(1, 3), Fraction(5, 4)), Fraction(10**6, 7)),
         (clifford_torus_metric(), math.inf),
+        (TorusMetric(2 / 3, 1 / 3, 2 / 3), math.inf),
     ):
         with pytest.raises(ValidationError, match=str(MAX_LATTICE_POINTS)):
             torus_spectrum(metric, cutoff)
+
+
+def _box_torus_spectrum(metric, cutoff):
+    """Reference for float metrics, the enumeration torus_spectrum once used for
+    them: q(m, n) in floats at every point of the ellipse's bounding box, values
+    within RELATIVE_TOL merged.  Also returns the distance of the lattice value
+    nearest the cutoff, relative to the cutoff."""
+    m_max = math.isqrt(math.floor(cutoff * float(metric.g11))) + 1
+    n_max = math.isqrt(math.floor(cutoff * float(metric.g22))) + 1
+    d = float(metric.g11) * float(metric.g22) - float(metric.g12) ** 2
+    a, b, c = float(metric.g22) / d, -float(metric.g12) / d, float(metric.g11) / d
+    counts, gap = {}, math.inf
+    for m in range(-m_max, m_max + 1):
+        for n in range(-n_max, n_max + 1):
+            q = a * m * m + 2 * b * m * n + c * n * n
+            gap = min(gap, abs(q - cutoff) / cutoff)
+            if q <= cutoff:
+                counts[q] = counts.get(q, 0) + 1
+    return Spectrum(_merge_close(sorted(counts.items())), cutoff), gap
+
+
+def test_float_metrics_match_the_box_reference():
+    # the exact walk over a float metric's values against the float box: the
+    # same multiplicities and values within 1e-12, away from the cutoff, where
+    # float rounding may decide a lattice value either way
+    rng = np.random.default_rng(2029)
+    compared = 0
+    for cutoff in (12.0, 48.0, 200.0):
+        for _ in range(20):
+            a = rng.normal(size=(2, 2))
+            g = a @ a.T + 0.4 * np.eye(2)
+            metric = TorusMetric(g[0, 0], g[0, 1], g[1, 1])
+            want, gap = _box_torus_spectrum(metric, cutoff)
+            if gap <= 1e-9:
+                continue
+            got = torus_spectrum(metric, cutoff)
+            assert not got.exact
+            assert [m for _, m in got.entries] == [m for _, m in want.entries]
+            for (x, _), (y, _) in zip(got.entries, want.entries):
+                assert math.isclose(x, y, rel_tol=1e-12)
+            compared += 1
+    assert compared >= 55
+
+
+def test_float_clifford_boundary_is_decided_exactly():
+    # 2/3 and 1/3 as floats put six lattice points 1.1e-14 above 200: float
+    # arithmetic rounds them onto the cutoff, the exact values leave them out;
+    # the exact Clifford metric has them at 200
+    floats = TorusMetric(2 / 3, 1 / 3, 2 / 3)
+    a, b, c = floats.inverse()
+    assert a * 100 == c * 100 == (a + 2 * b + c) * 100 > 200
+    assert _box_torus_spectrum(floats, 200.0)[0].entries[-1] == (200.0, 6)
+    assert torus_spectrum(floats, 200).entries[-1] == (194.0, 12)
+    exact = torus_spectrum(clifford_torus_metric(), 200)
+    assert exact.entries[-1] == (200, 6)
+    assert [m for _, m in torus_spectrum(floats, 200).entries] == [m for _, m in exact.entries[:-1]]
+
+
+def test_float_thin_ellipse_fits_the_budget():
+    # counted by rows like its exact twin: 3,511 points, where the bounding box
+    # of 100,489 points was refused
+    spectrum = torus_spectrum(TorusMetric(1.0, 0.999, 1.0), 25000)
+    assert sum(mult for _, mult in spectrum.entries) == 3511
+    assert not spectrum.exact
+
+
+def test_float_metric_entries_are_read_as_their_rationals():
+    for bad in ((math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0), (1.0, -math.inf, 1.0)):
+        with pytest.raises(NonPositiveDefinite):
+            TorusMetric(*bad)
+    # numpy float32 entries go through float(): Fraction(np.float32) raises
+    single = TorusMetric(np.float32(1.5), np.float32(0.1), np.float32(1.25))
+    double = TorusMetric(float(np.float32(1.5)), float(np.float32(0.1)), float(np.float32(1.25)))
+    assert single.inverse() == double.inverse()
+    assert all(type(x) is Fraction for x in single.inverse())
+    assert torus_spectrum(single, 30).entries == torus_spectrum(double, 30).entries
+    # SPD, though its float determinant underflows to 0: only the constants
+    # lie below 12, as q(1, 0) = 1e200
+    tiny = TorusMetric(1e-200, 0.0, 1e-200)
+    assert 1e-200 * 1e-200 == 0.0 < tiny.det()
+    assert torus_spectrum(tiny, 12).entries == ((0.0, 1),)
 
 
 def test_weyl_law():
